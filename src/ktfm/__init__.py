@@ -11,15 +11,12 @@ additive factor model, and performance factor analysis.
 __version__ = "0.1.0"
 
 from .encoding import (
-    CounterState,
     EncodingConfig,
     EncodingError,
     QMatrix,
     Triplet,
     encode_dataset,
-    encode_extra,
     load_qmatrix,
-    update_counters,
 )
 from .evaluation import (
     CVReport,
@@ -34,10 +31,8 @@ from .model import (
     FMParams,
     Link,
     export_embeddings,
-    predict_proba,
     predict_proba_matrix,
     preset_encoding,
-    raw_score,
     raw_scores,
     read_embeddings,
 )
@@ -57,10 +52,7 @@ from .sparse import (
     DesignMatrix,
     FeatureSpace,
     LayoutError,
-    SparseRow,
-    feature_index,
     load_design_matrix,
-    sparse_dot,
 )
 from .training import (
     GibbsOutput,
@@ -69,14 +61,12 @@ from .training import (
     TrainingDivergedError,
     init_params,
     nll,
-    nll_gradient,
     train_gibbs_probit,
     train_map_logit,
 )
 
 __all__ = [
     "__version__",
-    "CounterState",
     "CVReport",
     "Dataset",
     "DesignMatrix",
@@ -92,7 +82,6 @@ __all__ = [
     "Link",
     "ModelBundle",
     "QMatrix",
-    "SparseRow",
     "SynthSpec",
     "TrainConfig",
     "TrainingDivergedError",
@@ -101,9 +90,7 @@ __all__ = [
     "accuracy",
     "auc",
     "encode_dataset",
-    "encode_extra",
     "export_embeddings",
-    "feature_index",
     "generate_synthetic",
     "init_params",
     "load_dataset",
@@ -113,20 +100,15 @@ __all__ = [
     "load_triplets",
     "make_folds",
     "nll",
-    "nll_gradient",
     "oracle_probabilities",
-    "predict_proba",
     "predict_proba_matrix",
     "preset_encoding",
-    "raw_score",
     "raw_scores",
     "read_embeddings",
     "run_cv",
     "save_model",
-    "sparse_dot",
     "train_gibbs_probit",
     "train_map_logit",
-    "update_counters",
     "write_synthetic",
     "write_triplets",
 ]

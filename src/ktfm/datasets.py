@@ -183,27 +183,28 @@ def write_triplets(
 def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: bool = False) -> QMatrix:
     """Permute q-matrix rows into dense item order.
 
-    Raw q-matrix rows follow raw integer item ids (0- or 1-based, detected
-    from the id range). With ``vocab_order`` the rows are assumed to already
-    follow the vocabulary's dense indexing, which is the convention when an
-    explicit vocabulary file accompanies the data.
+    When every raw item id is an integer, q-matrix rows follow those ids (0-
+    or 1-based, detected from the id range), whatever ``vocab_order`` says,
+    so a log aligns the same way with or without a vocabulary file. Only for
+    non-integer ids do the rows follow the vocabulary's dense indexing, which
+    ``vocab_order`` declares and which needs an explicit vocabulary file.
     """
     n_dense = len(item_vocab)
     if n_dense == 0:
         raise EncodingError("empty item vocabulary")
-    if vocab_order:
-        if q.n_items < n_dense:
-            raise EncodingError(
-                f"q-matrix has {q.n_items} rows but vocabulary names {n_dense} items"
-            )
-        return q  # trailing rows are simply items never attempted
     try:
         raw_ids = {raw: int(raw) for raw in item_vocab}
     except ValueError:
-        raise EncodingError(
-            "item ids are not integers; supply a vocabulary file whose dense "
-            "order matches the q-matrix rows"
-        ) from None
+        if not vocab_order:
+            raise EncodingError(
+                "item ids are not integers; supply a vocabulary file whose dense "
+                "order matches the q-matrix rows"
+            ) from None
+        if q.n_items < n_dense:
+            raise EncodingError(
+                f"q-matrix has {q.n_items} rows but vocabulary names {n_dense} items"
+            ) from None
+        return q  # trailing rows are simply items never attempted
     values = raw_ids.values()
     if min(values) >= 1 and max(values) == q.n_items:
         base = 1
@@ -398,8 +399,8 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
 
     # ktm: full feature model over users+items+skills+wins+fails
     from .encoding import EncodingConfig
-    from .model import raw_score
-    from .sparse import SparseRow
+    from .model import raw_scores
+    from .sparse import DesignMatrix
 
     config = EncodingConfig(
         use_users=True, use_items=True, use_skills=True, use_wins=True, use_fails=True
@@ -412,6 +413,8 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
     truth["V"] = V.tolist()
     truth["blocks"] = list(space.blocks)
 
+    # each outcome depends on the counters the earlier ones left, so the
+    # attempts are drawn and scored one at a time
     triplets = []
     wins = np.zeros((n, spec.n_skills), dtype=np.int64)
     fails = np.zeros((n, spec.n_skills), dtype=np.int64)
@@ -419,23 +422,17 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
         for _ in range(spec.attempts):
             for item in rng.permutation(m):
                 item = int(item)
-                kc = q.kc(item)
-                pairs = [(space.column("users", student), 1.0), (space.column("items", item), 1.0)]
-                off = space.offset("skills")
-                pairs.extend((off + k, 1.0) for k in kc)
-                off = space.offset("wins")
-                pairs.extend((off + k, float(wins[student, k])) for k in kc if wins[student, k])
-                off = space.offset("fails")
-                pairs.extend((off + k, float(fails[student, k])) for k in kc if fails[student, k])
-                z = raw_score(params, SparseRow.from_pairs(pairs))
+                kc = np.array(q.kc(item), dtype=np.int64)
+                x = np.zeros(space.width)
+                x[[space.column("users", student), space.column("items", item)]] = 1.0
+                x[space.offset("skills") + kc] = 1.0
+                x[space.offset("wins") + kc] = wins[student, kc]
+                x[space.offset("fails") + kc] = fails[student, kc]
+                cols = np.flatnonzero(x)  # zero counters are not stored
+                z = float(raw_scores(params, DesignMatrix(space, [0, cols.size], cols, x[cols], [0]))[0])
                 outcome = int(rng.random() < float(_inv_link(spec.link, np.array(z))))
                 triplets.append(Triplet(student, item, outcome))
-                if outcome:
-                    for k in kc:
-                        wins[student, k] += 1
-                else:
-                    for k in kc:
-                        fails[student, k] += 1
+                (wins if outcome else fails)[student, kc] += 1
     return SyntheticData(triplets, q, truth)
 
 
@@ -458,27 +455,14 @@ def oracle_probabilities(truth: Mapping, triplets: Sequence[Triplet]) -> np.ndar
             z += np.array([float(uv[t.student] @ iv[t.item]) for t in triplets])
         return _inv_link(link, z)
     if kind == "pfa":
+        from .encoding import EncodingConfig, encode_dataset
+        from .model import raw_scores
+
         q = QMatrix(np.array(truth["qmatrix"], dtype=np.int8))
-        skill_bias = np.asarray(truth["skill_bias"])
-        win_gain = np.asarray(truth["win_gain"])
-        fail_gain = np.asarray(truth["fail_gain"])
-        n = int(truth["n_students"])
-        wins = np.zeros((n, q.n_skills))
-        fails = np.zeros((n, q.n_skills))
-        probs = np.empty(len(triplets))
-        for r, t in enumerate(triplets):
-            kc = list(q.kc(t.item))
-            z = float(
-                skill_bias[kc].sum()
-                + (win_gain[kc] * wins[t.student, kc]).sum()
-                + (fail_gain[kc] * fails[t.student, kc]).sum()
-            )
-            probs[r] = float(_inv_link(link, np.array(z)))
-            if t.outcome:
-                wins[t.student, kc] += 1
-            else:
-                fails[t.student, kc] += 1
-        return probs
+        config = EncodingConfig(use_skills=True, use_wins=True, use_fails=True)
+        data = encode_dataset(triplets, q, config, int(truth["n_students"]))
+        w = np.concatenate([truth["skill_bias"], truth["win_gain"], truth["fail_gain"]])
+        return _inv_link(link, raw_scores(FMParams(0.0, w), data))
     raise ValueError(f"no oracle for generator {kind!r}")
 
 

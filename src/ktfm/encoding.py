@@ -1,10 +1,12 @@
-"""Turn chronological (student, item, outcome) logs into sparse design rows.
+"""Turn chronological (student, item, outcome) logs into a sparse design matrix.
 
 Each row one-hot encodes the student and/or item, activates the skills the
 item exercises, and writes the student's running win/fail (or attempt)
 counters for those skills, *as they stood before the attempt*. Counters are
-maintained over the full log in order, so a later train/test split applies to
-rows, not to counter history.
+replayed over the full log in order, so a later train/test split applies to
+rows, not to counter history. The replay is vectorized: every (row, skill)
+pair of the log is sorted by (student, skill), which keeps time order inside
+each pair, and exclusive running sums of the outcomes give the counters.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .sparse import DesignMatrix, FeatureSpace, SparseRow, _readonly
+from .sparse import DesignMatrix, FeatureSpace, _readonly
 
 
 class EncodingError(ValueError):
@@ -98,49 +101,6 @@ def load_qmatrix(path) -> QMatrix:
     if not rows:
         raise EncodingError(f"{path}: empty q-matrix")
     return QMatrix(np.array(rows, dtype=np.int8))
-
-
-@dataclass(frozen=True, eq=False)
-class CounterState:
-    """Per-(student, skill) win and fail tallies; attempts = wins + fails."""
-
-    wins: np.ndarray
-    fails: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.wins, dtype=np.int64, copy=True)
-        f = np.array(self.fails, dtype=np.int64, copy=True)
-        if w.shape != f.shape or w.ndim != 2:
-            raise EncodingError("wins/fails must be matching 2-d arrays")
-        if (w < 0).any() or (f < 0).any():
-            raise EncodingError("counters cannot be negative")
-        object.__setattr__(self, "wins", _readonly(w))
-        object.__setattr__(self, "fails", _readonly(f))
-
-    @classmethod
-    def zeros(cls, n_students: int, n_skills: int) -> "CounterState":
-        return cls(
-            np.zeros((n_students, n_skills), dtype=np.int64),
-            np.zeros((n_students, n_skills), dtype=np.int64),
-        )
-
-    @property
-    def attempts(self) -> np.ndarray:
-        return self.wins + self.fails
-
-
-def update_counters(state: CounterState, t: Triplet, q: QMatrix) -> CounterState:
-    """New state with the attempt applied to every skill of ``t.item``."""
-    wins = state.wins.copy()
-    fails = state.fails.copy()
-    _apply_attempt(wins, fails, t, q.kc(t.item))
-    return CounterState(wins, fails)
-
-
-def _apply_attempt(wins, fails, t: Triplet, kc: tuple[int, ...]) -> None:
-    target = wins if t.outcome == 1 else fails
-    for k in kc:
-        target[t.student, k] += 1
 
 
 # canonical block order; presets pick subsets, extras append in declared order
@@ -228,24 +188,35 @@ class EncodingConfig:
         return replace(self, **kwargs)
 
 
-def encode_extra(
-    space: FeatureSpace,
-    config: EncodingConfig,
-    extra_values: Mapping[str, int],
-) -> list[tuple[int, float]]:
-    """One-hot fragment for the extra blocks of a single observation."""
-    pairs: list[tuple[int, float]] = []
-    for name, card in config.extra_columns:
-        try:
-            value = int(extra_values[name])
-        except KeyError:
-            raise EncodingError(f"missing value for extra column {name!r}") from None
-        if not 0 <= value < card:
-            raise EncodingError(
-                f"extra column {name!r}: value {value} outside cardinality {card}"
-            )
-        pairs.append((space.column(name, value), 1.0))
-    return pairs
+def _reject(broken: np.ndarray, describe) -> None:
+    """Raise for the first row where ``broken`` holds."""
+    if broken.any():
+        r = int(np.argmax(broken))
+        raise EncodingError(f"row {r}: {describe(r)}")
+
+
+def _prior_counts(
+    student: np.ndarray, skill: np.ndarray, outcome: np.ndarray, n_skills: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wins and fails of each (student, skill) pair before each of its attempts.
+
+    The inputs list one entry per (attempt, skill) in time order; the stable
+    sort by pair keeps that order inside each pair.
+    """
+    pair = student * n_skills + skill
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    won = outcome[order]
+    lost = 1 - won
+    wins = np.cumsum(won) - won  # exclusive running sums over the sorted log
+    fails = np.cumsum(lost) - lost
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    sizes = np.diff(np.r_[first, pair.size])
+    wins -= np.repeat(wins[first], sizes)  # restart both at each pair's first attempt
+    fails -= np.repeat(fails[first], sizes)
+    out_wins, out_fails = np.empty_like(wins), np.empty_like(fails)
+    out_wins[order], out_fails[order] = wins, fails
+    return out_wins, out_fails
 
 
 def encode_dataset(
@@ -260,15 +231,14 @@ def encode_dataset(
 
     Counter blocks reflect the state *before* each attempt and cover only the
     skills of the attempted item. A negative student or item id means "unknown
-    at encode time" and simply drops that one-hot (cold-start convention).
+    at encode time" and simply drops that one-hot (cold-start convention); an
+    unknown student's attempts neither carry nor update counters.
     """
     if config.needs_skills and q is None:
         raise EncodingError("this encoding needs skill information but no q-matrix was given")
+    student, item, outcome = np.array(triplets, dtype=np.int64).reshape(-1, 3).T
     if n_items is None:
-        if q is not None:
-            n_items = q.n_items
-        else:
-            n_items = 1 + max((t.item for t in triplets), default=-1)
+        n_items = q.n_items if q is not None else 1 + int(item.max(initial=-1))
     n_skills = q.n_skills if q is not None else 0
     if config.use_users and n_students <= 0:
         raise EncodingError("users block enabled but no students declared")
@@ -281,57 +251,60 @@ def encode_dataset(
     for name, _ in config.extra_columns:
         if name not in extras:
             raise EncodingError(f"dataset has no values for extra column {name!r}")
-        if len(extras[name]) != len(triplets):
+        if len(extras[name]) != len(student):
             raise EncodingError(
                 f"extra column {name!r} has {len(extras[name])} values for "
-                f"{len(triplets)} triplets"
+                f"{len(student)} triplets"
             )
 
-    wins = np.zeros((n_students, n_skills), dtype=np.int64)
-    fails = np.zeros((n_students, n_skills), dtype=np.int64)
+    _reject(student >= n_students, lambda r: f"student {student[r]} >= {n_students}")
+    _reject(item >= n_items, lambda r: f"item {item[r]} >= {n_items}")
+    _reject((outcome != 0) & (outcome != 1), lambda r: f"outcome {outcome[r]} is not 0/1")
+    if q is not None:
+        _reject(item >= q.n_items, lambda r: f"item {item[r]} outside [0, {q.n_items})")
 
-    rows: list[SparseRow] = []
-    labels = np.empty(len(triplets), dtype=np.int8)
-    for r, t in enumerate(triplets):
-        if t.student >= n_students:
-            raise EncodingError(f"row {r}: student {t.student} >= {n_students}")
-        if t.item >= n_items:
-            raise EncodingError(f"row {r}: item {t.item} >= {n_items}")
-        if t.outcome not in (0, 1):
-            raise EncodingError(f"row {r}: outcome {t.outcome} is not 0/1")
-        kc = q.kc(t.item) if (q is not None and t.item >= 0) else ()
+    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (row, column, value)
 
-        pairs: list[tuple[int, float]] = []
-        if config.use_users and t.student >= 0:
-            pairs.append((space.column("users", t.student), 1.0))
-        if config.use_items and t.item >= 0:
-            pairs.append((space.column("items", t.item), 1.0))
+    def add(block: str, rows: np.ndarray, local: np.ndarray, values=1.0) -> None:
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), rows.shape)
+        entries.append((rows, space.offset(block) + local, values))
+
+    if config.use_users:
+        known = np.flatnonzero(student >= 0)
+        add("users", known, student[known])
+    if config.use_items:
+        known = np.flatnonzero(item >= 0)
+        add("items", known, item[known])
+    if config.needs_skills:
+        # one (row, skill) pair per skill of each attempted item, in row order
+        attempted = np.flatnonzero(item >= 0)
+        kc = sp.csr_matrix(q.matrix)[item[attempted]]
+        pair_row = np.repeat(attempted, np.diff(kc.indptr))
+        pair_skill = kc.indices.astype(np.int64)
         if config.use_skills:
-            off = space.offset("skills")
-            pairs.extend((off + k, 1.0) for k in kc)
-        if config.use_wins and t.student >= 0:
-            off = space.offset("wins")
-            pairs.extend(
-                (off + k, float(wins[t.student, k])) for k in kc if wins[t.student, k]
-            )
-        if config.use_fails and t.student >= 0:
-            off = space.offset("fails")
-            pairs.extend(
-                (off + k, float(fails[t.student, k])) for k in kc if fails[t.student, k]
-            )
-        if config.use_attempts and t.student >= 0:
-            off = space.offset("attempts")
-            pairs.extend(
-                (off + k, float(wins[t.student, k] + fails[t.student, k]))
-                for k in kc
-                if wins[t.student, k] + fails[t.student, k]
-            )
-        if config.extra_columns:
-            pairs.extend(encode_extra(space, config, {n: extras[n][r] for n, _ in config.extra_columns}))
+            add("skills", pair_row, pair_skill)
+    if config.needs_counters:
+        known = student[pair_row] >= 0
+        rows, skills = pair_row[known], pair_skill[known]
+        wins, fails = _prior_counts(student[rows], skills, outcome[rows], n_skills)
+        counters = {"wins": wins, "fails": fails, "attempts": wins + fails}
+        for block in config.enabled_blocks():
+            if block in counters:
+                kept = counters[block] > 0
+                add(block, rows[kept], skills[kept], counters[block][kept])
+    for name, card in config.extra_columns:
+        values = np.asarray(extras[name], dtype=np.int64)
+        _reject(
+            (values < 0) | (values >= card),
+            lambda r: f"extra column {name!r}: value {values[r]} outside cardinality {card}",
+        )
+        add(name, np.arange(len(values)), values)
 
-        rows.append(SparseRow.from_pairs(pairs))
-        labels[r] = t.outcome
-        if t.student >= 0:
-            _apply_attempt(wins, fails, t, kc)
-
-    return DesignMatrix(space, tuple(rows), labels)
+    rows, columns, values = (np.concatenate(parts) for parts in zip(*entries))
+    entries.clear()  # free the parts before sorting, to keep the peak low
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(student)))]
+    order = np.argsort(rows * space.width + columns, kind="stable")
+    del rows
+    columns, values = columns[order], values[order]
+    del order
+    return DesignMatrix(space, indptr, columns, values, outcome)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erfc, expit
 
 from .encoding import EncodingConfig
-from .sparse import DesignMatrix, FeatureSpace, SparseRow, _readonly
+from .sparse import DesignMatrix, FeatureSpace, _readonly
 
 # open-interval guard for predicted probabilities
 PROB_EPS = 1e-15
@@ -89,24 +89,12 @@ class FMParams:
         return cls(0.0, np.zeros(n_features), V)
 
 
-def raw_score(params: FMParams, x: SparseRow) -> float:
-    """Model score of one row on the link scale."""
-    if x.nnz == 0:
-        return params.bias
-    if x.indices[-1] >= params.n_features:
-        raise IndexError(
-            f"row touches column {x.indices[-1]} but model has {params.n_features} features"
-        )
-    z = params.bias + float(np.dot(params.w[x.indices], x.values))
-    if params.V is not None:
-        vx = params.V[x.indices] * x.values[:, None]
-        q = vx.sum(axis=0)
-        z += 0.5 * (float(np.dot(q, q)) - float((vx * vx).sum()))
-    return z
-
-
 def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
-    """Vectorized :func:`raw_score` over all rows of a design matrix."""
+    """Model score of every row of ``data`` on the link scale.
+
+    This is the one FM score: prediction, the trainers' full-batch steps,
+    Gibbs residuals and per-epoch metrics all call it.
+    """
     if data.space.width != params.n_features:
         raise IndexError(
             f"matrix width {data.space.width} != model features {params.n_features}"
@@ -120,12 +108,8 @@ def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     return np.asarray(z, dtype=np.float64)
 
 
-def predict_proba(params: FMParams, x: SparseRow, link: Link) -> float:
-    """Probability of a positive outcome for one row."""
-    return float(link.inverse(raw_score(params, x)))
-
-
 def predict_proba_matrix(params: FMParams, data: DesignMatrix, link: Link) -> np.ndarray:
+    """Probability of a positive outcome for every row of ``data``."""
     return link.inverse(raw_scores(params, data))
 
 

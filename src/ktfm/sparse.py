@@ -1,15 +1,16 @@
-"""Sparse feature rows and the fixed column layout they live in.
+"""The fixed column layout and the sparse design matrix laid over it.
 
-Everything downstream (encoder, model, trainers) shares these types. Rows are
-immutable once built; bulk math goes through the cached CSR view of a
-``DesignMatrix`` instead of touching rows one by one.
+Everything downstream (encoder, model, trainers) shares these types. A
+``DesignMatrix`` holds its rows as read-only CSR arrays (``indptr``,
+``indices``, ``data``) plus one label per row; its ``csr`` view wraps those
+arrays without copying them, and all bulk math goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,139 +99,82 @@ class FeatureSpace:
         raise AssertionError("unreachable")
 
 
-def feature_index(space: FeatureSpace, block: str, local_id: int) -> int:
-    """Global column of ``local_id`` inside ``block``."""
-    return space.column(block, local_id)
-
-
-@dataclass(frozen=True, eq=False)
-class SparseRow:
-    """Nonzero entries of one observation, as parallel index/value arrays.
-
-    Indices are strictly increasing, values finite and nonzero.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64, copy=True)
-        val = np.array(self.values, dtype=np.float64, copy=True)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise RowFormatError("indices and values must be 1-d and same length")
-        if idx.size:
-            if idx[0] < 0:
-                raise RowFormatError(f"negative column index {idx[0]}")
-            if np.any(np.diff(idx) <= 0):
-                raise RowFormatError("indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise RowFormatError("values must be finite")
-        if np.any(val == 0.0):
-            raise RowFormatError("zero-valued entries must not be stored")
-        object.__setattr__(self, "indices", _readonly(idx))
-        object.__setattr__(self, "values", _readonly(val))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseRow":
-        pairs = list(pairs)
-        idx = np.array([i for i, _ in pairs], dtype=np.int64)
-        val = np.array([v for _, v in pairs], dtype=np.float64)
-        return cls(idx, val)
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[float]) -> "SparseRow":
-        arr = np.asarray(dense, dtype=np.float64)
-        (nz,) = np.nonzero(arr)
-        return cls(nz.astype(np.int64), arr[nz])
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
-
-    def densify(self, width: int) -> np.ndarray:
-        if self.nnz and self.indices[-1] >= width:
-            raise LayoutError(f"row touches column {self.indices[-1]} >= width {width}")
-        out = np.zeros(width, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
-    def dot(self, dense: np.ndarray) -> float:
-        return sparse_dot(self, dense)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseRow):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-
-def sparse_dot(row: SparseRow, dense: np.ndarray) -> float:
-    """Dot product of a sparse row with a dense vector of the full width."""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.ndim != 1:
-        raise ValueError("dense operand must be a vector")
-    if row.nnz == 0:
-        return 0.0
-    if row.indices[-1] >= dense.size:
-        raise LayoutError(
-            f"row touches column {row.indices[-1]} but vector has length {dense.size}"
-        )
-    return float(np.dot(row.values, dense[row.indices]))
-
-
 def _format_value(v: float) -> str:
     # integers round-trip as bare ints; anything else uses shortest repr,
     # which is bit-exact for doubles
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
+def _index_dtype(*bounds: int) -> type:
+    # the index type scipy would pick, so that ``csr`` can share the arrays
+    return np.int32 if max(bounds, default=0) <= np.iinfo(np.int32).max else np.int64
 
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Chronologically ordered sparse rows with binary outcome labels."""
+    """Chronologically ordered sparse rows with binary outcome labels.
+
+    Row ``r`` holds the entries ``indices[indptr[r]:indptr[r + 1]]`` with
+    values ``data[...]`` of the same slice. Column indices in a row are
+    strictly increasing and below the space's width; values are finite and
+    nonzero.
+    """
 
     space: FeatureSpace
-    rows: tuple[SparseRow, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(self.rows)
         labels = np.array(self.labels, dtype=np.int8, copy=True)
-        if labels.ndim != 1 or len(rows) != labels.size:
-            raise RowFormatError(
-                f"{len(rows)} rows but {labels.size} labels"
-            )
+        data = np.array(self.data, dtype=np.float64, copy=True)
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        width = self.space.width
+        if labels.ndim != 1 or indptr.shape != (labels.size + 1,):
+            raise RowFormatError(f"{indptr.size - 1} rows but {labels.size} labels")
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise RowFormatError("labels must be 0 or 1")
-        width = self.space.width
-        for r, row in enumerate(rows):
-            if row.nnz and row.indices[-1] >= width:
-                raise LayoutError(
-                    f"row {r} touches column {row.indices[-1]} >= width {width}"
-                )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", _readonly(labels))
+        if indices.ndim != 1 or indices.shape != data.shape:
+            raise RowFormatError("indices and data must be 1-d and same length")
+        if indptr[0] != 0 or indptr[-1] != data.size or (np.diff(indptr) < 0).any():
+            raise RowFormatError("indptr must rise from 0 to the number of entries")
+
+        # a step between neighbours that stays inside one row must go up
+        starts = indptr[1:-1]
+        same_row = np.ones(max(data.size - 1, 0), dtype=bool)
+        same_row[starts[(starts > 0) & (starts < data.size)] - 1] = False
+        rules = (
+            (indices < 0, RowFormatError, "negative column index"),
+            (indices >= width, LayoutError, f"column index >= width {width}"),
+            (np.r_[False, same_row & (np.diff(indices) <= 0)], RowFormatError,
+             "indices must be strictly increasing"),
+            (~np.isfinite(data), RowFormatError, "values must be finite"),
+            (data == 0.0, RowFormatError, "zero-valued entries must not be stored"),
+        )
+        for broken, error, message in rules:
+            if broken.any():
+                entry = int(np.argmax(broken))
+                row = int(np.searchsorted(indptr, entry, side="right")) - 1
+                raise error(f"row {row}: {message} (column {indices[entry]})")
+        dtype = _index_dtype(data.size, width)
+        for name, array in (
+            ("indptr", indptr.astype(dtype)),
+            ("indices", indices.astype(dtype)),
+            ("data", data),
+            ("labels", labels),
+        ):
+            object.__setattr__(self, name, _readonly(array))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(self.labels.size)
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        """CSR view used for batch scoring and full-batch gradients."""
-        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        for r, row in enumerate(self.rows):
-            indptr[r + 1] = indptr[r] + row.nnz
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1], dtype=np.float64)
-        for r, row in enumerate(self.rows):
-            indices[indptr[r] : indptr[r + 1]] = row.indices
-            data[indptr[r] : indptr[r + 1]] = row.values
+        """CSR view of the stored arrays (no copy), for all batch math."""
         return sp.csr_matrix(
-            (data, indices, indptr), shape=(len(self.rows), self.space.width)
+            (self.data, self.indices, self.indptr), shape=(len(self), self.space.width)
         )
 
     @cached_property
@@ -242,23 +186,19 @@ class DesignMatrix:
 
     def subset(self, row_indices: Sequence[int]) -> "DesignMatrix":
         idx = np.asarray(row_indices, dtype=np.int64)
-        return DesignMatrix(
-            self.space,
-            tuple(self.rows[i] for i in idx),
-            self.labels[idx],
-        )
+        rows = self.csr[idx]
+        return DesignMatrix(self.space, rows.indptr, rows.indices, rows.data, self.labels[idx])
 
     def densify(self) -> np.ndarray:
-        return np.vstack([row.densify(self.space.width) for row in self.rows]) if self.rows else np.zeros((0, self.space.width))
+        return self.csr.toarray()
 
     def dump(self, stream: TextIO) -> None:
         stream.write(f"#N {self.space.width}\n")
-        for row, label in zip(self.rows, self.labels):
-            parts = [str(int(label))]
-            parts.extend(
-                f"{int(i)}:{_format_value(v)}" for i, v in zip(row.indices, row.values)
-            )
-            stream.write(" ".join(parts) + "\n")
+        indptr = self.indptr.tolist()
+        for r, label in enumerate(self.labels.tolist()):
+            lo, hi = indptr[r], indptr[r + 1]
+            entries = zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist())
+            stream.write(" ".join([str(label), *(f"{i}:{_format_value(v)}" for i, v in entries)]) + "\n")
 
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -283,7 +223,7 @@ def load_design_matrix(path, space: FeatureSpace | None = None) -> DesignMatrix:
             space = FeatureSpace((("features", width),))
         elif space.width != width:
             raise LayoutError(f"header width {width} != space width {space.width}")
-        rows, labels = [], []
+        indptr, indices, data, labels = [0], [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -292,14 +232,14 @@ def load_design_matrix(path, space: FeatureSpace | None = None) -> DesignMatrix:
             if fields[0] not in ("0", "1"):
                 raise RowFormatError(f"line {lineno}: label must be 0 or 1")
             labels.append(int(fields[0]))
-            pairs = []
             for field in fields[1:]:
                 try:
                     i, v = field.split(":")
-                    pairs.append((int(i), float(v)))
+                    indices.append(int(i))
+                    data.append(float(v))
                 except ValueError:
                     raise RowFormatError(
                         f"line {lineno}: bad entry {field!r}"
                     ) from None
-            rows.append(SparseRow.from_pairs(pairs))
-    return DesignMatrix(space, tuple(rows), np.array(labels, dtype=np.int8))
+            indptr.append(len(indices))
+    return DesignMatrix(space, indptr, indices, data, labels)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .model import FMParams, Link, raw_scores
-from .sparse import DesignMatrix, SparseRow
+from .sparse import DesignMatrix
 
 NLL_EPS = 1e-12
 _TINY = np.finfo(np.float64).tiny
@@ -120,29 +120,6 @@ def init_params(config: TrainConfig, n_features: int) -> FMParams:
     return FMParams(0.0, np.zeros(n_features), V)
 
 
-def nll_gradient(
-    params: FMParams, x: SparseRow, label: int
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Dense per-example gradient of the (unregularized) logit NLL.
-
-    Returns (d/d bias, d/d w, d/d V); the V part is None when d = 0.
-    """
-    idx, xv = x.indices, x.values
-    z = params.bias + float(np.dot(params.w[idx], xv))
-    if params.V is not None:
-        vx = params.V[idx] * xv[:, None]
-        q = vx.sum(axis=0)
-        z += 0.5 * (float(np.dot(q, q)) - float((vx * vx).sum()))
-    g = float(Link.LOGIT.inverse(z)) - float(label)
-    gw = np.zeros(params.n_features)
-    gw[idx] = g * xv
-    gV = None
-    if params.V is not None:
-        gV = np.zeros_like(params.V)
-        gV[idx] = g * (xv[:, None] * q[None, :] - (xv * xv)[:, None] * params.V[idx])
-    return g, gw, gV
-
-
 def _check_labels(data: DesignMatrix) -> None:
     labels = data.labels
     if labels.size and (labels == labels[0]).all():
@@ -152,27 +129,19 @@ def _check_labels(data: DesignMatrix) -> None:
         )
 
 
-def _scores(bias, w, V, X, X2) -> np.ndarray:
-    z = bias + X @ w
-    if V is not None:
-        q = X @ V
-        z = z + 0.5 * ((q * q).sum(axis=1) - (X2 @ (V * V)).sum(axis=1))
-    return np.asarray(z, dtype=np.float64)
+def _finite(bias: float, w: np.ndarray, V: np.ndarray | None, epoch: int) -> FMParams:
+    """The current parameters, or TrainingDivergedError if any is not finite."""
+    if not (np.isfinite(bias) and np.isfinite(w).all() and (V is None or np.isfinite(V).all())):
+        raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
+    return FMParams(bias, w, V)
 
 
-def _epoch_metrics(bias, w, V, train, test, link):
+def _epoch_metrics(params: FMParams, train, test, link) -> dict:
     from .evaluation import accuracy, auc  # local import to avoid a cycle
 
-    row = {
-        "train_nll": nll(
-            link.inverse(_scores(bias, w, V, train.csr, train.csr_squared if V is not None else None)),
-            train.labels,
-        )
-    }
+    row = {"train_nll": nll(link.inverse(raw_scores(params, train)), train.labels)}
     if test is not None:
-        p = link.inverse(
-            _scores(bias, w, V, test.csr, test.csr_squared if V is not None else None)
-        )
+        p = link.inverse(raw_scores(params, test))
         row["test_acc"] = accuracy(p, test.labels)
         try:
             row["test_auc"] = auc(p, test.labels)
@@ -180,6 +149,28 @@ def _epoch_metrics(bias, w, V, train, test, link):
             row["test_auc"] = float("nan")
         row["test_nll"] = nll(p, test.labels)
     return row
+
+
+def _row_gradient(
+    bias: float, w: np.ndarray, V: np.ndarray | None, idx: np.ndarray, xv: np.ndarray, y: float
+) -> tuple[float, np.ndarray | None]:
+    """Logit-NLL gradient of one row with entries ``xv`` at columns ``idx``.
+
+    Returns the residual g = p - y, which is d loss / d bias and, times
+    ``xv``, d loss / d w[idx]; and, when V is set, d loss / d V[idx]. The SGD
+    loop takes every step from this function, so checking it against finite
+    differences checks the trainer's own gradient.
+    """
+    z = bias + w[idx] @ xv
+    if V is not None:
+        Vk = V[idx]
+        vx = Vk * xv[:, None]
+        qf = vx.sum(axis=0)
+        z += 0.5 * (qf @ qf - (vx * vx).sum())
+    g = float(Link.LOGIT.inverse(z)) - y
+    if V is None:
+        return g, None
+    return g, g * (xv[:, None] * qf[None, :] - (xv * xv)[:, None] * Vk)
 
 
 def train_map_logit(
@@ -210,59 +201,34 @@ def train_map_logit(
     lr, l2 = config.learning_rate, config.l2
     y = data.labels.astype(np.float64)
     X = data.csr
-    X2 = data.csr_squared if V is not None else None
+    indptr, cols, vals = X.indptr, X.indices, X.data
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
-    if config.full_batch:
-        scale = 1.0 / len(data)
-        for epoch in range(config.epochs):
-            z = bias + X @ w
-            if V is not None:
-                q = X @ V
-                z = z + 0.5 * ((q * q).sum(axis=1) - (X2 @ (V * V)).sum(axis=1))
-            p = Link.LOGIT.inverse(z)
-            r = (p - y) * scale
+    params = start
+    for epoch in range(config.epochs):
+        if config.full_batch:
+            r = (Link.LOGIT.inverse(raw_scores(params, data)) - y) * (1.0 / len(data))
             bias -= lr * float(r.sum())
             w -= lr * (X.T @ r + l2 * w)
             if V is not None:
-                gV = X.T @ (r[:, None] * q) - (X2.T @ r)[:, None] * V + l2 * V
-                V -= lr * gV
-            if not np.isfinite(bias) or not np.all(np.isfinite(w)):
-                raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
-            if epoch_log is not None:
-                epoch_log.append(
-                    {"epoch": epoch, **_epoch_metrics(bias, w, V, data, test, Link.LOGIT)}
-                )
-        return FMParams(bias, w, V)
-
-    indptr, cols, vals = X.indptr, X.indices, X.data
-    for epoch in range(config.epochs):
-        for r in shuffle_rng.permutation(len(data)):
-            lo, hi = indptr[r], indptr[r + 1]
-            idx = cols[lo:hi]
-            xv = vals[lo:hi]
-            z = bias + w[idx] @ xv
-            if V is not None:
-                vx = V[idx] * xv[:, None]
-                qf = vx.sum(axis=0)
-                z += 0.5 * (qf @ qf - (vx * vx).sum())
-            g = float(Link.LOGIT.inverse(z)) - y[r]
-            bias -= lr * g
-            w[idx] -= lr * (g * xv + l2 * w[idx])
-            if V is not None:
-                Vk = V[idx]
-                gV = g * (xv[:, None] * qf[None, :] - (xv * xv)[:, None] * Vk)
-                V[idx] = Vk - lr * (gV + l2 * Vk)
-        if not np.isfinite(bias) or not np.all(np.isfinite(w)) or (
-            V is not None and not np.all(np.isfinite(V))
-        ):
-            raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
+                q = X @ V
+                V -= lr * (X.T @ (r[:, None] * q) - (data.csr_squared.T @ r)[:, None] * V + l2 * V)
+        else:
+            for r in shuffle_rng.permutation(len(data)):
+                lo, hi = indptr[r], indptr[r + 1]
+                idx = cols[lo:hi]
+                xv = vals[lo:hi]
+                g, gV = _row_gradient(bias, w, V, idx, xv, y[r])
+                bias -= lr * g
+                w[idx] -= lr * (g * xv + l2 * w[idx])
+                if V is not None:
+                    Vk = V[idx]
+                    V[idx] = Vk - lr * (gV + l2 * Vk)
+        params = _finite(bias, w, V, epoch)
         if epoch_log is not None:
-            epoch_log.append(
-                {"epoch": epoch, **_epoch_metrics(bias, w, V, data, test, Link.LOGIT)}
-            )
-    return FMParams(bias, w, V)
+            epoch_log.append({"epoch": epoch, **_epoch_metrics(params, data, test, Link.LOGIT)})
+    return params
 
 
 def sample_truncated_normal(
@@ -353,14 +319,11 @@ def train_gibbs_probit(
     V = None if start.V is None else start.V.copy()
 
     X = train.csr
-    X2 = train.csr_squared if d else None
     Xc = X.tocsc()
     col_rows = [Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
     col_vals = [Xc.data[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
     col_sq = [float(v @ v) for v in col_vals]
     positive = train.labels.astype(bool)
-    test_X = test.csr if test is not None else None
-    test_X2 = test.csr_squared if (test is not None and d) else None
 
     bias_group = _GroupState()
     dim_groups = [_GroupState() for _ in range(d)]
@@ -372,8 +335,9 @@ def train_gibbs_probit(
     test_sum = None if test is None else np.zeros(len(test))
     history: list[dict] = []
 
+    params = start
     for it in range(iters):
-        scores = _scores(bias, w, V, X, X2)
+        scores = raw_scores(params, train)
         z = sample_truncated_normal(scores, positive, rng)
         e = scores - z  # running residual, kept in sync below
 
@@ -426,6 +390,7 @@ def train_gibbs_probit(
             for f in range(d):
                 dim_groups[f].resample(V[:, f], priors, rng)
 
+        params = _finite(bias, w, V, it)
         if it >= burn_in:
             kept += 1
             bias_sum += bias
@@ -433,10 +398,10 @@ def train_gibbs_probit(
             if V_sum is not None:
                 V_sum += V
             if test_sum is not None:
-                test_sum += Link.PROBIT.inverse(_scores(bias, w, V, test_X, test_X2))
+                test_sum += Link.PROBIT.inverse(raw_scores(params, test))
 
         if epoch_log is not None:
-            row = {"epoch": it, **_epoch_metrics(bias, w, V, train, test, Link.PROBIT)}
+            row = {"epoch": it, **_epoch_metrics(params, train, test, Link.PROBIT)}
             history.append(row)
             epoch_log.append(row)
 

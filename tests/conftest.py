@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ktfm import EncodingConfig, QMatrix, Triplet
+from ktfm import DesignMatrix, EncodingConfig, FeatureSpace, QMatrix, Triplet
 
 # Item 0 exercises no skill, item 1 exercises skills {0, 1}, item 2 skills
 # {1, 2}. Student 1 answers item 1 (right, wrong, right) then item 2 (wrong,
@@ -47,6 +47,28 @@ EXAMPLE_LABELS = [1, 0, 1, 0, 1, 1, 0]
 FULL_CONFIG = EncodingConfig(
     use_users=True, use_items=True, use_skills=True, use_wins=True, use_fails=True
 )
+
+
+def matrix_from_rows(width_or_space, rows, labels=None) -> DesignMatrix:
+    """Design matrix whose row r holds the (column, value) pairs ``rows[r]``."""
+    space = width_or_space
+    if isinstance(space, int):
+        space = FeatureSpace((("features", space),))
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = [c for row in rows for c, _ in row]
+    data = [v for row in rows for _, v in row]
+    labels = np.zeros(len(rows), dtype=np.int8) if labels is None else labels
+    return DesignMatrix(space, indptr, indices, data, labels)
+
+
+def matrix_from_dense(width_or_space, dense, labels=None) -> DesignMatrix:
+    """Design matrix storing the nonzero cells of the 2-d array ``dense``."""
+    dense = np.asarray(dense, dtype=np.float64)
+    return matrix_from_rows(
+        width_or_space,
+        [[(int(c), float(row[c])) for c in np.flatnonzero(row)] for row in dense],
+        labels,
+    )
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ per criterion. The real-data criteria (8-10) need the public Assistments
 KTFM_ASSISTMENTS_EPOCHS overrides the epoch count for quicker, looser runs).
 """
 
-import math
 import os
 from contextlib import contextmanager
 
@@ -20,26 +19,24 @@ from ktfm import (
     FMParams,
     FoldSpec,
     Link,
-    SparseRow,
     SynthSpec,
     TrainConfig,
     Triplet,
     auc,
     encode_dataset,
     generate_synthetic,
-    nll_gradient,
     oracle_probabilities,
-    predict_proba,
+    predict_proba_matrix,
     preset_encoding,
-    raw_score,
+    raw_scores,
     train_gibbs_probit,
     train_map_logit,
 )
 from ktfm.cli import main as cli_main
-from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, EXAMPLE_TRIPLETS, FULL_CONFIG
+from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, EXAMPLE_TRIPLETS, FULL_CONFIG, matrix_from_rows
 from tests.test_evaluation import all_pairs_auc
 from tests.test_model import brute_force_score, random_instance
-from tests.test_training import moderate_instance
+from tests.test_training import logit_loss, moderate_instance, row_gradient
 
 
 @contextmanager
@@ -72,7 +69,7 @@ def test_criterion_2_fast_score_identity():
             for _ in range(250):
                 n = int(rng.integers(2, 51))
                 params, row = random_instance(rng, n=n, d=d, max_nnz=min(10, n))
-                fast = raw_score(params, row)
+                fast = raw_scores(params, row)[0]
                 slow = brute_force_score(params, row)
                 assert fast == pytest.approx(slow, rel=1e-10, abs=1e-12)
                 checked += 1
@@ -80,19 +77,17 @@ def test_criterion_2_fast_score_identity():
 
 
 def test_criterion_3_gradient_check():
-    with criterion("C3 gradient check: analytic vs central differences at 1e-4"):
+    with criterion("C3 gradient check: the SGD step's gradient vs central differences at 1e-4"):
         step = 1e-5
         for d in (0, 5):
             rng = np.random.default_rng(300 + d)
             for _ in range(20):
                 params, row = moderate_instance(rng, n=12, d=d)
                 y = int(rng.integers(0, 2))
-                g_bias, g_w, g_V = nll_gradient(params, row, y)
+                g_bias, g_w, g_V = row_gradient(params, row, y)
 
                 def loss_at(bias, w, V):
-                    z = raw_score(FMParams(bias, w, V), row)
-                    p = float(Link.LOGIT.inverse(z))
-                    return -(y * math.log(p) + (1 - y) * math.log(1 - p))
+                    return logit_loss(FMParams(bias, w, V), row, y)
 
                 def check(analytic, numeric):
                     err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
@@ -138,9 +133,7 @@ def test_criterion_4_auc_oracle():
 
 
 def _irt_row(space, user, item):
-    return SparseRow.from_pairs(
-        [(space.column("users", user), 1.0), (space.column("items", item), 1.0)]
-    )
+    return [(space.column("users", user), 1.0), (space.column("items", item), 1.0)]
 
 
 def test_criterion_5_model_reductions():
@@ -155,12 +148,14 @@ def test_criterion_5_model_reductions():
         w_shift = w.copy()
         w_shift[: n_users] += c
         shifted = FMParams(params.bias - c, w_shift)
-        for _ in range(200):
-            row = _irt_row(space, int(rng.integers(n_users)), int(rng.integers(n_items)))
-            for link in (Link.LOGIT, Link.PROBIT):
-                a = predict_proba(params, row, link)
-                b = predict_proba(shifted, row, link)
-                assert abs(a - b) <= 1e-12
+        rows = matrix_from_rows(space, [
+            _irt_row(space, int(rng.integers(n_users)), int(rng.integers(n_items)))
+            for _ in range(200)
+        ])
+        for link in (Link.LOGIT, Link.PROBIT):
+            a = predict_proba_matrix(params, rows, link)
+            b = predict_proba_matrix(shifted, rows, link)
+            assert np.abs(a - b).max() <= 1e-12
 
     with criterion("C5b counter-preset score equals the explicit skill formula at 1e-12"):
         s = 6
@@ -170,6 +165,7 @@ def test_criterion_5_model_reductions():
         win_gain = rng.normal(size=s)
         fail_gain = rng.normal(size=s)
         params = FMParams(0.0, np.concatenate([beta, win_gain, fail_gain]))
+        rows, explicit = [], []
         for _ in range(200):
             kc = np.sort(rng.choice(s, size=int(rng.integers(1, 4)), replace=False))
             wins = rng.integers(0, 6, size=kc.size)
@@ -183,12 +179,13 @@ def test_criterion_5_model_reductions():
                 (space.column("fails", int(k)), float(fc))
                 for k, fc in zip(kc, fails) if fc
             ]
-            row = SparseRow.from_pairs(pairs)
-            explicit = float(
+            rows.append(pairs)
+            explicit.append(float(
                 sum(beta[k] + win_gain[k] * wc + fail_gain[k] * fc
                     for k, wc, fc in zip(kc, wins, fails))
-            )
-            assert abs(raw_score(params, row) - explicit) <= 1e-12
+            ))
+        scores = raw_scores(params, matrix_from_rows(space, rows))
+        assert np.abs(scores - np.array(explicit)).max() <= 1e-12
 
     with criterion("C5c attempt-preset equals counter-preset when gains coincide at 1e-12"):
         q = ktfm.QMatrix((rng.random((5, 4)) < 0.5).astype(np.int8))
@@ -204,8 +201,9 @@ def test_criterion_5_model_reductions():
         gain = rng.normal(size=4)
         afm_params = FMParams(0.3, np.concatenate([beta, gain]))
         pfa_params = FMParams(0.3, np.concatenate([beta, gain, gain]))
-        for row_a, row_p in zip(dm_afm.rows, dm_pfa.rows):
-            assert abs(raw_score(afm_params, row_a) - raw_score(pfa_params, row_p)) <= 1e-12
+        scores_afm = raw_scores(afm_params, dm_afm)
+        scores_pfa = raw_scores(pfa_params, dm_pfa)
+        assert np.abs(scores_afm - scores_pfa).max() <= 1e-12
 
 
 def test_criterion_6_parameter_recovery():

@@ -5,6 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from ktfm.cli import main
+from ktfm.datasets import load_dataset
+from ktfm.encoding import encode_dataset
+from ktfm.model import predict_proba_matrix
+from ktfm.persistence import load_model
 from ktfm.sparse import load_design_matrix
 from tests.conftest import EXAMPLE_ENCODED
 
@@ -177,6 +181,43 @@ class TestTrainPredictEvaluate:
         )
         assert result.exit_code != 0
         assert "digest" in result.output
+
+    def test_predict_aligns_the_qmatrix_like_train(self, runner, tmp_path):
+        # raw item ids 2, 0, 1 first appear in that order, so vocabulary order
+        # and raw-id order disagree; each item exercises its own skill
+        rng = np.random.default_rng(3)
+        data = tmp_path / "log.csv"
+        lines = ["user_id,item_id,correct"]
+        for _ in range(60):
+            item = int(rng.integers(0, 3))
+            lines.append(f"u{rng.integers(0, 5)},{item},{int(rng.random() < (0.2, 0.5, 0.9)[item])}")
+        lines[1:4] = ["u0,2,1", "u1,0,0", "u2,1,1"]
+        data.write_text("\n".join(lines) + "\n")
+        qfile = tmp_path / "q.csv"
+        qfile.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        model, vocab, preds = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "p.csv"
+        invoke(
+            runner,
+            [
+                "train", "--data", str(data), "--qmatrix", str(qfile), "--preset", "pfa",
+                "--epochs", "20", "--lr", "0.1", "--out", str(model), "--vocab-out", str(vocab),
+            ],
+        )
+        invoke(
+            runner,
+            [
+                "predict", "--model", str(model), "--data", str(data), "--qmatrix", str(qfile),
+                "--vocab", str(vocab), "--out", str(preds),
+            ],
+        )
+        got = [float(line.split(",")[1]) for line in preds.read_text().splitlines()[1:]]
+        bundle = load_model(model)
+        dataset = load_dataset(data, qfile)
+        dm = encode_dataset(
+            dataset.triplets, dataset.qmatrix, bundle.encoding, dataset.n_students,
+            n_items=dataset.n_items,
+        )
+        assert got == predict_proba_matrix(bundle.params, dm, bundle.link).tolist()
 
 
 class TestCvCommand:

@@ -1,17 +1,54 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktfm import (
-    CounterState,
     EncodingConfig,
     EncodingError,
+    QMatrix,
     Triplet,
     encode_dataset,
-    encode_extra,
     load_qmatrix,
-    update_counters,
+    preset_encoding,
 )
+from ktfm.model import PRESET_NAMES
 from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, FULL_CONFIG
+
+
+def replay_encode(triplets, q, config, n_students, extras=None, n_items=None):
+    """Dense encoding by a plain row-by-row replay of the running counters."""
+    n_items = q.n_items if n_items is None else n_items
+    space = config.feature_space(n_students, n_items, q.n_skills)
+    blocks = config.enabled_blocks()
+    dense = np.zeros((len(triplets), space.width))
+    wins, fails = {}, {}
+    for r, (student, item, outcome) in enumerate(triplets):
+        kc = q.kc(item) if item >= 0 else ()
+        if "users" in blocks and student >= 0:
+            dense[r, space.column("users", student)] = 1
+        if "items" in blocks and item >= 0:
+            dense[r, space.column("items", item)] = 1
+        for k in kc:
+            if "skills" in blocks:
+                dense[r, space.column("skills", k)] = 1
+            if student < 0:
+                continue
+            won, lost = wins.get((student, k), 0), fails.get((student, k), 0)
+            for block, count in (("wins", won), ("fails", lost), ("attempts", won + lost)):
+                if block in blocks:
+                    dense[r, space.column(block, k)] = count
+        for name, _ in config.extra_columns:
+            dense[r, space.column(name, extras[name][r])] = 1
+        if student >= 0:
+            tally = wins if outcome else fails
+            for k in kc:
+                tally[(student, k)] = tally.get((student, k), 0) + 1
+    return dense
+
+
+def _counter(dm, block, row, skill):
+    return dm.densify()[row, dm.space.column(block, skill)]
 
 
 class TestWorkedExample:
@@ -133,39 +170,50 @@ class TestEncodeDataset:
 
 
 class TestUpdateCounters:
+    """Counter updates, observed in the row after the attempt."""
+
     def test_correct_answer_increments_wins(self, example_qmatrix):
-        state = CounterState.zeros(3, 3)
-        new = update_counters(state, Triplet(1, 1, 1), example_qmatrix)
-        assert new.wins[1].tolist() == [1, 1, 0]
-        assert new.fails.sum() == 0
-        assert state.wins.sum() == 0  # original untouched
+        log = [Triplet(1, 1, 1), Triplet(1, 1, 0)]
+        dm = encode_dataset(log, example_qmatrix, FULL_CONFIG, n_students=2)
+        dense = dm.densify()
+        assert dense[1, 8:11].tolist() == [1, 1, 0]  # wins of student 1
+        assert dense[:, 11:14].sum() == 0  # no fails yet
+        assert dense[0, 8:14].sum() == 0  # the first row saw no history
 
     def test_empty_skill_set_changes_nothing(self, example_qmatrix):
-        state = CounterState.zeros(3, 3)
-        new = update_counters(state, Triplet(0, 0, 1), example_qmatrix)
-        assert new.wins.sum() == 0 and new.fails.sum() == 0
+        log = [Triplet(0, 0, 1), Triplet(0, 0, 0), Triplet(0, 1, 1)]
+        dm = encode_dataset(log, example_qmatrix, FULL_CONFIG, n_students=2)
+        assert dm.densify()[:, 8:14].sum() == 0
 
     def test_attempts_identity_over_random_updates(self, example_qmatrix):
         rng = np.random.default_rng(13)
-        state = CounterState.zeros(4, 3)
+        log = [
+            Triplet(int(rng.integers(0, 4)), int(rng.integers(0, 3)), int(rng.integers(0, 2)))
+            for _ in range(50)
+        ]
+        afm = EncodingConfig(use_skills=True, use_attempts=True)
+        dm = encode_dataset(log + [Triplet(s, 1, 0) for s in range(4)], example_qmatrix, afm, 4)
         touches = np.zeros((4, 3), dtype=int)
-        for _ in range(50):
-            t = Triplet(int(rng.integers(0, 4)), int(rng.integers(0, 3)), int(rng.integers(0, 2)))
-            state = update_counters(state, t, example_qmatrix)
+        for t in log:
             for k in example_qmatrix.kc(t.item):
                 touches[t.student, k] += 1
-        assert np.array_equal(state.attempts, touches)
+        for s in range(4):  # item 1 exercises skills 0 and 1
+            for k in (0, 1):
+                assert _counter(dm, "attempts", len(log) + s, k) == touches[s, k]
 
     def test_counters_never_decrease(self, example_qmatrix):
         rng = np.random.default_rng(17)
-        state = CounterState.zeros(2, 3)
-        for _ in range(30):
-            t = Triplet(int(rng.integers(0, 2)), int(rng.integers(0, 3)), int(rng.integers(0, 2)))
-            new = update_counters(state, t, example_qmatrix)
-            assert (new.wins >= state.wins).all()
-            assert (new.fails >= state.fails).all()
-            assert np.array_equal(new.attempts, new.wins + new.fails)
-            state = new
+        log = [
+            Triplet(int(rng.integers(0, 2)), int(rng.integers(0, 3)), int(rng.integers(0, 2)))
+            for _ in range(30)
+        ]
+        dm = encode_dataset(log, example_qmatrix, FULL_CONFIG, n_students=2)
+        seen: dict = {}
+        for r, t in enumerate(log):
+            for k in example_qmatrix.kc(t.item):
+                now = np.array([_counter(dm, "wins", r, k), _counter(dm, "fails", r, k)])
+                assert (now >= seen.get((t.student, k), 0)).all()
+                seen[(t.student, k)] = now
 
 
 class TestLoadQMatrix:
@@ -196,29 +244,35 @@ class TestLoadQMatrix:
 
 
 class TestEncodeExtra:
-    def _space(self, config):
-        return config.feature_space(2, 3, 3)
+    """Extra side columns, one-hot after the built-in blocks."""
+
+    def _encode(self, config, extras, n=1):
+        return encode_dataset([Triplet(0, 0, 1)] * n, None, config, 2, extras=extras, n_items=3)
 
     def test_single_category_one_hot(self):
         config = EncodingConfig(use_users=True, extra_columns=(("tutor_mode", 4),))
-        space = self._space(config)
-        pairs = encode_extra(space, config, {"tutor_mode": 2})
-        assert pairs == [(space.column("tutor_mode", 2), 1.0)]
+        dm = self._encode(config, {"tutor_mode": [2]})
+        assert dm.indices.tolist() == [0, dm.space.column("tutor_mode", 2)]
+        assert dm.data.tolist() == [1.0, 1.0]
 
     def test_no_extras_gives_empty_fragment(self):
-        config = EncodingConfig(use_users=True)
-        assert encode_extra(self._space(config), config, {}) == []
+        dm = self._encode(EncodingConfig(use_users=True), {"ignored": [5]})
+        assert dm.space.block_names == ("users",)
+        assert dm.indices.tolist() == [0]
 
     def test_two_columns_two_nonzeros(self):
         config = EncodingConfig(use_users=True, extra_columns=(("a", 3), ("b", 5)))
-        pairs = encode_extra(self._space(config), config, {"a": 1, "b": 4})
-        assert len(pairs) == 2
-        assert all(v == 1.0 for _, v in pairs)
+        dm = self._encode(config, {"a": [1], "b": [4]})
+        extra = dm.densify()[0, dm.space.offset("a") :]
+        assert np.flatnonzero(extra).size == 2
+        assert (extra[extra != 0] == 1.0).all()
 
     def test_value_outside_cardinality(self):
         config = EncodingConfig(use_users=True, extra_columns=(("a", 3),))
         with pytest.raises(EncodingError):
-            encode_extra(self._space(config), config, {"a": 3})
+            self._encode(config, {"a": [0, 3]}, n=2)
+        with pytest.raises(EncodingError):
+            self._encode(config, {"a": [-1]})
 
 
 class TestEncodingConfig:
@@ -237,3 +291,35 @@ class TestEncodingConfig:
     def test_extra_cannot_shadow_builtin(self):
         with pytest.raises(EncodingError):
             EncodingConfig(use_users=True, extra_columns=(("wins", 2),))
+
+
+@st.composite
+def encoding_cases(draw):
+    n_students = draw(st.integers(1, 4))
+    n_items = draw(st.integers(1, 4))
+    n_skills = draw(st.integers(1, 3))
+    q = QMatrix(np.array(
+        draw(st.lists(st.lists(st.integers(0, 1), min_size=n_skills, max_size=n_skills),
+                      min_size=n_items, max_size=n_items)),
+        dtype=np.int8,
+    ))  # rows of zeros are untagged items
+    triplets = draw(st.lists(
+        st.builds(Triplet, st.integers(-1, n_students - 1), st.integers(-1, n_items - 1), st.integers(0, 1)),
+        max_size=40,
+    ))
+    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    extras = {
+        f"x{c}": draw(st.lists(st.integers(0, card - 1), min_size=len(triplets), max_size=len(triplets)))
+        for c, card in enumerate(cards)
+    }
+    config, _ = preset_encoding(draw(st.sampled_from(PRESET_NAMES)), [(f"x{c}", card) for c, card in enumerate(cards)])
+    return triplets, q, config, n_students, extras
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=encoding_cases())
+def test_encoding_matches_the_row_by_row_replay(case):
+    triplets, q, config, n_students, extras = case
+    dm = encode_dataset(triplets, q, config, n_students, extras=extras)
+    assert np.array_equal(dm.densify(), replay_encode(triplets, q, config, n_students, extras))
+    assert dm.labels.tolist() == [t.outcome for t in triplets]

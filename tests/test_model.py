@@ -8,21 +8,19 @@ from ktfm import (
     FMParams,
     FeatureSpace,
     Link,
-    SparseRow,
     export_embeddings,
-    predict_proba,
+    predict_proba_matrix,
     preset_encoding,
-    raw_score,
     raw_scores,
     read_embeddings,
 )
 from ktfm.model import DimensionRule
-from ktfm.sparse import DesignMatrix
+from tests.conftest import matrix_from_rows
 
 
-def brute_force_score(params: FMParams, row: SparseRow) -> float:
-    """Explicit double loop over all ordered pairs k < l."""
-    dense = row.densify(params.n_features)
+def brute_force_score(params: FMParams, row) -> float:
+    """Explicit double loop over all ordered pairs k < l of a one-row matrix."""
+    dense = row.densify()[0]
     z = params.bias + float(dense @ params.w)
     if params.V is not None:
         n = params.n_features
@@ -33,20 +31,24 @@ def brute_force_score(params: FMParams, row: SparseRow) -> float:
 
 
 def random_instance(rng, n=20, d=3, max_nnz=6):
+    """Random parameters and a random one-row design matrix of width n."""
     w = rng.normal(size=n)
     V = rng.normal(size=(n, d)) if d else None
     params = FMParams(rng.normal(), w, V)
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = np.sort(rng.choice(n, size=nnz, replace=False))
     vals = rng.integers(1, 4, size=nnz).astype(float)  # counter-like values
-    return params, SparseRow(idx, vals)
+    return params, matrix_from_rows(n, [list(zip(idx.tolist(), vals.tolist()))])
+
+
+def score(params: FMParams, pairs) -> float:
+    """Score of the one row holding the (column, value) ``pairs``."""
+    return float(raw_scores(params, matrix_from_rows(params.n_features, [pairs]))[0])
 
 
 class TestRawScore:
     def test_zero_model_scores_zero(self):
-        params = FMParams.zeros(10, d=2)
-        row = SparseRow.from_pairs([(0, 1.0), (4, 2.0)])
-        assert raw_score(params, row) == 0.0
+        assert score(FMParams.zeros(10, d=2), [(0, 1.0), (4, 2.0)]) == 0.0
 
     def test_additive_form_at_d0(self):
         # one-hot user + one-hot item reduces to bias + two weights
@@ -54,54 +56,50 @@ class TestRawScore:
         n_users, n_items = 4, 5
         params = FMParams(rng.normal(), rng.normal(size=n_users + n_items))
         i, j = 2, 3
-        row = SparseRow.from_pairs([(i, 1.0), (n_users + j, 1.0)])
         expected = params.bias + params.w[i] + params.w[n_users + j]
-        assert raw_score(params, row) == pytest.approx(expected, rel=1e-15)
+        assert score(params, [(i, 1.0), (n_users + j, 1.0)]) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("d", [0, 1, 3, 8])
     def test_matches_pairwise_double_loop(self, d):
         rng = np.random.default_rng(100 + d)
         for _ in range(50):
             params, row = random_instance(rng, n=20, d=d)
-            fast = raw_score(params, row)
+            fast = raw_scores(params, row)[0]
             slow = brute_force_score(params, row)
             assert fast == pytest.approx(slow, rel=1e-10, abs=1e-12)
 
     def test_d0_is_linear_in_x(self):
         rng = np.random.default_rng(8)
         params = FMParams(rng.normal(), rng.normal(size=12))
-        a = SparseRow.from_pairs([(1, 1.0), (5, 2.0)])
-        b = SparseRow.from_pairs([(1, 2.0), (5, 4.0)])
-        za = raw_score(params, a) - params.bias
-        zb = raw_score(params, b) - params.bias
+        za = score(params, [(1, 1.0), (5, 2.0)]) - params.bias
+        zb = score(params, [(1, 2.0), (5, 4.0)]) - params.bias
         assert zb == pytest.approx(2 * za, rel=1e-12)
 
     def test_batch_scores_agree_with_single(self):
         rng = np.random.default_rng(21)
-        space = FeatureSpace((("features", 15),))
         rows, labels = [], []
         for _ in range(40):
-            params, row = random_instance(rng, n=15, d=4)
-            rows.append(row)
+            _, row = random_instance(rng, n=15, d=4)
+            rows.append(list(zip(row.indices.tolist(), row.data.tolist())))
             labels.append(int(rng.integers(0, 2)))
         params, _ = random_instance(rng, n=15, d=4)
-        dm = DesignMatrix(space, tuple(rows), np.array(labels))
+        dm = matrix_from_rows(15, rows, np.array(labels))
         batch = raw_scores(params, dm)
-        single = np.array([raw_score(params, r) for r in rows])
+        single = np.array([raw_scores(params, dm.subset([r]))[0] for r in range(len(dm))])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_out_of_range_column(self):
         params = FMParams.zeros(3)
         with pytest.raises(IndexError):
-            raw_score(params, SparseRow.from_pairs([(3, 1.0)]))
+            raw_scores(params, matrix_from_rows(4, [[(3, 1.0)]]))
 
 
 class TestLinks:
     def test_zero_score_is_even_odds_logit(self):
-        assert predict_proba(FMParams.zeros(2), SparseRow.from_pairs([]), Link.LOGIT) == 0.5
+        assert predict_proba_matrix(FMParams.zeros(2), matrix_from_rows(2, [[]]), Link.LOGIT)[0] == 0.5
 
     def test_zero_score_is_even_odds_probit(self):
-        assert predict_proba(FMParams.zeros(2), SparseRow.from_pairs([]), Link.PROBIT) == 0.5
+        assert predict_proba_matrix(FMParams.zeros(2), matrix_from_rows(2, [[]]), Link.PROBIT)[0] == 0.5
 
     @pytest.mark.parametrize("z", [-10.0, -1.0, 0.0, 1.0, 10.0])
     def test_logit_matches_high_precision(self, z):

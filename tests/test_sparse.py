@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ktfm import DesignMatrix, FeatureSpace, LayoutError, SparseRow, feature_index, sparse_dot
+from ktfm import DesignMatrix, FeatureSpace, LayoutError
 from ktfm.sparse import RowFormatError, load_design_matrix
+from tests.conftest import matrix_from_dense, matrix_from_rows
 
 
 @pytest.fixture
@@ -12,37 +15,37 @@ def space():
 
 class TestFeatureSpace:
     def test_first_block_first_id(self, space):
-        assert feature_index(space, "users", 0) == 0
+        assert space.column("users", 0) == 0
 
     def test_offset_into_second_block(self, space):
-        assert feature_index(space, "items", 1) == 3
+        assert space.column("items", 1) == 3
 
     def test_last_block_offset_is_sum_of_widths(self, space):
         # 2 + 3 + 3 + 3 = 11, plus local id 2
-        assert feature_index(space, "fails", 2) == 13
+        assert space.column("fails", 2) == 13
 
     def test_total_width(self, space):
         assert space.width == 14
 
     def test_unknown_block(self, space):
         with pytest.raises(LayoutError):
-            feature_index(space, "nope", 0)
+            space.column("nope", 0)
 
     def test_local_id_out_of_range(self, space):
         with pytest.raises(LayoutError):
-            feature_index(space, "users", 2)
+            space.column("users", 2)
 
     def test_injective_over_all_pairs(self, space):
         seen = set()
         for block, width in space.blocks:
             for local in range(width):
-                seen.add(feature_index(space, block, local))
+                seen.add(space.column(block, local))
         assert seen == set(range(space.width))
 
     def test_owner_inverts_column(self, space):
         for block, width in space.blocks:
             for local in range(width):
-                assert space.owner(feature_index(space, block, local)) == (block, local)
+                assert space.owner(space.column(block, local)) == (block, local)
 
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(LayoutError):
@@ -54,55 +57,75 @@ class TestFeatureSpace:
 
 
 class TestSparseRow:
-    def test_indices_must_increase(self):
-        with pytest.raises(RowFormatError):
-            SparseRow(np.array([3, 1]), np.array([1.0, 1.0]))
+    """The row rules, checked by DesignMatrix on its CSR arrays."""
 
-    def test_duplicate_indices_rejected(self):
+    def test_indices_must_increase(self, space):
         with pytest.raises(RowFormatError):
-            SparseRow(np.array([1, 1]), np.array([1.0, 1.0]))
+            DesignMatrix(space, [0, 2], [3, 1], [1.0, 1.0], [1])
 
-    def test_zero_values_rejected(self):
+    def test_duplicate_indices_rejected(self, space):
         with pytest.raises(RowFormatError):
-            SparseRow(np.array([0]), np.array([0.0]))
+            DesignMatrix(space, [0, 2], [1, 1], [1.0, 1.0], [1])
 
-    def test_nonfinite_values_rejected(self):
+    def test_zero_values_rejected(self, space):
         with pytest.raises(RowFormatError):
-            SparseRow(np.array([0]), np.array([np.inf]))
+            DesignMatrix(space, [0, 1], [0], [0.0], [1])
+
+    def test_nonfinite_values_rejected(self, space):
+        with pytest.raises(RowFormatError):
+            DesignMatrix(space, [0, 1], [0], [np.inf], [1])
+
+    def test_negative_index_rejected(self, space):
+        with pytest.raises(RowFormatError):
+            DesignMatrix(space, [0, 1], [-1], [1.0], [1])
+
+    def test_decrease_across_rows_is_allowed(self, space):
+        dm = DesignMatrix(space, [0, 1, 1, 2], [5, 2], [1.0, 1.0], [1, 0, 1])
+        assert dm.densify()[:, [2, 5]].tolist() == [[0, 1], [0, 0], [1, 0]]
 
     def test_from_dense_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            dense = np.zeros(20)
-            nz = rng.choice(20, size=rng.integers(0, 8), replace=False)
-            dense[nz] = rng.integers(1, 5, size=nz.size)
-            row = SparseRow.from_dense(dense)
-            again = SparseRow.from_dense(row.densify(20))
-            assert row == again
-            assert np.array_equal(row.densify(20), dense)
+            dense = np.zeros((3, 20))
+            for row in dense:
+                nz = rng.choice(20, size=rng.integers(0, 8), replace=False)
+                row[nz] = rng.integers(1, 5, size=nz.size)
+            dm = matrix_from_dense(20, dense)
+            again = matrix_from_dense(20, dm.densify())
+            assert np.array_equal(again.indices, dm.indices)
+            assert np.array_equal(again.data, dm.data)
+            assert np.array_equal(dm.densify(), dense)
 
     def test_rows_are_immutable(self):
-        row = SparseRow.from_pairs([(0, 1.0)])
-        with pytest.raises(ValueError):
-            row.values[0] = 2.0
+        dm = matrix_from_rows(2, [[(0, 1.0)]])
+        for array in (dm.indptr, dm.indices, dm.data, dm.labels):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
-    def test_constructor_copies_input(self):
+    def test_constructor_copies_input(self, space):
         idx = np.array([0, 2], dtype=np.int64)
-        SparseRow(idx, np.array([1.0, 2.0]))
+        dm = DesignMatrix(space, [0, 2], idx, np.array([1.0, 2.0]), [1])
         idx[0] = 1  # caller's array stays writable
+        assert dm.indices.tolist() == [0, 2]
 
     def test_entries(self):
-        row = SparseRow.from_pairs([(1, 2.0), (5, 1.0)])
-        assert row.entries() == [(1, 2.0), (5, 1.0)]
+        dm = matrix_from_rows(6, [[(1, 2.0), (5, 1.0)]])
+        assert list(zip(dm.indices.tolist(), dm.data.tolist())) == [(1, 2.0), (5, 1.0)]
+
+    def test_csr_shares_the_stored_arrays(self, space):
+        dm = matrix_from_rows(space, [[(0, 1.0), (2, 1.0)], [(1, 1.0), (8, 2.0)]])
+        for stored, viewed in ((dm.indptr, dm.csr.indptr), (dm.indices, dm.csr.indices), (dm.data, dm.csr.data)):
+            assert np.shares_memory(stored, viewed)
 
 
 class TestSparseDot:
+    """Row-by-vector products go through the CSR view."""
+
     def test_empty_row(self):
-        assert sparse_dot(SparseRow.from_pairs([]), np.ones(5)) == 0.0
+        assert (matrix_from_rows(5, [[]]).csr @ np.ones(5)).tolist() == [0.0]
 
     def test_counts_nonzeros_against_ones(self):
-        row = SparseRow.from_pairs([(0, 1.0), (3, 1.0)])
-        assert sparse_dot(row, np.ones(4)) == 2.0
+        assert (matrix_from_rows(4, [[(0, 1.0), (3, 1.0)]]).csr @ np.ones(4)).tolist() == [2.0]
 
     def test_matches_densified_dot(self):
         rng = np.random.default_rng(5)
@@ -113,36 +136,40 @@ class TestSparseDot:
             dense_row[nz] = rng.normal(size=nz.size)
             dense_row[dense_row == 0.0] = 1.0  # keep stored entries nonzero
             vec = rng.normal(size=n)
-            row = SparseRow.from_dense(dense_row)
+            dm = matrix_from_dense(n, [dense_row])
             expected = float(dense_row @ vec)
-            got = sparse_dot(row, vec)
+            got = float((dm.csr @ vec)[0])
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_length_mismatch(self):
-        row = SparseRow.from_pairs([(7, 1.0)])
-        with pytest.raises(LayoutError):
-            sparse_dot(row, np.ones(5))
+        dm = matrix_from_rows(8, [[(7, 1.0)]])
+        with pytest.raises(ValueError):
+            dm.csr @ np.ones(5)
 
 
 class TestDesignMatrix:
     def _matrix(self, space):
-        rows = (
-            SparseRow.from_pairs([(0, 1.0), (2, 1.0)]),
-            SparseRow.from_pairs([(1, 1.0), (8, 2.0)]),
-        )
-        return DesignMatrix(space, rows, np.array([1, 0]))
+        return matrix_from_rows(space, [[(0, 1.0), (2, 1.0)], [(1, 1.0), (8, 2.0)]], [1, 0])
 
     def test_label_and_row_count_must_match(self, space):
         with pytest.raises(RowFormatError):
-            DesignMatrix(space, (SparseRow.from_pairs([(0, 1.0)]),), np.array([1, 0]))
+            DesignMatrix(space, [0, 1], [0], [1.0], [1, 0])
 
     def test_labels_binary(self, space):
         with pytest.raises(RowFormatError):
-            DesignMatrix(space, (SparseRow.from_pairs([(0, 1.0)]),), np.array([2]))
+            DesignMatrix(space, [0, 1], [0], [1.0], [2])
 
     def test_rows_must_fit_space(self, space):
         with pytest.raises(LayoutError):
-            DesignMatrix(space, (SparseRow.from_pairs([(14, 1.0)]),), np.array([1]))
+            DesignMatrix(space, [0, 1], [14], [1.0], [1])
+        with pytest.raises(LayoutError):  # not wrapped into range by a narrower index type
+            DesignMatrix(space, [0, 1], np.array([2**32 + 1]), [1.0], [1])
+
+    def test_indptr_must_cover_the_entries(self, space):
+        with pytest.raises(RowFormatError):
+            DesignMatrix(space, [0, 1], [0, 1], [1.0, 1.0], [1])
+        with pytest.raises(RowFormatError):
+            DesignMatrix(space, [0, 2, 1, 2], [0, 1], [1.0, 1.0], [1, 1, 1])
 
     def test_csr_agrees_with_densify(self, space):
         dm = self._matrix(space)
@@ -153,7 +180,7 @@ class TestDesignMatrix:
         sub = dm.subset([1])
         assert len(sub) == 1
         assert sub.labels.tolist() == [0]
-        assert sub.rows[0] == dm.rows[1]
+        assert np.array_equal(sub.densify(), dm.densify()[[1]])
 
     def test_serialization_header_and_layout(self, space, tmp_path):
         dm = self._matrix(space)
@@ -171,26 +198,26 @@ class TestDesignMatrix:
         for _ in range(50):
             nz = np.sort(rng.choice(14, size=rng.integers(1, 6), replace=False))
             vals = rng.integers(1, 9, size=nz.size).astype(float)
-            rows.append(SparseRow(nz, vals))
+            rows.append(list(zip(nz.tolist(), vals.tolist())))
             labels.append(int(rng.integers(0, 2)))
-        dm = DesignMatrix(space, tuple(rows), np.array(labels))
+        dm = matrix_from_rows(space, rows, np.array(labels))
         path = tmp_path / "dm.txt"
         dm.save(path)
         loaded = load_design_matrix(path, space)
         assert loaded.labels.tolist() == dm.labels.tolist()
-        assert all(a == b for a, b in zip(loaded.rows, dm.rows))
+        assert np.array_equal(loaded.indptr, dm.indptr)
+        assert np.array_equal(loaded.indices, dm.indices)
+        assert np.array_equal(loaded.data, dm.data)
         path2 = tmp_path / "dm2.txt"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_noninteger_values_round_trip(self, space, tmp_path):
-        dm = DesignMatrix(
-            space, (SparseRow.from_pairs([(0, 0.1), (5, 3.0)]),), np.array([1])
-        )
+        dm = matrix_from_rows(space, [[(0, 0.1), (5, 3.0)]], [1])
         path = tmp_path / "dm.txt"
         dm.save(path)
         loaded = load_design_matrix(path)
-        assert loaded.rows[0].values.tolist() == [0.1, 3.0]
+        assert loaded.data.tolist() == [0.1, 3.0]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -203,3 +230,47 @@ class TestDesignMatrix:
         path.write_text("#N 3\n2 0:1\n")
         with pytest.raises(RowFormatError):
             load_design_matrix(path)
+
+    def test_loader_enforces_the_row_rules(self, tmp_path):
+        for line in ("1 2:1 1:1", "1 1:1 1:2", "1 0:0", "1 0:inf", "1 0:nan", "1 -1:1"):
+            path = tmp_path / "bad.txt"
+            path.write_text(f"#N 3\n0 0:1\n{line}\n")
+            with pytest.raises(RowFormatError, match="row 1"):
+                load_design_matrix(path)
+        path.write_text("#N 3\n1 3:1\n")
+        with pytest.raises(LayoutError):
+            load_design_matrix(path)
+
+
+# any float64 a design matrix may store: finite and nonzero
+_values = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+
+
+@st.composite
+def design_matrices(draw):
+    width = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, width - 1), _values | st.integers(1, 300).map(float), max_size=width),
+        max_size=15,
+    ))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return matrix_from_rows(width, [sorted(row.items()) for row in rows], labels)
+
+
+class TestDesignMatrixProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(dm=design_matrices())
+    def test_save_then_load_is_bit_exact(self, dm, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dm") / "dm.txt"
+        dm.save(path)
+        loaded = load_design_matrix(path, dm.space)
+        for name in ("indptr", "indices", "data", "labels"):
+            assert getattr(loaded, name).tobytes() == getattr(dm, name).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dm=design_matrices(), picks=st.lists(st.integers(0, 10**6), max_size=20))
+    def test_subset_equals_the_dense_rows(self, dm, picks):
+        idx = [p % len(dm) for p in picks] if len(dm) else []
+        sub = dm.subset(idx)
+        assert np.array_equal(sub.densify(), dm.densify()[idx])
+        assert sub.labels.tolist() == dm.labels[idx].tolist()

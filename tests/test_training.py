@@ -5,34 +5,30 @@ import numpy as np
 import pytest
 
 from ktfm import (
-    DesignMatrix,
     FMParams,
-    FeatureSpace,
     Link,
-    SparseRow,
     TrainConfig,
     TrainingDivergedError,
     init_params,
     nll,
-    nll_gradient,
     raw_scores,
     train_gibbs_probit,
     train_map_logit,
 )
-from ktfm.training import HyperPriors, sample_truncated_normal
+from ktfm.training import HyperPriors, _row_gradient, sample_truncated_normal
+from tests.conftest import matrix_from_rows
 from tests.test_model import random_instance
 
 
 def make_matrix(rng, n_rows=40, width=12, max_nnz=5):
-    space = FeatureSpace((("features", width),))
     rows, labels = [], []
     for _ in range(n_rows):
         nnz = int(rng.integers(1, max_nnz + 1))
         idx = np.sort(rng.choice(width, size=nnz, replace=False))
         vals = rng.integers(1, 4, size=nnz).astype(float)
-        rows.append(SparseRow(idx, vals))
+        rows.append(list(zip(idx.tolist(), vals.tolist())))
         labels.append(int(rng.integers(0, 2)))
-    return DesignMatrix(space, tuple(rows), np.array(labels))
+    return matrix_from_rows(width, rows, np.array(labels))
 
 
 class TestNll:
@@ -95,7 +91,24 @@ def moderate_instance(rng, n=12, d=0, max_nnz=6):
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = np.sort(rng.choice(n, size=nnz, replace=False))
     vals = rng.integers(1, 3, size=nnz).astype(float)
-    return params, SparseRow(idx, vals)
+    return params, matrix_from_rows(n, [list(zip(idx.tolist(), vals.tolist()))])
+
+
+def row_gradient(params: FMParams, row, label: int):
+    """Dense (d/d bias, d/d w, d/d V) of one row's logit NLL, from the SGD kernel."""
+    g, gV_rows = _row_gradient(params.bias, params.w, params.V, row.indices, row.data, label)
+    g_w = np.zeros(params.n_features)
+    g_w[row.indices] = g * row.data
+    g_V = None
+    if params.V is not None:
+        g_V = np.zeros_like(params.V)
+        g_V[row.indices] = gV_rows
+    return g, g_w, g_V
+
+
+def logit_loss(params: FMParams, row, label: int) -> float:
+    p = float(Link.LOGIT.inverse(raw_scores(params, row)[0]))
+    return -(label * math.log(p) + (1 - label) * math.log(1 - p))
 
 
 class TestGradients:
@@ -106,14 +119,10 @@ class TestGradients:
         for _ in range(20):
             params, row = moderate_instance(rng, n=12, d=d)
             y = int(rng.integers(0, 2))
-            g_bias, g_w, g_V = nll_gradient(params, row, y)
+            g_bias, g_w, g_V = row_gradient(params, row, y)
 
             def loss_at(bias, w, V):
-                from ktfm.model import raw_score
-
-                z = raw_score(FMParams(bias, w, V), row)
-                p = float(Link.LOGIT.inverse(z))
-                return -(y * math.log(p) + (1 - y) * math.log(1 - p))
+                return logit_loss(FMParams(bias, w, V), row, y)
 
             def rel_err(analytic, numeric):
                 # the floor keeps finite-difference roundoff (~1e-10 at this
@@ -146,22 +155,24 @@ class TestGradients:
                         assert rel_err(g_V[k, f], fd) <= 1e-4
 
     def test_untouched_coordinates_have_zero_gradient(self):
+        # one SGD step on one row moves only that row's coordinates
         rng = np.random.default_rng(77)
-        params, row = random_instance(rng, n=10, d=2)
-        _, g_w, g_V = nll_gradient(params, row, 1)
+        _, row = random_instance(rng, n=10, d=2)
+        row = matrix_from_rows(10, [list(zip(row.indices.tolist(), row.data.tolist()))], [1])
+        cfg = TrainConfig(d=2, epochs=1, learning_rate=0.5, seed=4)
+        start = init_params(cfg, 10)
+        with pytest.warns(UserWarning, match="identical"):
+            params = train_map_logit(row, cfg)
         untouched = np.setdiff1d(np.arange(10), row.indices)
-        assert (g_w[untouched] == 0).all()
-        assert (g_V[untouched] == 0).all()
+        assert (params.w[untouched] == 0).all()
+        assert np.array_equal(params.V[untouched], start.V[untouched])
+        assert (params.V[row.indices] != start.V[row.indices]).all()
 
 
 class TestMapTrainer:
     def test_loss_decreases_on_separable_toy(self):
-        space = FeatureSpace((("features", 2),))
-        rows = tuple(
-            SparseRow.from_pairs([(i % 2, 1.0)]) for i in range(20)
-        )
         labels = np.array([i % 2 for i in range(20)])
-        data = DesignMatrix(space, rows, labels)
+        data = matrix_from_rows(2, [[(i % 2, 1.0)] for i in range(20)], labels)
         log: list = []
         train_map_logit(data, TrainConfig(epochs=10, learning_rate=0.5, seed=0), epoch_log=log)
         losses = [row["train_nll"] for row in log]
@@ -198,16 +209,35 @@ class TestMapTrainer:
         with pytest.raises(TrainingDivergedError):
             train_map_logit(data, TrainConfig(epochs=400, learning_rate=1e12, d=2, init_scale=5.0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_full_batch_factor_overflow_raises(self):
+        # the first step sends V, and only V, past the float range
+        data = matrix_from_rows(3, [[(0, 1.0), (1, 2.0)], [(1, 1.0), (2, 1.0)], [(0, 1.0), (2, 3.0)]], [1, 0, 1])
+        cfg = TrainConfig(d=2, epochs=5, learning_rate=1e250, init_scale=1e100, full_batch=True)
+        with pytest.raises(TrainingDivergedError, match="at epoch 0$"):
+            train_map_logit(data, cfg)
+
+    def test_sgd_step_uses_the_row_gradient(self):
+        # one epoch over one row is one step of the kernel's gradient
+        rng = np.random.default_rng(5)
+        _, row = moderate_instance(rng, n=8, d=3)
+        row = matrix_from_rows(8, [list(zip(row.indices.tolist(), row.data.tolist()))], [1])
+        cfg = TrainConfig(d=3, epochs=1, learning_rate=0.1, l2=0.0, seed=6)
+        start = init_params(cfg, 8)
+        g_bias, g_w, g_V = row_gradient(start, row, 1)
+        with pytest.warns(UserWarning, match="identical"):
+            params = train_map_logit(row, cfg)
+        assert params.bias == start.bias - 0.1 * g_bias
+        np.testing.assert_allclose(params.w, start.w - 0.1 * g_w, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(params.V, start.V - 0.1 * g_V, rtol=1e-15, atol=0)
+
     def test_constant_labels_warn(self):
-        space = FeatureSpace((("features", 2),))
-        rows = tuple(SparseRow.from_pairs([(0, 1.0)]) for _ in range(5))
-        data = DesignMatrix(space, rows, np.ones(5, dtype=int))
+        data = matrix_from_rows(2, [[(0, 1.0)]] * 5, np.ones(5, dtype=int))
         with pytest.warns(UserWarning, match="identical"):
             train_map_logit(data, TrainConfig(epochs=1))
 
     def test_empty_matrix_rejected(self):
-        space = FeatureSpace((("features", 2),))
-        data = DesignMatrix(space, (), np.array([], dtype=int))
+        data = matrix_from_rows(2, [], np.array([], dtype=int))
         with pytest.raises(ValueError):
             train_map_logit(data, TrainConfig(epochs=1))
 
@@ -257,10 +287,7 @@ class TestTruncatedSampling:
 
 class TestGibbsTrainer:
     def test_positive_labels_push_prediction_up(self):
-        space = FeatureSpace((("features", 1),))
-        rows = tuple(SparseRow.from_pairs([(0, 1.0)]) for _ in range(30))
-        labels = np.ones(30, dtype=int)
-        data = DesignMatrix(space, rows, labels)
+        data = matrix_from_rows(1, [[(0, 1.0)]] * 30, np.ones(30, dtype=int))
         with pytest.warns(UserWarning):
             out = train_gibbs_probit(data, data, TrainConfig(epochs=100, seed=0))
         assert (out.test_predictions > 0.5).all()
