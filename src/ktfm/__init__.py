@@ -56,7 +56,6 @@ from .sparse import (
 )
 from .training import (
     GibbsOutput,
-    HyperPriors,
     TrainConfig,
     TrainingDivergedError,
     init_params,
@@ -77,7 +76,6 @@ __all__ = [
     "FoldMetrics",
     "FoldSpec",
     "GibbsOutput",
-    "HyperPriors",
     "LayoutError",
     "Link",
     "ModelBundle",

@@ -14,7 +14,6 @@ import click
 from . import __version__
 from .datasets import (
     DataFormatError,
-    Dataset,
     SynthSpec,
     Vocabulary,
     align_qmatrix,
@@ -27,6 +26,7 @@ from .datasets import (
 from .encoding import EncodingError, encode_dataset, load_qmatrix
 from .evaluation import (
     FoldSpec,
+    encode_preset,
     evaluate_predictions,
     format_table,
     run_cv,
@@ -61,17 +61,6 @@ _ERRORS = (
 )
 
 
-def _fail(exc: Exception) -> "click.ClickException":
-    return click.ClickException(str(exc))
-
-
-def _load(data, qmatrix, vocab) -> Dataset:
-    try:
-        return load_dataset(data, qmatrix, vocab)
-    except _ERRORS as exc:
-        raise _fail(exc)
-
-
 def _write_predictions(path, probabilities) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("row,proba\n")
@@ -91,7 +80,18 @@ def _write_epoch_log(path, log_rows) -> None:
             fh.write(",".join(repr(float(row[k])) if k != "epoch" else str(row[k]) for k in keys) + "\n")
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: a data, model or I/O error in any command
+    becomes a one-line ``Error:`` message and a non-zero exit."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="ktfm")
 def main():
     """Student performance prediction with sparse factorization machines."""
@@ -123,23 +123,11 @@ epochs_opt = click.option("--epochs", "--iters", "epochs", default=200, show_def
 @click.option("--vocab-out", type=click.Path(dir_okay=False))
 def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
     """Encode a triplet log into a sparse design-matrix text file."""
-    dataset = _load(data, qmatrix, vocab)
-    try:
-        config, rule = preset_encoding(preset, dataset.extra_columns)
-        rule.check(dim)
-        dm = encode_dataset(
-            dataset.triplets,
-            dataset.qmatrix,
-            config,
-            dataset.n_students,
-            extras=dataset.extras,
-            n_items=dataset.n_items,
-        )
-        dm.save(out)
-        if vocab_out:
-            dataset.vocab.save(vocab_out)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    dataset = load_dataset(data, qmatrix, vocab)
+    _, dm = encode_preset(dataset, preset, dim)
+    dm.save(out)
+    if vocab_out:
+        dataset.vocab.save(vocab_out)
     write_manifest(
         Path(out).with_suffix(".manifest.json"),
         "encode",
@@ -147,17 +135,6 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
         {"data": data, "qmatrix": qmatrix or "", "vocab": vocab or ""},
     )
     click.echo(f"wrote {out} ({len(dm)} rows x {dm.space.width} features)")
-
-
-def _train_config(dim, epochs, lr, l2, seed, burn_in=None) -> TrainConfig:
-    return TrainConfig(
-        d=dim,
-        epochs=epochs,
-        learning_rate=lr,
-        l2=l2,
-        seed=seed,
-        burn_in=burn_in,
-    )
 
 
 @main.command()
@@ -177,26 +154,14 @@ def _train_config(dim, epochs, lr, l2, seed, burn_in=None) -> TrainConfig:
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), help="Per-epoch metrics CSV.")
 def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
     """Fit a model on a full log and save it as versioned JSON."""
-    dataset = _load(data, qmatrix, vocab)
-    try:
-        config, rule = preset_encoding(preset, dataset.extra_columns)
-        rule.check(dim)
-        dm = encode_dataset(
-            dataset.triplets,
-            dataset.qmatrix,
-            config,
-            dataset.n_students,
-            extras=dataset.extras,
-            n_items=dataset.n_items,
-        )
-        cfg = _train_config(dim, epochs, lr, l2, seed, burn_in)
-        epoch_log: list | None = [] if log_path else None
-        if Link(link) is Link.PROBIT:
-            params = train_gibbs_probit(dm, None, cfg, epoch_log=epoch_log).params
-        else:
-            params = train_map_logit(dm, cfg, epoch_log=epoch_log)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    dataset = load_dataset(data, qmatrix, vocab)
+    config, dm = encode_preset(dataset, preset, dim)
+    cfg = TrainConfig(d=dim, epochs=epochs, learning_rate=lr, l2=l2, seed=seed, burn_in=burn_in)
+    epoch_log: list | None = [] if log_path else None
+    if Link(link) is Link.PROBIT:
+        params = train_gibbs_probit(dm, None, cfg, epoch_log=epoch_log).params
+    else:
+        params = train_map_logit(dm, cfg, epoch_log=epoch_log)
     bundle = ModelBundle(
         params=params,
         space=dm.space,
@@ -220,20 +185,18 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
     click.echo(f"wrote {out}")
 
 
-def _encode_for_model(bundle: ModelBundle, data, qmatrix, vocab_path):
+def _score_with_model(model, data, qmatrix, vocab_path):
+    """Probabilities and labels of a log under a saved model, after the
+    model's vocabulary digest has been checked against ``vocab_path``."""
     vocab = Vocabulary.load(vocab_path)
-    if vocab.digest() != bundle.vocab_digest:
-        raise ModelFormatError(
-            "vocabulary digest mismatch: this vocabulary is not the one the "
-            "model was trained with"
-        )
+    bundle = load_model(model, vocab.digest())
     triplets, extras, _ = load_triplets(data, vocab, allow_unknown=True)
     q = None
     if qmatrix:
         q = align_qmatrix(load_qmatrix(qmatrix), vocab.items, vocab_order=True)
     elif bundle.encoding.needs_skills:
         raise EncodingError("this model needs a q-matrix to encode data")
-    return encode_dataset(
+    dm = encode_dataset(
         triplets,
         q,
         bundle.encoding,
@@ -241,6 +204,7 @@ def _encode_for_model(bundle: ModelBundle, data, qmatrix, vocab_path):
         extras=extras,
         n_items=bundle.n_items,
     )
+    return predict_proba_matrix(bundle.params, dm, bundle.link), dm.labels
 
 
 model_opt = click.option("--model", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -255,12 +219,7 @@ vocab_req_opt = click.option("--vocab", required=True, type=click.Path(exists=Tr
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def predict(model, data, qmatrix, vocab, out):
     """Score a triplet log with a saved model; one probability per row."""
-    try:
-        bundle = load_model(model)
-        dm = _encode_for_model(bundle, data, qmatrix, vocab)
-        probabilities = predict_proba_matrix(bundle.params, dm, bundle.link)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    probabilities, _ = _score_with_model(model, data, qmatrix, vocab)
     _write_predictions(out, probabilities)
     write_manifest(
         Path(out).with_suffix(".manifest.json"),
@@ -279,13 +238,8 @@ def predict(model, data, qmatrix, vocab, out):
 @click.option("--out", type=click.Path(dir_okay=False))
 def evaluate(model, data, qmatrix, vocab, out):
     """ACC/AUC/NLL of a saved model on a labeled triplet log."""
-    try:
-        bundle = load_model(model)
-        dm = _encode_for_model(bundle, data, qmatrix, vocab)
-        probabilities = predict_proba_matrix(bundle.params, dm, bundle.link)
-        metrics = evaluate_predictions(probabilities, dm.labels, fold=0)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    probabilities, labels = _score_with_model(model, data, qmatrix, vocab)
+    metrics = evaluate_predictions(probabilities, labels, fold=0)
     auc_txt = "" if metrics.auc is None else repr(metrics.auc)
     if out:
         with open(out, "w", newline="\n") as fh:
@@ -317,7 +271,7 @@ def evaluate(model, data, qmatrix, vocab, out):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, seed, out_dir):
     """Cross-validate a preset/dimension grid and write report CSVs."""
-    dataset = _load(data, qmatrix, vocab)
+    dataset = load_dataset(data, qmatrix, vocab)
     grid = []
     for p in presets:
         for d in dims:
@@ -326,22 +280,19 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
                 rule.check(d)
             except ValueError as exc:
                 if len(presets) * len(dims) == 1:
-                    raise _fail(exc)
+                    raise
                 click.echo(f"skipping {p} at d={d}: {exc}", err=True)
                 continue
             grid.append((p, d))
     if not grid:
         raise click.ClickException("no valid (preset, d) grid cells")
-    try:
-        reports = run_cv(
-            dataset,
-            grid,
-            FoldSpec(k=folds, seed=seed, mode=f"by_{split}"),
-            _train_config(0, epochs, lr, l2, seed),
-            Link(link),
-        )
-    except _ERRORS as exc:
-        raise _fail(exc)
+    reports = run_cv(
+        dataset,
+        grid,
+        FoldSpec(k=folds, seed=seed, mode=f"by_{split}"),
+        TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed),
+        Link(link),
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="\n") as fh:
@@ -372,12 +323,9 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def export_embeddings_cmd(model, out):
     """Dump per-feature biases and factor vectors as CSV."""
-    try:
-        bundle = load_model(model)
-        with open(out, "w", newline="\n") as fh:
-            export_embeddings(bundle.params, bundle.space, fh)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    bundle = load_model(model)
+    with open(out, "w", newline="\n") as fh:
+        export_embeddings(bundle.params, bundle.space, fh)
     click.echo(f"wrote {out}")
 
 
@@ -399,21 +347,18 @@ def export_embeddings_cmd(model, out):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def synth(generator, students, items, skills, dim, attempts, link, scale, seed, out_dir):
     """Generate a synthetic log with saved ground-truth parameters."""
-    try:
-        spec = SynthSpec(
-            generator=generator,
-            n_students=students,
-            n_items=items,
-            n_skills=skills,
-            d=dim,
-            attempts=attempts,
-            link=Link(link),
-            seed=seed,
-            scale=scale,
-        )
-        paths = write_synthetic(generate_synthetic(spec), out_dir)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    spec = SynthSpec(
+        generator=generator,
+        n_students=students,
+        n_items=items,
+        n_skills=skills,
+        d=dim,
+        attempts=attempts,
+        link=Link(link),
+        seed=seed,
+        scale=scale,
+    )
+    paths = write_synthetic(generate_synthetic(spec), out_dir)
     write_manifest(
         Path(out_dir) / "manifest.json",
         "synth",
@@ -439,10 +384,7 @@ def synth(generator, students, items, skills, dim, attempts, link, scale, seed, 
 @click.option("--out-qmatrix", required=True, type=click.Path(dir_okay=False))
 def import_assistments(raw, out_data, out_qmatrix):
     """Convert the public 2009-2010 skill-builder CSV to the triplet format."""
-    try:
-        convert_assistments(raw, out_data, out_qmatrix)
-    except _ERRORS as exc:
-        raise _fail(exc)
+    convert_assistments(raw, out_data, out_qmatrix)
     click.echo(f"wrote {out_data} and {out_qmatrix}")
 
 

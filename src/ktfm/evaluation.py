@@ -1,8 +1,9 @@
 """Metrics, fold construction, and the cross-validated experiment runner.
 
-AUC uses the rank-sum form of the Mann-Whitney statistic with average ranks,
-so tied scores count one half; it is exactly the all-pairs computation at
-O(S log S) cost. Accuracy thresholds at 0.5 with ties predicting positive.
+AUC uses the rank-sum form of the Mann-Whitney statistic with average ranks
+(from one stable sort and its tie groups), so tied scores count one half; it
+is exactly the all-pairs computation at O(S log S) cost. Accuracy thresholds
+at 0.5 with ties predicting positive.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence, TextIO
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .encoding import encode_dataset
+from .encoding import EncodingConfig, encode_dataset
 from .model import Link, preset_encoding, raw_scores
 from .sparse import DesignMatrix
 from .training import TrainConfig, nll, train_gibbs_probit, train_map_logit
@@ -42,7 +43,15 @@ def auc(predictions: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC is undefined when all labels are the same class")
-    ranks = rankdata(p, method="average")
+    order = np.argsort(p, kind="stable")
+    sorted_p = p[order]
+    starts_group = np.r_[True, sorted_p[1:] != sorted_p[:-1]]
+    bounds = np.r_[np.flatnonzero(starts_group), p.size]
+    group = np.cumsum(starts_group) - 1
+    ranks = np.empty(p.size)
+    # the sorted positions bounds[g]..bounds[g+1]-1 share the mean of ranks
+    # bounds[g]+1..bounds[g+1]
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -179,6 +188,20 @@ def cross_validate_encoded(
     return CVReport(preset=preset, d=d, folds=tuple(metrics))
 
 
+def encode_preset(dataset, preset: str, d: int) -> tuple[EncodingConfig, DesignMatrix]:
+    """Encode a loaded dataset with a named preset, once the preset allows ``d``."""
+    config, rule = preset_encoding(preset, dataset.extra_columns)
+    rule.check(d)
+    return config, encode_dataset(
+        dataset.triplets,
+        dataset.qmatrix,
+        config,
+        dataset.n_students,
+        extras=dataset.extras,
+        n_items=dataset.n_items,
+    )
+
+
 def run_cv(
     dataset,
     grid: Sequence[tuple[str, int]],
@@ -188,28 +211,26 @@ def run_cv(
 ) -> list[CVReport]:
     """Cross-validate every (preset, d) grid cell on one dataset.
 
-    Each cell encodes the full log once (counters always see the whole
-    history), reuses one fold partition across cells, and reports per-fold
-    ACC/AUC/NLL. Reports come back sorted by mean AUC, best first.
+    Every cell's d is checked before any work. Each run of consecutive cells
+    with one preset shares one encoding of the full log (counters always see
+    the whole history), and all cells share one fold partition. Reports give
+    per-fold ACC/AUC/NLL and come back sorted by mean AUC, best first.
     """
+    for preset, d in grid:
+        preset_encoding(preset, dataset.extra_columns)[1].check(d)
     students = [t.student for t in dataset.triplets]
     folds = make_folds(len(dataset.triplets), fold_spec, students)
     reports = []
-    for preset, d in grid:
-        config, rule = preset_encoding(preset, dataset.extra_columns)
-        rule.check(d)
-        encoded = encode_dataset(
-            dataset.triplets,
-            dataset.qmatrix,
-            config,
-            dataset.n_students,
-            extras=dataset.extras,
-            n_items=dataset.n_items,
-        )
-        cell_config = train_config.replace(d=d)
-        reports.append(
-            cross_validate_encoded(encoded, preset, d, folds, cell_config, link)
-        )
+    for preset, cells in groupby(grid, key=lambda cell: cell[0]):
+        dims = [d for _, d in cells]
+        _, encoded = encode_preset(dataset, preset, dims[0])
+        for d in dims:
+            reports.append(
+                cross_validate_encoded(
+                    encoded, preset, d, folds, train_config.replace(d=d), link
+                )
+            )
+        del encoded  # one encoded matrix alive at a time
     reports.sort(key=lambda r: -1.0 if r.mean_auc is None else r.mean_auc, reverse=True)
     return reports
 

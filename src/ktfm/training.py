@@ -1,8 +1,15 @@
 """Model fitting: MAP gradient descent (logit) and Gibbs sampling (probit).
 
-MAP descent minimizes the mean negative log-likelihood plus an L2 penalty on
-the per-feature parameters (the penalty plays the role of fixed Gaussian
-priors; the global bias is not penalized).
+MAP descent fits the logit NLL plus an L2 penalty on the per-feature
+parameters (the penalty plays the role of fixed Gaussian priors; the global
+bias is not penalized). The two modes fit different objectives when l2 > 0:
+
+- per-row SGD shrinks only the columns the current row touches, so an epoch
+  penalizes a column once per row that contains it. It minimizes
+  mean NLL + (l2 / 2) * sum_k (n_k / N) * |theta_k|^2, where n_k of the N
+  rows touch column k: frequent columns are penalized more;
+- full-batch descent penalizes every column once per epoch, minimizing
+  mean NLL + (l2 / 2) * sum_k |theta_k|^2.
 
 The Gibbs sampler treats each binary outcome through a latent Gaussian
 utility:
@@ -13,8 +20,9 @@ utility:
 then draws every parameter from its Gaussian conditional, which is available
 in closed form because the score is linear in each single parameter. Biases
 share one (mean, precision) prior group; each factor dimension gets its own
-group; group means and precisions are resampled from Normal(0, 1) and
-Gamma(1, 1) hyperpriors.
+group; group means and precisions are resampled from fixed Normal(0, 1) and
+Gamma(1, 1) hyperpriors, as in libFM's MCMC. Test predictions are averaged
+over the post-burn-in iterations.
 """
 
 from __future__ import annotations
@@ -31,6 +39,11 @@ from .sparse import DesignMatrix
 
 NLL_EPS = 1e-12
 _TINY = np.finfo(np.float64).tiny
+# Hyperpriors of every Gibbs group: mean ~ Normal(0, 1 / _MEAN_PRIOR_PRECISION),
+# precision ~ Gamma(_PRECISION_SHAPE, _PRECISION_RATE)
+_MEAN_PRIOR_PRECISION = 1.0
+_PRECISION_SHAPE = 1.0
+_PRECISION_RATE = 1.0
 
 
 class TrainingDivergedError(RuntimeError):
@@ -49,7 +62,6 @@ class TrainConfig:
     init_scale: float = 0.01
     full_batch: bool = False
     burn_in: int | None = None  # Gibbs only; defaults to epochs // 5
-    average_predictions: bool = True  # Gibbs test predictions: per-iteration mean
 
     def __post_init__(self):
         if self.d < 0:
@@ -74,25 +86,11 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class HyperPriors:
-    """Hyperpriors on each group's prior mean and precision."""
-
-    mean_prior_var: float = 1.0  # group mean ~ Normal(0, this)
-    precision_shape: float = 1.0  # group precision ~ Gamma(shape, rate)
-    precision_rate: float = 1.0
-
-    def __post_init__(self):
-        if min(self.mean_prior_var, self.precision_shape, self.precision_rate) <= 0:
-            raise ValueError("hyperprior parameters must be positive")
-
-
-@dataclass(frozen=True)
 class GibbsOutput:
-    """Posterior-mean parameters plus, optionally, averaged test predictions."""
+    """Posterior-mean parameters plus, given a test set, averaged test predictions."""
 
     params: FMParams
     test_predictions: np.ndarray | None
-    history: tuple[dict, ...] = ()
 
 
 def nll(predictions: Sequence[float], labels: Sequence[int]) -> float:
@@ -259,18 +257,17 @@ class _GroupState:
         self.mean = 0.0
         self.precision = 1.0
 
-    def resample(self, values: np.ndarray, priors: HyperPriors, rng) -> None:
+    def resample(self, values: np.ndarray, rng) -> None:
         n = values.size
         # precision | values ~ Gamma(shape + n/2, rate + sum sq dev / 2)
-        shape = priors.precision_shape + 0.5 * n
-        rate = priors.precision_rate + 0.5 * float(((values - self.mean) ** 2).sum())
+        shape = _PRECISION_SHAPE + 0.5 * n
+        rate = _PRECISION_RATE + 0.5 * float(((values - self.mean) ** 2).sum())
         lam = rng.gamma(shape, 1.0 / rate)
         if not np.isfinite(lam) or lam <= 0.0:
             lam = 1.0  # precision underflow guard
         self.precision = float(lam)
-        # mean | values: Normal prior with mean 0 and variance mean_prior_var
-        prec0 = 1.0 / priors.mean_prior_var
-        post_prec = prec0 + n * self.precision
+        # mean | values: Normal(0, 1 / _MEAN_PRIOR_PRECISION) prior
+        post_prec = _MEAN_PRIOR_PRECISION + n * self.precision
         post_mean = self.precision * float(values.sum()) / post_prec
         self.mean = float(post_mean + rng.standard_normal() / np.sqrt(post_prec))
 
@@ -289,7 +286,6 @@ def train_gibbs_probit(
     train: DesignMatrix,
     test: DesignMatrix | None = None,
     config: TrainConfig = TrainConfig(),
-    priors: HyperPriors = HyperPriors(),
     *,
     epoch_log: list | None = None,
 ) -> GibbsOutput:
@@ -333,7 +329,6 @@ def train_gibbs_probit(
     w_sum = np.zeros_like(w)
     V_sum = None if V is None else np.zeros_like(V)
     test_sum = None if test is None else np.zeros(len(test))
-    history: list[dict] = []
 
     params = start
     for it in range(iters):
@@ -385,10 +380,10 @@ def train_gibbs_probit(
                     qf[rows] += delta * xv
                     V[k, f] = new
 
-        bias_group.resample(np.concatenate(([bias], w)), priors, rng)
+        bias_group.resample(np.concatenate(([bias], w)), rng)
         if V is not None:
             for f in range(d):
-                dim_groups[f].resample(V[:, f], priors, rng)
+                dim_groups[f].resample(V[:, f], rng)
 
         params = _finite(bias, w, V, it)
         if it >= burn_in:
@@ -401,19 +396,12 @@ def train_gibbs_probit(
                 test_sum += Link.PROBIT.inverse(raw_scores(params, test))
 
         if epoch_log is not None:
-            row = {"epoch": it, **_epoch_metrics(params, train, test, Link.PROBIT)}
-            history.append(row)
-            epoch_log.append(row)
+            epoch_log.append({"epoch": it, **_epoch_metrics(params, train, test, Link.PROBIT)})
 
     mean_params = FMParams(
         bias_sum / kept,
         w_sum / kept,
         None if V_sum is None else V_sum / kept,
     )
-    if test is None:
-        test_pred = None
-    elif config.average_predictions:
-        test_pred = np.clip(test_sum / kept, 1e-15, 1.0 - 1e-15)
-    else:
-        test_pred = Link.PROBIT.inverse(raw_scores(mean_params, test))
-    return GibbsOutput(mean_params, test_pred, tuple(history))
+    test_pred = None if test is None else np.clip(test_sum / kept, 1e-15, 1.0 - 1e-15)
+    return GibbsOutput(mean_params, test_pred)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,8 +303,27 @@ class TestErrors:
         assert result.exit_code != 0
         assert "unknown preset" in result.output
 
+    def test_output_error_is_one_line(self, runner, tmp_path, example_log_csv):
+        data, _ = example_log_csv
+        result = runner.invoke(
+            main,
+            ["train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "missing" / "m.json")],
+        )
+        assert result.exit_code != 0
+        assert not isinstance(result.exception, FileNotFoundError)
+        assert result.output.startswith("Error:") and "m.json" in result.output
+
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(
             main, ["encode", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")]
         )
         assert result.exit_code != 0
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone costs about a second of every command's start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ktfm.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

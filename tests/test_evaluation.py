@@ -175,6 +175,32 @@ class TestRunCv:
         with pytest.raises(ValueError):
             run_cv(dataset, [("irt", 5)], FoldSpec(k=2), TrainConfig(epochs=2))
 
+    def test_one_encode_per_run_of_a_preset(self, monkeypatch):
+        import ktfm.evaluation as evaluation
+
+        calls = []
+        encode = evaluation.encode_dataset
+        monkeypatch.setattr(
+            evaluation, "encode_dataset", lambda *a, **k: calls.append(1) or encode(*a, **k)
+        )
+        dataset = synthetic_dataset(seed=4, n_students=12, n_items=6)
+        args = (FoldSpec(k=2, seed=0), TrainConfig(epochs=2, seed=0))
+        shared = run_cv(dataset, [("mirtb", 1), ("mirtb", 2), ("irt", 0)], *args)
+        assert len(calls) == 2
+        alone = [run_cv(dataset, [cell], *args)[0] for cell in [("mirtb", 1), ("mirtb", 2), ("irt", 0)]]
+        key = lambda r: (r.preset, r.d)  # noqa: E731
+        assert sorted(shared, key=key) == sorted(alone, key=key)
+
+    def test_every_cell_checked_before_encoding(self, monkeypatch):
+        import ktfm.evaluation as evaluation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("encoded before the grid was checked")
+
+        monkeypatch.setattr(evaluation, "encode_dataset", fail)
+        with pytest.raises(ValueError, match="d = 0"):
+            run_cv(synthetic_dataset(), [("irt", 0), ("irt", 5)], FoldSpec(k=2), TrainConfig(epochs=2))
+
     def test_degenerate_fold_reports_missing_auc(self):
         # one student answers everything right; splitting by student makes
         # that fold's test labels single-class

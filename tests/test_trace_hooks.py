@@ -42,3 +42,27 @@ def test_trace_cli_spans_encode_and_cv(example_log_csv, tmp_path):
          "--folds", "2", "--epochs", "1", "--out-dir", str(tmp_path / "cv")],
     )
     assert {"sparse.csr", "sparse.subset", "encoding.encode", "training.sgd", "model.score"} <= cv
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_trace_cli_spans_probit_train_predict_evaluate_cv(example_log_csv, tmp_path):
+    data, qfile = example_log_csv
+    log = ["--data", str(data), "--qmatrix", str(qfile)]
+    model, vocab = str(tmp_path / "m.json"), str(tmp_path / "vocab.json")
+    train = trace(
+        tmp_path, "train",
+        ["train", *log, "--link", "probit", "--preset", "ktm-iswf", "--d", "1", "--epochs", "2",
+         "--out", model, "--vocab-out", vocab],
+    )
+    assert {"encoding.encode", "training.gibbs", "persistence.model_io"} <= train
+    scoring = ["--model", model, *log, "--vocab", vocab]
+    predict = trace(tmp_path, "predict", ["predict", *scoring, "--out", str(tmp_path / "p.csv")])
+    assert {"persistence.model_io", "encoding.encode", "model.score"} <= predict
+    evaluate = trace(tmp_path, "evaluate", ["evaluate", *scoring, "--out", str(tmp_path / "e.csv")])
+    assert {"persistence.model_io", "encoding.encode", "model.score", "evaluation.metrics"} <= evaluate
+    cv = trace(
+        tmp_path, "cv",
+        ["cv", *log, "--link", "probit", "--preset", "ktm-iswf", "--d", "1", "--folds", "2",
+         "--epochs", "2", "--out-dir", str(tmp_path / "cv")],
+    )
+    assert {"encoding.encode", "training.gibbs", "sparse.subset", "evaluation.metrics"} <= cv

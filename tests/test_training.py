@@ -15,7 +15,7 @@ from ktfm import (
     train_gibbs_probit,
     train_map_logit,
 )
-from ktfm.training import HyperPriors, _row_gradient, sample_truncated_normal
+from ktfm.training import _row_gradient, sample_truncated_normal
 from tests.conftest import matrix_from_rows
 from tests.test_model import random_instance
 
@@ -336,18 +336,6 @@ class TestGibbsTrainer:
         gibbs_auc = auc(out.test_predictions, dm.labels[test_idx])
         assert abs(gibbs_auc - oracle_auc) <= 0.05
 
-    def test_point_estimate_mode(self):
-        rng = np.random.default_rng(16)
-        data = make_matrix(rng, n_rows=40, width=8)
-        cfg = TrainConfig(epochs=30, seed=3, average_predictions=False)
-        out = train_gibbs_probit(data, data, cfg)
-        expected = Link.PROBIT.inverse(raw_scores(out.params, data))
-        assert np.array_equal(out.test_predictions, expected)
-
     def test_burn_in_default_is_fifth(self):
         assert TrainConfig(epochs=500).effective_burn_in == 100
         assert TrainConfig(epochs=500, burn_in=42).effective_burn_in == 42
-
-    def test_hyperprior_validation(self):
-        with pytest.raises(ValueError):
-            HyperPriors(mean_prior_var=0.0)
