@@ -154,6 +154,9 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), help="Per-epoch metrics CSV.")
 def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
     """Fit a model on a full log and save it as versioned JSON."""
+    for path in filter(None, (out, vocab_out, log_path)):
+        if not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {path}: its directory does not exist")
     dataset = load_dataset(data, qmatrix, vocab)
     config, dm = encode_preset(dataset, preset, dim)
     cfg = TrainConfig(d=dim, epochs=epochs, learning_rate=lr, l2=l2, seed=seed, burn_in=burn_in)

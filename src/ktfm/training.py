@@ -23,10 +23,16 @@ share one (mean, precision) prior group; each factor dimension gets its own
 group; group means and precisions are resampled from fixed Normal(0, 1) and
 Gamma(1, 1) hyperpriors, as in libFM's MCMC. Test predictions are averaged
 over the post-burn-in iterations.
+
+Both inner loops keep scalars as plain floats, with one gather and one scatter
+per SGD row or Gibbs column. A sweep takes its noise as one vector of normals,
+the same stream as one draw per column; tests pin both loops bit for bit to
+reference loops that gather twice and draw per column.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -34,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import FMParams, Link, raw_scores
+from .model import PROB_EPS, FMParams, Link, raw_scores
 from .sparse import DesignMatrix
 
 NLL_EPS = 1e-12
@@ -149,24 +155,28 @@ def _epoch_metrics(params: FMParams, train, test, link) -> dict:
     return row
 
 
+def _logistic(z: float) -> float:
+    """``float(Link.LOGIT.inverse(z))`` without numpy's per-call cost (exp(-z) overflows below -709)."""
+    return PROB_EPS if z < -709.0 else min(max(1.0 / (1.0 + math.exp(-z)), PROB_EPS), 1.0 - PROB_EPS)
+
+
 def _row_gradient(
-    bias: float, w: np.ndarray, V: np.ndarray | None, idx: np.ndarray, xv: np.ndarray, y: float
+    bias: float, wk: np.ndarray, Vk: np.ndarray | None, xv: np.ndarray, y: float
 ) -> tuple[float, np.ndarray | None]:
-    """Logit-NLL gradient of one row with entries ``xv`` at columns ``idx``.
+    """Logit-NLL gradient of one row with entries ``xv``, given ``wk = w[idx]`` and ``Vk = V[idx]``.
 
     Returns the residual g = p - y, which is d loss / d bias and, times
-    ``xv``, d loss / d w[idx]; and, when V is set, d loss / d V[idx]. The SGD
+    ``xv``, d loss / d w[idx]; and, when Vk is set, d loss / d V[idx]. The SGD
     loop takes every step from this function, so checking it against finite
     differences checks the trainer's own gradient.
     """
-    z = bias + w[idx] @ xv
-    if V is not None:
-        Vk = V[idx]
+    z = bias + wk @ xv
+    if Vk is not None:
         vx = Vk * xv[:, None]
         qf = vx.sum(axis=0)
         z += 0.5 * (qf @ qf - (vx * vx).sum())
-    g = float(Link.LOGIT.inverse(z)) - y
-    if V is None:
+    g = _logistic(z) - y
+    if Vk is None:
         return g, None
     return g, g * (xv[:, None] * qf[None, :] - (xv * xv)[:, None] * Vk)
 
@@ -199,7 +209,8 @@ def train_map_logit(
     lr, l2 = config.learning_rate, config.l2
     y = data.labels.astype(np.float64)
     X = data.csr
-    indptr, cols, vals = X.indptr, X.indices, X.data
+    cols, vals = X.indices, X.data
+    row_ptr, labels = X.indptr.tolist(), y.tolist()
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
@@ -213,15 +224,16 @@ def train_map_logit(
                 q = X @ V
                 V -= lr * (X.T @ (r[:, None] * q) - (data.csr_squared.T @ r)[:, None] * V + l2 * V)
         else:
-            for r in shuffle_rng.permutation(len(data)):
-                lo, hi = indptr[r], indptr[r + 1]
+            for r in shuffle_rng.permutation(len(data)).tolist():
+                lo, hi = row_ptr[r], row_ptr[r + 1]
                 idx = cols[lo:hi]
                 xv = vals[lo:hi]
-                g, gV = _row_gradient(bias, w, V, idx, xv, y[r])
+                wk = w[idx]
+                Vk = None if V is None else V[idx]
+                g, gV = _row_gradient(bias, wk, Vk, xv, labels[r])
                 bias -= lr * g
-                w[idx] -= lr * (g * xv + l2 * w[idx])
+                w[idx] = wk - lr * (g * xv + l2 * wk)
                 if V is not None:
-                    Vk = V[idx]
                     V[idx] = Vk - lr * (gV + l2 * Vk)
         params = _finite(bias, w, V, epoch)
         if epoch_log is not None:
@@ -272,14 +284,42 @@ class _GroupState:
         self.mean = float(post_mean + rng.standard_normal() / np.sqrt(post_prec))
 
 
-def _draw(prior_mean, prior_prec, h_dot_r, h_dot_h, rng) -> float:
-    """One Gaussian conditional draw for a parameter with unit-variance noise."""
+def _draw(prior: float, prior_prec: float, h_dot_r: float, h_dot_h: float, noise: float) -> float:
+    """Gaussian conditional draw given unit normal ``noise``; ``prior`` = prior precision * mean."""
     prec = prior_prec + h_dot_h
     var = 1.0 / prec
-    if not np.isfinite(var):
+    if not math.isfinite(var):
         raise TrainingDivergedError("non-finite conditional variance in Gibbs sweep")
-    mean = (prior_prec * prior_mean + h_dot_r) * var
-    return mean + rng.standard_normal() * np.sqrt(var)
+    return (prior + h_dot_r) * var + noise * math.sqrt(var)
+
+
+def _sweep(values: np.ndarray, columns, qf: np.ndarray | None, e: np.ndarray, group, rng) -> None:
+    """Draw every entry of ``values`` in column order, in place.
+
+    On the rows of column k, d score / d entry k is h: the column's values for
+    w (``qf`` None), or x_k * (q_f - x_k * V[k, f]) for factor f, whose
+    q_f = X @ V[:, f] is kept in sync, as are the residuals ``e``. A column no
+    row touches is a pure prior draw. Entry k takes the k-th of one vector of normals.
+    """
+    mean, prec = group.mean, group.precision
+    prior, root = prec * mean, math.sqrt(prec)
+    noise = rng.standard_normal(len(values)).tolist()
+    drawn = values.tolist()
+    for k, (rows, xv) in enumerate(columns):
+        if not rows.size:
+            drawn[k] = mean + noise[k] / root
+            continue
+        old = drawn[k]
+        er = e[rows]
+        qr = None if qf is None else qf[rows]
+        h = xv if qf is None else xv * (qr - xv * old)
+        new = _draw(prior, prec, float(h @ (old * h - er)), float(h @ h), noise[k])
+        delta = new - old
+        e[rows] = er + delta * h
+        if qf is not None:
+            qf[rows] = qr + delta * xv
+        drawn[k] = new
+    values[:] = drawn
 
 
 def train_gibbs_probit(
@@ -316,9 +356,8 @@ def train_gibbs_probit(
 
     X = train.csr
     Xc = X.tocsc()
-    col_rows = [Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
-    col_vals = [Xc.data[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
-    col_sq = [float(v @ v) for v in col_vals]
+    cut = Xc.indptr.tolist()
+    columns = [(Xc.indices[a:b], Xc.data[a:b]) for a, b in zip(cut, cut[1:])]
     positive = train.labels.astype(bool)
 
     bias_group = _GroupState()
@@ -337,48 +376,15 @@ def train_gibbs_probit(
         e = scores - z  # running residual, kept in sync below
 
         # global bias: d score / d bias = 1 for every row
-        new_bias = _draw(
-            bias_group.mean,
-            bias_group.precision,
-            float((bias - e).sum()),
-            float(len(train)),
-            rng,
-        )
+        prec, h_dot_r = bias_group.precision, float((bias - e).sum())
+        new_bias = _draw(prec * bias_group.mean, prec, h_dot_r, float(len(train)), rng.standard_normal())
         e += new_bias - bias
         bias = new_bias
 
-        for k in range(n):
-            rows, hv = col_rows[k], col_vals[k]
-            if rows.size == 0:
-                # untouched feature: a pure prior draw
-                w[k] = bias_group.mean + rng.standard_normal() / np.sqrt(
-                    bias_group.precision
-                )
-                continue
-            h_dot_r = float(hv @ (w[k] * hv - e[rows]))
-            new = _draw(bias_group.mean, bias_group.precision, h_dot_r, col_sq[k], rng)
-            e[rows] += (new - w[k]) * hv
-            w[k] = new
-
+        _sweep(w, columns, None, e, bias_group, rng)
         if V is not None:
             for f in range(d):
-                group = dim_groups[f]
-                qf = X @ V[:, f]
-                for k in range(n):
-                    rows, xv = col_rows[k], col_vals[k]
-                    old = V[k, f]
-                    if rows.size == 0:
-                        V[k, f] = group.mean + rng.standard_normal() / np.sqrt(
-                            group.precision
-                        )
-                        continue
-                    h = xv * (qf[rows] - xv * old)
-                    h_dot_r = float(h @ (old * h - e[rows]))
-                    new = _draw(group.mean, group.precision, h_dot_r, float(h @ h), rng)
-                    delta = new - old
-                    e[rows] += delta * h
-                    qf[rows] += delta * xv
-                    V[k, f] = new
+                _sweep(V[:, f], columns, X @ V[:, f], e, dim_groups[f], rng)
 
         bias_group.resample(np.concatenate(([bias], w)), rng)
         if V is not None:

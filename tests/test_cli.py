@@ -313,6 +313,22 @@ class TestErrors:
         assert not isinstance(result.exception, FileNotFoundError)
         assert result.output.startswith("Error:") and "m.json" in result.output
 
+    @pytest.mark.parametrize("option", ["--out", "--vocab-out", "--log"])
+    def test_train_checks_output_directories_before_loading(
+        self, runner, tmp_path, example_log_csv, monkeypatch, option
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("train loaded the data before checking its outputs")
+
+        monkeypatch.setattr("ktfm.cli.load_dataset", unreachable)
+        data, _ = example_log_csv
+        paths = {"--out": tmp_path / "m.json", option: tmp_path / "missing" / "o.txt"}
+        args = ["train", "--data", str(data)] + [str(a) for pair in paths.items() for a in pair]
+        result = runner.invoke(main, args)
+        assert result.exit_code != 0
+        assert result.output.startswith("Error:") and "o.txt" in result.output
+        assert result.output.count("\n") == 1
+
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(
             main, ["encode", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")]

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktfm import (
     Dataset,
@@ -73,6 +75,20 @@ class TestAuc:
             if y.min() == y.max():
                 y[0] = 1 - y[0]
             assert auc(p, y) == all_pairs_auc(p, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scored=st.lists(
+            # a few shared values force ties, free floats fill in the rest
+            st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(allow_nan=False),
+                      st.integers(0, 1)),
+            max_size=60,
+        )
+    )
+    def test_equals_all_pairs_with_ties(self, scored):
+        p = [-1.0, 2.0] + [s for s, _ in scored]
+        y = [0, 1] + [label for _, label in scored]
+        assert auc(p, y) == all_pairs_auc(p, y)
 
     def test_degenerate_labels_rejected(self):
         with pytest.raises(ValueError):

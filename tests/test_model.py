@@ -1,8 +1,11 @@
 import io
+import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktfm import (
     FMParams,
@@ -16,6 +19,7 @@ from ktfm import (
 )
 from ktfm.model import DimensionRule
 from tests.conftest import matrix_from_rows
+from tests.test_sparse import design_matrices
 
 
 def brute_force_score(params: FMParams, row) -> float:
@@ -87,6 +91,28 @@ class TestRawScore:
         batch = raw_scores(params, dm)
         single = np.array([raw_scores(params, dm.subset([r]))[0] for r in range(len(dm))])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rows that overflow float64
+    @settings(max_examples=80, deadline=None)
+    @given(dm=design_matrices(), d=st.sampled_from([0, 1, 4]), seed=st.integers(0, 2**32 - 1))
+    def test_batch_score_matches_dense_double_loop(self, dm, d, seed):
+        rng = np.random.default_rng(seed)
+        n = dm.space.width
+        params = FMParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, d)) if d else None)
+        fast = raw_scores(params, dm)
+        V = np.zeros((n, 0)) if params.V is None else params.V
+        for r, x in enumerate(dm.densify()):
+            slow = params.bias + float(x @ params.w)
+            # bounds the rounding of both forms: the factor term is formed
+            # from (sum_k x_k V_kf)^2 in one and from x_k x_l V_k.V_l in the other
+            scale = abs(params.bias) + float(np.abs(x * params.w).sum())
+            scale += float(((np.abs(x) @ np.abs(V)) ** 2).sum())
+            for k in range(n):
+                for l in range(k + 1, n):
+                    slow += x[k] * x[l] * float(V[k] @ V[l])
+                    scale += abs(x[k] * x[l]) * float(np.abs(V[k]) @ np.abs(V[l]))
+            if math.isfinite(scale):  # else the row overflows float64 in either form
+                assert abs(fast[r] - slow) <= 1e-10 * scale
 
     def test_out_of_range_column(self):
         params = FMParams.zeros(3)

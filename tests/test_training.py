@@ -15,16 +15,17 @@ from ktfm import (
     train_gibbs_probit,
     train_map_logit,
 )
-from ktfm.training import _row_gradient, sample_truncated_normal
+from ktfm.training import _GroupState, _logistic, _row_gradient, sample_truncated_normal
 from tests.conftest import matrix_from_rows
 from tests.test_model import random_instance
 
 
-def make_matrix(rng, n_rows=40, width=12, max_nnz=5):
+def make_matrix(rng, n_rows=40, width=12, max_nnz=5, untouched=0):
+    """Random counter-like rows; the last ``untouched`` columns appear in none."""
     rows, labels = [], []
     for _ in range(n_rows):
         nnz = int(rng.integers(1, max_nnz + 1))
-        idx = np.sort(rng.choice(width, size=nnz, replace=False))
+        idx = np.sort(rng.choice(width - untouched, size=nnz, replace=False))
         vals = rng.integers(1, 4, size=nnz).astype(float)
         rows.append(list(zip(idx.tolist(), vals.tolist())))
         labels.append(int(rng.integers(0, 2)))
@@ -96,7 +97,8 @@ def moderate_instance(rng, n=12, d=0, max_nnz=6):
 
 def row_gradient(params: FMParams, row, label: int):
     """Dense (d/d bias, d/d w, d/d V) of one row's logit NLL, from the SGD kernel."""
-    g, gV_rows = _row_gradient(params.bias, params.w, params.V, row.indices, row.data, label)
+    Vk = None if params.V is None else params.V[row.indices]
+    g, gV_rows = _row_gradient(params.bias, params.w[row.indices], Vk, row.data, label)
     g_w = np.zeros(params.n_features)
     g_w[row.indices] = g * row.data
     g_V = None
@@ -339,3 +341,149 @@ class TestGibbsTrainer:
     def test_burn_in_default_is_fifth(self):
         assert TrainConfig(epochs=500).effective_burn_in == 100
         assert TrainConfig(epochs=500, burn_in=42).effective_burn_in == 42
+
+
+def reference_sgd(data, config):
+    """The per-row SGD epochs as written before the loop was made lean: a
+    numpy logistic per row, and w[idx] and V[idx] each gathered twice."""
+    start = init_params(config, data.space.width)
+    bias, w = start.bias, start.w.copy()
+    V = None if start.V is None else start.V.copy()
+    lr, l2 = config.learning_rate, config.l2
+    y = data.labels.astype(np.float64)
+    X = data.csr
+    indptr, cols, vals = X.indptr, X.indices, X.data
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    for _ in range(config.epochs):
+        for r in shuffle_rng.permutation(len(data)):
+            lo, hi = indptr[r], indptr[r + 1]
+            idx, xv = cols[lo:hi], vals[lo:hi]
+            z = bias + w[idx] @ xv
+            if V is not None:
+                Vk = V[idx]
+                vx = Vk * xv[:, None]
+                qf = vx.sum(axis=0)
+                z += 0.5 * (qf @ qf - (vx * vx).sum())
+            g = float(Link.LOGIT.inverse(z)) - y[r]
+            bias -= lr * g
+            w[idx] -= lr * (g * xv + l2 * w[idx])
+            if V is not None:
+                gV = g * (xv[:, None] * qf[None, :] - (xv * xv)[:, None] * Vk)
+                Vk = V[idx]
+                V[idx] = Vk - lr * (gV + l2 * Vk)
+    return FMParams(bias, w, V)
+
+
+def reference_gibbs(train, test, config):
+    """The Gibbs sampler as written before its column loops were merged: one
+    scalar normal per column, and e[rows] and q_f[rows] gathered twice."""
+    n, d = train.space.width, config.d
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
+    start = init_params(config, n)
+    bias, w = start.bias, start.w.copy()
+    V = None if start.V is None else start.V.copy()
+    X = train.csr
+    Xc = X.tocsc()
+    col_rows = [Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
+    col_vals = [Xc.data[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
+    col_sq = [float(v @ v) for v in col_vals]
+    positive = train.labels.astype(bool)
+    bias_group = _GroupState()
+    dim_groups = [_GroupState() for _ in range(d)]
+
+    def draw(group, h_dot_r, h_dot_h):
+        var = 1.0 / (group.precision + h_dot_h)
+        mean = (group.precision * group.mean + h_dot_r) * var
+        return mean + rng.standard_normal() * np.sqrt(var)
+
+    kept, bias_sum, w_sum = 0, 0.0, np.zeros_like(w)
+    V_sum = None if V is None else np.zeros_like(V)
+    test_sum = np.zeros(len(test))
+    params = start
+    for it in range(config.epochs):
+        scores = raw_scores(params, train)
+        e = scores - sample_truncated_normal(scores, positive, rng)
+        new_bias = draw(bias_group, float((bias - e).sum()), float(len(train)))
+        e += new_bias - bias
+        bias = new_bias
+        for k in range(n):
+            rows, hv = col_rows[k], col_vals[k]
+            if rows.size == 0:
+                w[k] = bias_group.mean + rng.standard_normal() / np.sqrt(bias_group.precision)
+                continue
+            new = draw(bias_group, float(hv @ (w[k] * hv - e[rows])), col_sq[k])
+            e[rows] += (new - w[k]) * hv
+            w[k] = new
+        for f in range(d):
+            group = dim_groups[f]
+            qf = X @ V[:, f]
+            for k in range(n):
+                rows, xv = col_rows[k], col_vals[k]
+                old = V[k, f]
+                if rows.size == 0:
+                    V[k, f] = group.mean + rng.standard_normal() / np.sqrt(group.precision)
+                    continue
+                h = xv * (qf[rows] - xv * old)
+                new = draw(group, float(h @ (old * h - e[rows])), float(h @ h))
+                e[rows] += (new - old) * h
+                qf[rows] += (new - old) * xv
+                V[k, f] = new
+        bias_group.resample(np.concatenate(([bias], w)), rng)
+        for f in range(d):
+            dim_groups[f].resample(V[:, f], rng)
+        params = FMParams(bias, w, V)
+        if it >= config.effective_burn_in:
+            kept += 1
+            bias_sum += bias
+            w_sum += w
+            if V_sum is not None:
+                V_sum += V
+            test_sum += Link.PROBIT.inverse(raw_scores(params, test))
+    mean = FMParams(bias_sum / kept, w_sum / kept, None if V_sum is None else V_sum / kept)
+    return mean, np.clip(test_sum / kept, 1e-15, 1.0 - 1e-15)
+
+
+def assert_same_bits(params: FMParams, reference: FMParams):
+    assert np.float64(params.bias).tobytes() == np.float64(reference.bias).tobytes()
+    assert params.w.tobytes() == reference.w.tobytes()
+    assert (params.V is None) == (reference.V is None)
+    if params.V is not None:
+        assert params.V.tobytes() == reference.V.tobytes()
+
+
+class TestLeanLoopsAreBitExact:
+    """The trainers' loops against the reference loops above: equal bits, not closeness."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_sgd_matches_reference_epochs(self, d, l2):
+        rng = np.random.default_rng(60 + d)
+        data = make_matrix(rng, n_rows=80, width=12, untouched=2)
+        cfg = TrainConfig(d=d, epochs=4, learning_rate=0.05, l2=l2, seed=3, init_scale=0.1)
+        assert_same_bits(train_map_logit(data, cfg), reference_sgd(data, cfg))
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_gibbs_matches_reference_sweeps(self, d):
+        # two columns no training row touches take the prior-draw branch
+        rng = np.random.default_rng(70 + d)
+        train = make_matrix(rng, n_rows=60, width=12, untouched=2)
+        test = make_matrix(rng, n_rows=20, width=12)
+        cfg = TrainConfig(d=d, epochs=12, burn_in=4, seed=5)
+        out = train_gibbs_probit(train, test, cfg)
+        params, predictions = reference_gibbs(train, test, cfg)
+        assert_same_bits(out.params, params)
+        assert out.test_predictions.tobytes() == predictions.tobytes()
+
+    def test_scalar_logistic_equals_the_link(self):
+        # 0 and -0, the clip edges near |z| = 34.5, exp's overflow near
+        # -709.8 and the float64 underflow of expit near -745, then random z
+        rng = np.random.default_rng(17)
+        edges = np.linspace(34.0, 37.0, 3001)
+        tails = np.linspace(708.0, 746.0, 3801)
+        z = np.concatenate(
+            [[0.0, -0.0], edges, -edges, tails, -tails, rng.normal(scale=30.0, size=5000),
+             rng.uniform(-800.0, 800.0, size=5000)]
+        )
+        expected = Link.LOGIT.inverse(z).tobytes()
+        assert np.array([_logistic(v) for v in z.tolist()]).tobytes() == expected
+        assert np.array([_logistic(v) for v in z]).tobytes() == expected  # numpy scalars
