@@ -17,6 +17,7 @@ from .encoding import (
     Triplet,
     encode_dataset,
     load_qmatrix,
+    preset_encoding,
 )
 from .evaluation import (
     CVReport,
@@ -32,7 +33,6 @@ from .model import (
     Link,
     export_embeddings,
     predict_proba_matrix,
-    preset_encoding,
     raw_scores,
     read_embeddings,
 )

@@ -23,7 +23,7 @@ from .datasets import (
     load_triplets,
     write_synthetic,
 )
-from .encoding import EncodingError, encode_dataset, load_qmatrix
+from .encoding import EncodingError, encode_dataset, load_qmatrix, preset_encoding
 from .evaluation import (
     FoldSpec,
     encode_preset,
@@ -33,7 +33,7 @@ from .evaluation import (
     write_fold_report,
     write_summary,
 )
-from .model import Link, export_embeddings, predict_proba_matrix, preset_encoding
+from .model import Link, export_embeddings, predict_proba_matrix
 from .persistence import (
     ModelBundle,
     ModelFormatError,
@@ -182,7 +182,8 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
     write_manifest(
         Path(out).with_suffix(".manifest.json"),
         "train",
-        {"preset": preset, "d": dim, "link": link, "epochs": epochs, "lr": lr, "l2": l2, "seed": seed},
+        {"preset": preset, "d": dim, "link": link, "epochs": epochs, "lr": lr, "l2": l2,
+         "burn_in": burn_in, "seed": seed},
         {"data": data, "qmatrix": qmatrix or "", "vocab": vocab or ""},
     )
     click.echo(f"wrote {out}")
@@ -197,8 +198,6 @@ def _score_with_model(model, data, qmatrix, vocab_path):
     q = None
     if qmatrix:
         q = align_qmatrix(load_qmatrix(qmatrix), vocab.items, vocab_order=True)
-    elif bundle.encoding.needs_skills:
-        raise EncodingError("this model needs a q-matrix to encode data")
     dm = encode_dataset(
         triplets,
         q,
@@ -274,6 +273,8 @@ def evaluate(model, data, qmatrix, vocab, out):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, seed, out_dir):
     """Cross-validate a preset/dimension grid and write report CSVs."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(data, qmatrix, vocab)
     grid = []
     for p in presets:
@@ -296,8 +297,6 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
         TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed),
         Link(link),
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="\n") as fh:
         write_fold_report(reports, fh)
     with open(out / "summary.csv", "w", newline="\n") as fh:

@@ -402,9 +402,7 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
     from .model import raw_scores
     from .sparse import DesignMatrix
 
-    config = EncodingConfig(
-        use_users=True, use_items=True, use_skills=True, use_wins=True, use_fails=True
-    )
+    config = EncodingConfig(("users", "items", "skills", "wins", "fails"))
     space = config.feature_space(n, m, spec.n_skills)
     w = rng.normal(0.0, spec.scale / 2, size=space.width)
     V = rng.normal(0.0, spec.scale / (2 * np.sqrt(spec.d)), size=(space.width, spec.d))
@@ -459,7 +457,7 @@ def oracle_probabilities(truth: Mapping, triplets: Sequence[Triplet]) -> np.ndar
         from .model import raw_scores
 
         q = QMatrix(np.array(truth["qmatrix"], dtype=np.int8))
-        config = EncodingConfig(use_skills=True, use_wins=True, use_fails=True)
+        config = EncodingConfig(("skills", "wins", "fails"))
         data = encode_dataset(triplets, q, config, int(truth["n_students"]))
         w = np.concatenate([truth["skill_bias"], truth["win_gain"], truth["fail_gain"]])
         return _inv_link(link, raw_scores(FMParams(0.0, w), data))

@@ -1,5 +1,9 @@
 """Turn chronological (student, item, outcome) logs into a sparse design matrix.
 
+This module owns the feature-block set: ``EncodingConfig`` names the blocks a
+model uses, and the presets (IRT, MIRT, AFM, PFA, KTM) are named block sets
+with a rule on the factor dimension.
+
 Each row one-hot encodes the student and/or item, activates the skills the
 item exercises, and writes the student's running win/fail (or attempt)
 counters for those skills, *as they stood before the attempt*. Counters are
@@ -12,6 +16,7 @@ each pair, and exclusive running sums of the outcomes give the counters.
 from __future__ import annotations
 
 import csv
+import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -104,38 +109,33 @@ def load_qmatrix(path) -> QMatrix:
 
 
 # canonical block order; presets pick subsets, extras append in declared order
-_BLOCK_ORDER = ("users", "items", "skills", "wins", "fails", "attempts")
+BLOCK_ORDER = ("users", "items", "skills", "wins", "fails", "attempts")
 
 
 @dataclass(frozen=True)
 class EncodingConfig:
-    """Which feature blocks to emit, in the fixed canonical order."""
+    """Which feature blocks to emit: built-in block names, kept in
+    ``BLOCK_ORDER``, then the extra side columns in declared order."""
 
-    use_users: bool = False
-    use_items: bool = False
-    use_skills: bool = False
-    use_wins: bool = False
-    use_fails: bool = False
-    use_attempts: bool = False
+    blocks: tuple[str, ...] = ()
     extra_columns: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        blocks = tuple(self.blocks)
+        unknown = [b for b in blocks if b not in BLOCK_ORDER]
+        if unknown:
+            raise EncodingError(f"unknown blocks {unknown}; known: {', '.join(BLOCK_ORDER)}")
+        if len(set(blocks)) != len(blocks):
+            raise EncodingError(f"repeated block names: {list(blocks)}")
+        object.__setattr__(self, "blocks", tuple(b for b in BLOCK_ORDER if b in blocks))
         object.__setattr__(
             self,
             "extra_columns",
             tuple((str(n), int(c)) for n, c in self.extra_columns),
         )
-        flags = (
-            self.use_users,
-            self.use_items,
-            self.use_skills,
-            self.use_wins,
-            self.use_fails,
-            self.use_attempts,
-        )
-        if not any(flags) and not self.extra_columns:
+        if not self.blocks and not self.extra_columns:
             raise EncodingError("encoding must enable at least one block")
-        if self.use_attempts and (self.use_wins or self.use_fails):
+        if "attempts" in self.blocks and ("wins" in self.blocks or "fails" in self.blocks):
             raise EncodingError(
                 "attempt counters and win/fail counters are mutually exclusive"
             )
@@ -145,29 +145,19 @@ class EncodingConfig:
         names = [n for n, _ in self.extra_columns]
         if len(names) != len(set(names)):
             raise EncodingError(f"duplicate extra column names: {names}")
-        if set(names) & set(_BLOCK_ORDER):
+        if set(names) & set(BLOCK_ORDER):
             raise EncodingError("extra columns cannot shadow built-in block names")
 
     @property
     def needs_counters(self) -> bool:
-        return self.use_wins or self.use_fails or self.use_attempts
+        return any(b in self.blocks for b in ("wins", "fails", "attempts"))
 
     @property
     def needs_skills(self) -> bool:
-        return self.use_skills or self.needs_counters
+        return "skills" in self.blocks or self.needs_counters
 
     def enabled_blocks(self) -> tuple[str, ...]:
-        flags = {
-            "users": self.use_users,
-            "items": self.use_items,
-            "skills": self.use_skills,
-            "wins": self.use_wins,
-            "fails": self.use_fails,
-            "attempts": self.use_attempts,
-        }
-        names = [b for b in _BLOCK_ORDER if flags[b]]
-        names.extend(n for n, _ in self.extra_columns)
-        return tuple(names)
+        return self.blocks + tuple(n for n, _ in self.extra_columns)
 
     def feature_space(self, n_students: int, n_items: int, n_skills: int) -> FeatureSpace:
         widths = {
@@ -182,10 +172,53 @@ class EncodingConfig:
         blocks = tuple((b, widths[b]) for b in self.enabled_blocks())
         return FeatureSpace(blocks)
 
-    def replace(self, **kwargs) -> "EncodingConfig":
-        from dataclasses import replace
 
-        return replace(self, **kwargs)
+class DimensionRule(str, enum.Enum):
+    """What factor dimensions a preset admits."""
+
+    ZERO = "d = 0"
+    POSITIVE = "d > 0"
+    ANY = "any d"
+
+    def check(self, d: int) -> None:
+        if d < 0:
+            raise ValueError(f"dimension must be >= 0, got {d}")
+        if self is DimensionRule.ZERO and d != 0:
+            raise ValueError(f"this preset requires d = 0, got d = {d}")
+        if self is DimensionRule.POSITIVE and d <= 0:
+            raise ValueError(f"this preset requires d > 0, got d = {d}")
+
+
+# preset -> (enabled blocks, dimension rule, wants extra side columns)
+_PRESETS: dict[str, tuple[tuple[str, ...], DimensionRule, bool]] = {
+    "irt": (("users", "items"), DimensionRule.ZERO, False),
+    "mirtb": (("users", "items"), DimensionRule.POSITIVE, False),
+    "afm": (("skills", "attempts"), DimensionRule.ZERO, False),
+    "pfa": (("skills", "wins", "fails"), DimensionRule.ZERO, False),
+    "ktm-iswf": (("items", "skills", "wins", "fails"), DimensionRule.ANY, False),
+    "ktm-iswfe": (("items", "skills", "wins", "fails"), DimensionRule.ANY, True),
+}
+_ALIASES = {"iswf": "ktm-iswf", "iswfe": "ktm-iswfe"}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def preset_encoding(
+    name: str, extra_columns: Sequence[tuple[str, int]] = ()
+) -> tuple[EncodingConfig, DimensionRule]:
+    """Named block set and its dimension constraint.
+
+    Presets that use extra side information need the dataset's extra columns
+    passed in, since their widths depend on the data.
+    """
+    key = name.strip().lower()
+    key = _ALIASES.get(key, key)
+    if key not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    blocks, rule, wants_extras = _PRESETS[key]
+    if wants_extras and not extra_columns:
+        raise ValueError(f"preset {name!r} needs extra side columns but none were given")
+    return EncodingConfig(blocks, tuple(extra_columns) if wants_extras else ()), rule
 
 
 def _reject(broken: np.ndarray, describe) -> None:
@@ -240,9 +273,9 @@ def encode_dataset(
     if n_items is None:
         n_items = q.n_items if q is not None else 1 + int(item.max(initial=-1))
     n_skills = q.n_skills if q is not None else 0
-    if config.use_users and n_students <= 0:
+    if "users" in config.blocks and n_students <= 0:
         raise EncodingError("users block enabled but no students declared")
-    if (config.use_items or config.needs_skills) and n_items <= 0:
+    if ("items" in config.blocks or config.needs_skills) and n_items <= 0:
         raise EncodingError("items/skills blocks enabled but no items declared")
 
     space = config.feature_space(n_students, n_items, n_skills)
@@ -269,10 +302,10 @@ def encode_dataset(
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), rows.shape)
         entries.append((rows, space.offset(block) + local, values))
 
-    if config.use_users:
+    if "users" in config.blocks:
         known = np.flatnonzero(student >= 0)
         add("users", known, student[known])
-    if config.use_items:
+    if "items" in config.blocks:
         known = np.flatnonzero(item >= 0)
         add("items", known, item[known])
     if config.needs_skills:
@@ -281,14 +314,14 @@ def encode_dataset(
         kc = sp.csr_matrix(q.matrix)[item[attempted]]
         pair_row = np.repeat(attempted, np.diff(kc.indptr))
         pair_skill = kc.indices.astype(np.int64)
-        if config.use_skills:
+        if "skills" in config.blocks:
             add("skills", pair_row, pair_skill)
     if config.needs_counters:
         known = student[pair_row] >= 0
         rows, skills = pair_row[known], pair_skill[known]
         wins, fails = _prior_counts(student[rows], skills, outcome[rows], n_skills)
         counters = {"wins": wins, "fails": fails, "attempts": wins + fails}
-        for block in config.enabled_blocks():
+        for block in config.blocks:
             if block in counters:
                 kept = counters[block] > 0
                 add(block, rows[kept], skills[kept], counters[block][kept])

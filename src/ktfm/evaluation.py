@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .encoding import EncodingConfig, encode_dataset
-from .model import Link, preset_encoding, raw_scores
+from .encoding import EncodingConfig, encode_dataset, preset_encoding
+from .model import Link, raw_scores
 from .sparse import DesignMatrix
 from .training import TrainConfig, nll, train_gibbs_probit, train_map_logit
 
@@ -227,7 +227,7 @@ def run_cv(
         for d in dims:
             reports.append(
                 cross_validate_encoded(
-                    encoded, preset, d, folds, train_config.replace(d=d), link
+                    encoded, preset, d, folds, replace(train_config, d=d), link
                 )
             )
         del encoded  # one encoded matrix alive at a time

@@ -1,4 +1,4 @@
-"""Factorization-machine score, link functions, and the encoding presets.
+"""Factorization-machine score, link functions, and embedding export.
 
 The score of a row x is
 
@@ -15,12 +15,11 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 from scipy.special import erfc, expit
 
-from .encoding import EncodingConfig
 from .sparse import DesignMatrix, FeatureSpace, _readonly
 
 # open-interval guard for predicted probabilities
@@ -111,72 +110,6 @@ def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
 def predict_proba_matrix(params: FMParams, data: DesignMatrix, link: Link) -> np.ndarray:
     """Probability of a positive outcome for every row of ``data``."""
     return link.inverse(raw_scores(params, data))
-
-
-class DimensionRule(str, enum.Enum):
-    """What factor dimensions a preset admits."""
-
-    ZERO = "d = 0"
-    POSITIVE = "d > 0"
-    ANY = "any d"
-
-    def check(self, d: int) -> None:
-        if d < 0:
-            raise ValueError(f"dimension must be >= 0, got {d}")
-        if self is DimensionRule.ZERO and d != 0:
-            raise ValueError(f"this preset requires d = 0, got d = {d}")
-        if self is DimensionRule.POSITIVE and d <= 0:
-            raise ValueError(f"this preset requires d > 0, got d = {d}")
-
-
-# preset -> (enabled blocks, dimension rule, wants extra side columns)
-_PRESETS: dict[str, tuple[tuple[str, ...], DimensionRule, bool]] = {
-    "irt": (("users", "items"), DimensionRule.ZERO, False),
-    "mirtb": (("users", "items"), DimensionRule.POSITIVE, False),
-    "afm": (("skills", "attempts"), DimensionRule.ZERO, False),
-    "pfa": (("skills", "wins", "fails"), DimensionRule.ZERO, False),
-    "ktm-iswf": (("items", "skills", "wins", "fails"), DimensionRule.ANY, False),
-    "ktm-iswfe": (("items", "skills", "wins", "fails"), DimensionRule.ANY, True),
-}
-_ALIASES = {"iswf": "ktm-iswf", "iswfe": "ktm-iswfe"}
-
-PRESET_NAMES = tuple(_PRESETS)
-
-
-def preset_requires_extras(name: str) -> bool:
-    return _PRESETS[_canonical_preset(name)][2]
-
-
-def _canonical_preset(name: str) -> str:
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    if key not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    return key
-
-
-def preset_encoding(
-    name: str, extra_columns: Sequence[tuple[str, int]] = ()
-) -> tuple[EncodingConfig, DimensionRule]:
-    """Named block set and its dimension constraint.
-
-    Presets that use extra side information need the dataset's extra columns
-    passed in, since their widths depend on the data.
-    """
-    key = _canonical_preset(name)
-    blocks, rule, wants_extras = _PRESETS[key]
-    if wants_extras and not extra_columns:
-        raise ValueError(f"preset {name!r} needs extra side columns but none were given")
-    config = EncodingConfig(
-        use_users="users" in blocks,
-        use_items="items" in blocks,
-        use_skills="skills" in blocks,
-        use_wins="wins" in blocks,
-        use_fails="fails" in blocks,
-        use_attempts="attempts" in blocks,
-        extra_columns=tuple(extra_columns) if wants_extras else (),
-    )
-    return config, rule
 
 
 EMBEDDING_HEADER = ("block", "local_id", "bias")

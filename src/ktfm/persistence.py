@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .encoding import EncodingConfig
+from .encoding import BLOCK_ORDER, EncodingConfig
 from .model import FMParams, Link
 from .sparse import FeatureSpace
 
@@ -51,12 +51,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         "V": None if bundle.params.V is None else bundle.params.V.tolist(),
         "feature_space": [list(b) for b in bundle.space.blocks],
         "encoding": {
-            "use_users": bundle.encoding.use_users,
-            "use_items": bundle.encoding.use_items,
-            "use_skills": bundle.encoding.use_skills,
-            "use_wins": bundle.encoding.use_wins,
-            "use_fails": bundle.encoding.use_fails,
-            "use_attempts": bundle.encoding.use_attempts,
+            **{f"use_{b}": b in bundle.encoding.blocks for b in BLOCK_ORDER},
             "extra_columns": [list(c) for c in bundle.encoding.extra_columns],
         },
         "n_students": bundle.n_students,
@@ -95,13 +90,8 @@ def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:
         space = FeatureSpace(tuple((n, w) for n, w in payload["feature_space"]))
         enc = payload["encoding"]
         encoding = EncodingConfig(
-            use_users=enc["use_users"],
-            use_items=enc["use_items"],
-            use_skills=enc["use_skills"],
-            use_wins=enc["use_wins"],
-            use_fails=enc["use_fails"],
-            use_attempts=enc["use_attempts"],
-            extra_columns=tuple((n, c) for n, c in enc["extra_columns"]),
+            tuple(b for b in BLOCK_ORDER if enc[f"use_{b}"]),
+            tuple((n, c) for n, c in enc["extra_columns"]),
         )
         bundle = ModelBundle(
             params=params,

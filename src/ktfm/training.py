@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,9 +82,6 @@ class TrainConfig:
             raise ValueError("init scale must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.epochs:
             raise ValueError("burn-in must lie in [0, epochs)")
-
-    def replace(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
     @property
     def effective_burn_in(self) -> int:

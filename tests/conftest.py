@@ -44,9 +44,7 @@ EXAMPLE_ENCODED = np.array(
 
 EXAMPLE_LABELS = [1, 0, 1, 0, 1, 1, 0]
 
-FULL_CONFIG = EncodingConfig(
-    use_users=True, use_items=True, use_skills=True, use_wins=True, use_fails=True
-)
+FULL_CONFIG = EncodingConfig(("users", "items", "skills", "wins", "fails"))
 
 
 def matrix_from_rows(width_or_space, rows, labels=None) -> DesignMatrix:

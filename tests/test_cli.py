@@ -186,6 +186,42 @@ class TestTrainPredictEvaluate:
         assert result.exit_code != 0
         assert "digest" in result.output
 
+    def test_predict_without_qmatrix_is_one_error_line(self, runner, tmp_path, example_log_csv):
+        data, qfile = example_log_csv
+        model, vocab, preds = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "p.csv"
+        invoke(
+            runner,
+            [
+                "train", "--data", str(data), "--qmatrix", str(qfile), "--preset", "pfa",
+                "--epochs", "1", "--out", str(model), "--vocab-out", str(vocab),
+            ],
+        )
+        result = runner.invoke(
+            main,
+            ["predict", "--model", str(model), "--data", str(data), "--vocab", str(vocab), "--out", str(preds)],
+        )
+        assert result.exit_code != 0
+        assert result.output.startswith("Error:") and "q-matrix" in result.output
+        assert result.output.count("\n") == 1
+        assert not preds.exists()
+
+    def test_train_manifest_digest_covers_burn_in(self, runner, synth_dir, tmp_path):
+        digests = []
+        for burn_in in (1, 2):
+            model = tmp_path / f"m{burn_in}.json"
+            invoke(
+                runner,
+                [
+                    "train", "--data", str(synth_dir / "triplets.csv"), "--preset", "irt",
+                    "--link", "probit", "--epochs", "4", "--burn-in", str(burn_in),
+                    "--out", str(model),
+                ],
+            )
+            manifest = json.loads(model.with_suffix(".manifest.json").read_text())
+            assert manifest["options"]["burn_in"] == burn_in
+            digests.append(manifest["config_digest"])
+        assert digests[0] != digests[1]
+
     def test_predict_aligns_the_qmatrix_like_train(self, runner, tmp_path):
         # raw item ids 2, 0, 1 first appear in that order, so vocabulary order
         # and raw-id order disagree; each item exercises its own skill
@@ -327,6 +363,19 @@ class TestErrors:
         result = runner.invoke(main, args)
         assert result.exit_code != 0
         assert result.output.startswith("Error:") and "o.txt" in result.output
+        assert result.output.count("\n") == 1
+
+    def test_cv_checks_its_out_dir_before_loading(self, runner, tmp_path, example_log_csv, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cv loaded the data before creating its out-dir")
+
+        monkeypatch.setattr("ktfm.cli.load_dataset", unreachable)
+        data, _ = example_log_csv
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        result = runner.invoke(main, ["cv", "--data", str(data), "--out-dir", str(blocker / "cv")])
+        assert result.exit_code != 0
+        assert result.output.startswith("Error:") and "a_file" in result.output
         assert result.output.count("\n") == 1
 
     def test_missing_file(self, runner, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from ktfm import (
     load_qmatrix,
     preset_encoding,
 )
-from ktfm.model import PRESET_NAMES
+from ktfm.encoding import PRESET_NAMES
 from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, FULL_CONFIG
 
 
@@ -125,8 +127,8 @@ class TestEncodeDataset:
             Triplet(int(rng.integers(0, 3)), int(rng.integers(0, 3)), int(rng.integers(0, 2)))
             for _ in range(120)
         ]
-        afm = EncodingConfig(use_skills=True, use_attempts=True)
-        pfa = EncodingConfig(use_skills=True, use_wins=True, use_fails=True)
+        afm = EncodingConfig(("skills", "attempts"))
+        pfa = EncodingConfig(("skills", "wins", "fails"))
         dm_afm = encode_dataset(triplets, example_qmatrix, afm, n_students=3)
         dm_pfa = encode_dataset(triplets, example_qmatrix, pfa, n_students=3)
         attempts = dm_afm.densify()[:, 3:6]
@@ -154,7 +156,7 @@ class TestEncodeDataset:
         assert dense[3] == 1.0  # the item one-hot survives
 
     def test_extras_length_mismatch(self, example_qmatrix):
-        config = FULL_CONFIG.replace(extra_columns=(("mode", 2),))
+        config = replace(FULL_CONFIG, extra_columns=(("mode", 2),))
         with pytest.raises(EncodingError):
             encode_dataset(
                 [Triplet(0, 0, 1)],
@@ -191,7 +193,7 @@ class TestUpdateCounters:
             Triplet(int(rng.integers(0, 4)), int(rng.integers(0, 3)), int(rng.integers(0, 2)))
             for _ in range(50)
         ]
-        afm = EncodingConfig(use_skills=True, use_attempts=True)
+        afm = EncodingConfig(("skills", "attempts"))
         dm = encode_dataset(log + [Triplet(s, 1, 0) for s in range(4)], example_qmatrix, afm, 4)
         touches = np.zeros((4, 3), dtype=int)
         for t in log:
@@ -250,25 +252,25 @@ class TestEncodeExtra:
         return encode_dataset([Triplet(0, 0, 1)] * n, None, config, 2, extras=extras, n_items=3)
 
     def test_single_category_one_hot(self):
-        config = EncodingConfig(use_users=True, extra_columns=(("tutor_mode", 4),))
+        config = EncodingConfig(("users",), extra_columns=(("tutor_mode", 4),))
         dm = self._encode(config, {"tutor_mode": [2]})
         assert dm.indices.tolist() == [0, dm.space.column("tutor_mode", 2)]
         assert dm.data.tolist() == [1.0, 1.0]
 
     def test_no_extras_gives_empty_fragment(self):
-        dm = self._encode(EncodingConfig(use_users=True), {"ignored": [5]})
+        dm = self._encode(EncodingConfig(("users",)), {"ignored": [5]})
         assert dm.space.block_names == ("users",)
         assert dm.indices.tolist() == [0]
 
     def test_two_columns_two_nonzeros(self):
-        config = EncodingConfig(use_users=True, extra_columns=(("a", 3), ("b", 5)))
+        config = EncodingConfig(("users",), extra_columns=(("a", 3), ("b", 5)))
         dm = self._encode(config, {"a": [1], "b": [4]})
         extra = dm.densify()[0, dm.space.offset("a") :]
         assert np.flatnonzero(extra).size == 2
         assert (extra[extra != 0] == 1.0).all()
 
     def test_value_outside_cardinality(self):
-        config = EncodingConfig(use_users=True, extra_columns=(("a", 3),))
+        config = EncodingConfig(("users",), extra_columns=(("a", 3),))
         with pytest.raises(EncodingError):
             self._encode(config, {"a": [0, 3]}, n=2)
         with pytest.raises(EncodingError):
@@ -282,15 +284,24 @@ class TestEncodingConfig:
 
     def test_attempts_exclusive_with_wins(self):
         with pytest.raises(EncodingError):
-            EncodingConfig(use_skills=True, use_attempts=True, use_wins=True)
+            EncodingConfig(("skills", "attempts", "wins"))
 
     def test_attempts_exclusive_with_fails(self):
         with pytest.raises(EncodingError):
-            EncodingConfig(use_skills=True, use_attempts=True, use_fails=True)
+            EncodingConfig(("skills", "attempts", "fails"))
+
+    @pytest.mark.parametrize("blocks", [("users", "students"), ("items", "skills", "items"), "users"])
+    def test_unknown_or_repeated_block_rejected(self, blocks):
+        with pytest.raises(EncodingError):
+            EncodingConfig(blocks)
+
+    def test_blocks_are_kept_in_canonical_order(self):
+        assert EncodingConfig(("items", "users")) == EncodingConfig(("users", "items"))
+        assert EncodingConfig(("fails", "skills", "wins")).blocks == ("skills", "wins", "fails")
 
     def test_extra_cannot_shadow_builtin(self):
         with pytest.raises(EncodingError):
-            EncodingConfig(use_users=True, extra_columns=(("wins", 2),))
+            EncodingConfig(("users",), extra_columns=(("wins", 2),))
 
 
 @st.composite

@@ -1,5 +1,7 @@
+import ast
 import io
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,7 +19,7 @@ from ktfm import (
     raw_scores,
     read_embeddings,
 )
-from ktfm.model import DimensionRule
+from ktfm.encoding import DimensionRule
 from tests.conftest import matrix_from_rows
 from tests.test_sparse import design_matrices
 
@@ -251,3 +253,26 @@ class TestFMParams:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FMParams(0.0, np.zeros(3), np.zeros((4, 2)))
+
+
+def ktfm_imports(path: Path) -> set[str]:
+    """The ``ktfm`` modules one source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.add(".".join(filter(None, ["ktfm", node.module])))
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return {name for name in found if name == "ktfm" or name.startswith("ktfm.")}
+
+
+def test_score_and_matrix_layers_import_only_sparse():
+    # the block set and the presets live in encoding; the FM score and the
+    # design matrix below it must not depend on them
+    src = Path(__file__).resolve().parents[1] / "src" / "ktfm"
+    imports = {path.stem: ktfm_imports(path) for path in src.glob("*.py")}
+    assert imports["encoding"] >= {"ktfm.sparse"}  # the reader sees relative imports
+    assert imports["model"] <= {"ktfm.sparse"}
+    assert imports["sparse"] <= {"ktfm.sparse"}

@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from ktfm import EncodingConfig, FMParams, FeatureSpace, Link, Vocabulary
+from ktfm import EncodingConfig, FMParams, FeatureSpace, Link, Vocabulary, preset_encoding
+from ktfm.encoding import PRESET_NAMES
 from ktfm.persistence import (
     ModelBundle,
     ModelFormatError,
@@ -26,7 +27,7 @@ def small_bundle(d=2):
         params=params,
         space=space,
         link=Link.LOGIT,
-        encoding=EncodingConfig(use_users=True, use_items=True),
+        encoding=EncodingConfig(("users", "items")),
         vocab_digest=Vocabulary(users={"a": 0}, items={"b": 0}).digest(),
         n_students=3,
         n_items=2,
@@ -114,7 +115,7 @@ class TestModelRoundTrip:
             params=FMParams(0.1, rng.normal(size=n), rng.normal(size=(n, d))),
             space=space,
             link=Link.PROBIT,
-            encoding=EncodingConfig(use_items=True),
+            encoding=EncodingConfig(("items",)),
             vocab_digest="0" * 64,
             n_students=1,
             n_items=n,
@@ -126,6 +127,23 @@ class TestModelRoundTrip:
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
         assert np.array_equal(loaded.params.V, bundle.params.V)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_encoding_is_stored_as_six_flags(self, tmp_path, preset):
+        config, _ = preset_encoding(preset, [("tutor_mode", 3)])
+        space = config.feature_space(2, 3, 4)
+        bundle = ModelBundle(FMParams.zeros(space.width), space, Link.LOGIT, config, "0" * 64, 2, 3)
+        path = tmp_path / "m.json"
+        save_model(path, bundle)
+        payload = json.loads(path.read_text())
+        flags = ("users", "items", "skills", "wins", "fails", "attempts")
+        assert set(payload["encoding"]) == {f"use_{b}" for b in flags} | {"extra_columns"}
+        assert [b for b in flags if payload["encoding"][f"use_{b}"]] == list(config.blocks)
+        assert load_model(path).encoding == config
+        del payload["encoding"]["use_wins"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="use_wins"):
+            load_model(path)
 
 
 class TestManifest:

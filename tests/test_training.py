@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -189,7 +190,7 @@ class TestMapTrainer:
         # replay epoch by epoch so the regularized objective itself is visible
         objective = []
         for epochs in range(1, 21):
-            params = train_map_logit(data, cfg.replace(epochs=epochs))
+            params = train_map_logit(data, replace(cfg, epochs=epochs))
             loss = nll(Link.LOGIT.inverse(raw_scores(params, data)), data.labels)
             objective.append(loss + 0.5 * l2 * float(params.w @ params.w))
         assert all(b < a for a, b in zip(objective, objective[1:]))
