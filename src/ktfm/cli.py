@@ -69,15 +69,10 @@ def _write_predictions(path, probabilities) -> None:
 
 
 def _write_epoch_log(path, log_rows) -> None:
-    if not log_rows:
-        return
-    keys = ["epoch", "train_nll"] + [
-        k for k in ("test_acc", "test_auc", "test_nll") if k in log_rows[0]
-    ]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
+        fh.write("epoch,train_nll\n")
         for row in log_rows:
-            fh.write(",".join(repr(float(row[k])) if k != "epoch" else str(row[k]) for k in keys) + "\n")
+            fh.write(f"{row['epoch']},{float(row['train_nll'])!r}\n")
 
 
 class _Main(click.Group):

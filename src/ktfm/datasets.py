@@ -14,13 +14,15 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .encoding import EncodingError, QMatrix, Triplet, load_qmatrix
-from .model import FMParams, Link
+from .encoding import EncodingConfig, EncodingError, QMatrix, Triplet, encode_dataset, load_qmatrix
+from .model import FMParams, Link, raw_scores
+from .sparse import DesignMatrix
 
 
 class DataFormatError(ValueError):
@@ -398,10 +400,6 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
         return SyntheticData(triplets, q, truth)
 
     # ktm: full feature model over users+items+skills+wins+fails
-    from .encoding import EncodingConfig
-    from .model import raw_scores
-    from .sparse import DesignMatrix
-
     config = EncodingConfig(("users", "items", "skills", "wins", "fails"))
     space = config.feature_space(n, m, spec.n_skills)
     w = rng.normal(0.0, spec.scale / 2, size=space.width)
@@ -453,9 +451,6 @@ def oracle_probabilities(truth: Mapping, triplets: Sequence[Triplet]) -> np.ndar
             z += np.array([float(uv[t.student] @ iv[t.item]) for t in triplets])
         return _inv_link(link, z)
     if kind == "pfa":
-        from .encoding import EncodingConfig, encode_dataset
-        from .model import raw_scores
-
         q = QMatrix(np.array(truth["qmatrix"], dtype=np.int8))
         config = EncodingConfig(("skills", "wins", "fails"))
         data = encode_dataset(triplets, q, config, int(truth["n_students"]))
@@ -466,8 +461,6 @@ def oracle_probabilities(truth: Mapping, triplets: Sequence[Triplet]) -> np.ndar
 
 def write_synthetic(data: SyntheticData, outdir) -> dict[str, str]:
     """Write triplets.csv (+ qmatrix.csv) and truth.json; returns the paths."""
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {"triplets": str(outdir / "triplets.csv"), "truth": str(outdir / "truth.json")}

@@ -91,8 +91,8 @@ class FMParams:
 def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     """Model score of every row of ``data`` on the link scale.
 
-    This is the one FM score: prediction, the trainers' full-batch steps,
-    Gibbs residuals and per-epoch metrics all call it.
+    This is the one FM score: prediction, Gibbs residuals and the trainers'
+    per-epoch train NLL all call it.
     """
     if data.space.width != params.n_features:
         raise IndexError(

@@ -1,15 +1,15 @@
-"""Model fitting: MAP gradient descent (logit) and Gibbs sampling (probit).
+"""Model fitting: MAP by per-row SGD (logit) and Gibbs sampling (probit).
 
-MAP descent fits the logit NLL plus an L2 penalty on the per-feature
-parameters (the penalty plays the role of fixed Gaussian priors; the global
-bias is not penalized). The two modes fit different objectives when l2 > 0:
+The MAP fit is per-row stochastic gradient descent on the logit NLL with an
+L2 penalty on the per-feature parameters (fixed Gaussian priors; the global
+bias is not penalized). A step shrinks only the columns its row touches, so
+an epoch penalizes a column once per row that contains it, and the fit
+minimizes
 
-- per-row SGD shrinks only the columns the current row touches, so an epoch
-  penalizes a column once per row that contains it. It minimizes
-  mean NLL + (l2 / 2) * sum_k (n_k / N) * |theta_k|^2, where n_k of the N
-  rows touch column k: frequent columns are penalized more;
-- full-batch descent penalizes every column once per epoch, minimizing
-  mean NLL + (l2 / 2) * sum_k |theta_k|^2.
+    mean NLL + (l2 / 2) * sum_k (n_k / N) * |theta_k|^2,
+
+where n_k of the N rows touch column k and theta_k is w_k and V[k]: frequent
+columns are penalized more.
 
 The Gibbs sampler treats each binary outcome through a latent Gaussian
 utility:
@@ -44,6 +44,7 @@ from .model import PROB_EPS, FMParams, Link, raw_scores
 from .sparse import DesignMatrix
 
 NLL_EPS = 1e-12
+_INIT_SCALE = 0.01  # standard deviation of the initial factor entries
 _TINY = np.finfo(np.float64).tiny
 # Hyperpriors of every Gibbs group: mean ~ Normal(0, 1 / _MEAN_PRIOR_PRECISION),
 # precision ~ Gamma(_PRECISION_SHAPE, _PRECISION_RATE)
@@ -65,8 +66,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     l2: float = 0.0
     seed: int = 0
-    init_scale: float = 0.01
-    full_batch: bool = False
     burn_in: int | None = None  # Gibbs only; defaults to epochs // 5
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
-        if self.init_scale <= 0:
-            raise ValueError("init scale must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.epochs:
             raise ValueError("burn-in must lie in [0, epochs)")
 
@@ -113,21 +110,27 @@ def nll(predictions: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def init_params(config: TrainConfig, n_features: int) -> FMParams:
-    """Zero biases; factor entries i.i.d. Normal(0, init_scale^2)."""
+    """Zero biases; factor entries i.i.d. Normal(0, 0.01^2)."""
     if config.d == 0:
         return FMParams(0.0, np.zeros(n_features))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    V = config.init_scale * rng.standard_normal((n_features, config.d))
+    V = _INIT_SCALE * rng.standard_normal((n_features, config.d))
     return FMParams(0.0, np.zeros(n_features), V)
 
 
-def _check_labels(data: DesignMatrix) -> None:
+def _start(data: DesignMatrix, config: TrainConfig) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Both trainers' opening: reject empty data, warn on constant labels, and
+    return writable copies of the bias, w and V of ``init_params``."""
+    if len(data) == 0:
+        raise ValueError("cannot train on an empty design matrix")
     labels = data.labels
-    if labels.size and (labels == labels[0]).all():
+    if (labels == labels[0]).all():
         warnings.warn(
             "all training labels are identical; the fit is degenerate",
             stacklevel=3,
         )
+    start = init_params(config, data.space.width)
+    return start.bias, start.w.copy(), None if start.V is None else start.V.copy()
 
 
 def _finite(bias: float, w: np.ndarray, V: np.ndarray | None, epoch: int) -> FMParams:
@@ -137,19 +140,9 @@ def _finite(bias: float, w: np.ndarray, V: np.ndarray | None, epoch: int) -> FMP
     return FMParams(bias, w, V)
 
 
-def _epoch_metrics(params: FMParams, train, test, link) -> dict:
-    from .evaluation import accuracy, auc  # local import to avoid a cycle
-
-    row = {"train_nll": nll(link.inverse(raw_scores(params, train)), train.labels)}
-    if test is not None:
-        p = link.inverse(raw_scores(params, test))
-        row["test_acc"] = accuracy(p, test.labels)
-        try:
-            row["test_auc"] = auc(p, test.labels)
-        except ValueError:
-            row["test_auc"] = float("nan")
-        row["test_nll"] = nll(p, test.labels)
-    return row
+def _epoch_row(epoch: int, params: FMParams, data: DesignMatrix, link: Link) -> dict:
+    """One row of the epoch log: the epoch and its train NLL."""
+    return {"epoch": epoch, "train_nll": nll(link.inverse(raw_scores(params, data)), data.labels)}
 
 
 def _logistic(z: float) -> float:
@@ -179,62 +172,41 @@ def _row_gradient(
 
 
 def train_map_logit(
-    data: DesignMatrix,
-    config: TrainConfig,
-    *,
-    test: DesignMatrix | None = None,
-    epoch_log: list | None = None,
+    data: DesignMatrix, config: TrainConfig, *, epoch_log: list | None = None
 ) -> FMParams:
-    """MAP fit under the logit link.
+    """MAP fit under the logit link by per-row SGD, shuffled by the seed each epoch.
 
-    Default mode is per-row stochastic gradient descent with seed-driven
-    shuffling each epoch; ``full_batch=True`` switches to deterministic
-    full-gradient descent (the convex d = 0 case decreases monotonically
-    there). The per-example update uses the residual (p - y) times
+    A step on row i with label y takes the residual (p - y) times
 
         d score / d w_k    = x_k
-        d score / d V_kf   = x_k * q_f - x_k^2 * V_kf,   q_f = sum_l x_l V_lf.
-    """
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty design matrix")
-    _check_labels(data)
+        d score / d V_kf   = x_k * q_f - x_k^2 * V_kf,   q_f = sum_l x_l V_lf,
 
-    start = init_params(config, data.space.width)
-    bias = start.bias
-    w = start.w.copy()
-    V = None if start.V is None else start.V.copy()
+    plus l2 times each touched parameter, so the fit minimizes
+    mean NLL + (l2 / 2) * sum_k (n_k / N) * |theta_k|^2.
+    """
+    bias, w, V = _start(data, config)
     lr, l2 = config.learning_rate, config.l2
-    y = data.labels.astype(np.float64)
     X = data.csr
     cols, vals = X.indices, X.data
-    row_ptr, labels = X.indptr.tolist(), y.tolist()
+    row_ptr, labels = X.indptr.tolist(), data.labels.astype(np.float64).tolist()
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
-    params = start
     for epoch in range(config.epochs):
-        if config.full_batch:
-            r = (Link.LOGIT.inverse(raw_scores(params, data)) - y) * (1.0 / len(data))
-            bias -= lr * float(r.sum())
-            w -= lr * (X.T @ r + l2 * w)
+        for r in shuffle_rng.permutation(len(data)).tolist():
+            lo, hi = row_ptr[r], row_ptr[r + 1]
+            idx = cols[lo:hi]
+            xv = vals[lo:hi]
+            wk = w[idx]
+            Vk = None if V is None else V[idx]
+            g, gV = _row_gradient(bias, wk, Vk, xv, labels[r])
+            bias -= lr * g
+            w[idx] = wk - lr * (g * xv + l2 * wk)
             if V is not None:
-                q = X @ V
-                V -= lr * (X.T @ (r[:, None] * q) - (data.csr_squared.T @ r)[:, None] * V + l2 * V)
-        else:
-            for r in shuffle_rng.permutation(len(data)).tolist():
-                lo, hi = row_ptr[r], row_ptr[r + 1]
-                idx = cols[lo:hi]
-                xv = vals[lo:hi]
-                wk = w[idx]
-                Vk = None if V is None else V[idx]
-                g, gV = _row_gradient(bias, wk, Vk, xv, labels[r])
-                bias -= lr * g
-                w[idx] = wk - lr * (g * xv + l2 * wk)
-                if V is not None:
-                    V[idx] = Vk - lr * (gV + l2 * Vk)
+                V[idx] = Vk - lr * (gV + l2 * Vk)
         params = _finite(bias, w, V, epoch)
         if epoch_log is not None:
-            epoch_log.append({"epoch": epoch, **_epoch_metrics(params, data, test, Link.LOGIT)})
+            epoch_log.append(_epoch_row(epoch, params, data, Link.LOGIT))
     return params
 
 
@@ -335,21 +307,12 @@ def train_gibbs_probit(
     parameters are accumulated into a posterior mean and test probabilities
     into a running average.
     """
-    if len(train) == 0:
-        raise ValueError("cannot train on an empty design matrix")
-    _check_labels(train)
-
-    n = train.space.width
+    bias, w, V = _start(train, config)
     d = config.d
     iters = config.epochs
     burn_in = config.effective_burn_in
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
-
-    start = init_params(config, n)
-    bias = start.bias
-    w = start.w.copy()
-    V = None if start.V is None else start.V.copy()
 
     X = train.csr
     Xc = X.tocsc()
@@ -366,7 +329,7 @@ def train_gibbs_probit(
     V_sum = None if V is None else np.zeros_like(V)
     test_sum = None if test is None else np.zeros(len(test))
 
-    params = start
+    params = FMParams(bias, w, V)
     for it in range(iters):
         scores = raw_scores(params, train)
         z = sample_truncated_normal(scores, positive, rng)
@@ -399,7 +362,7 @@ def train_gibbs_probit(
                 test_sum += Link.PROBIT.inverse(raw_scores(params, test))
 
         if epoch_log is not None:
-            epoch_log.append({"epoch": it, **_epoch_metrics(params, train, test, Link.PROBIT)})
+            epoch_log.append(_epoch_row(it, params, train, Link.PROBIT))
 
     mean_params = FMParams(
         bias_sum / kept,

@@ -155,6 +155,21 @@ class TestTrainPredictEvaluate:
         assert payload["link"] == "probit"
         assert payload["d"] == 2
 
+    def test_train_probit_writes_epoch_log(self, runner, synth_dir, tmp_path):
+        log = tmp_path / "log.csv"
+        invoke(
+            runner,
+            [
+                "train", "--data", str(synth_dir / "triplets.csv"), "--preset", "irt",
+                "--link", "probit", "--epochs", "4", "--seed", "2",
+                "--out", str(tmp_path / "model.json"), "--log", str(log),
+            ],
+        )
+        header, *rows = log.read_text().splitlines()
+        assert header == "epoch,train_nll"
+        assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2, 3]
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+
     def test_identical_train_runs_byte_identical_models(self, runner, synth_dir, tmp_path):
         args = [
             "train", "--data", str(synth_dir / "triplets.csv"), "--preset", "mirtb",

@@ -275,4 +275,5 @@ def test_score_and_matrix_layers_import_only_sparse():
     imports = {path.stem: ktfm_imports(path) for path in src.glob("*.py")}
     assert imports["encoding"] >= {"ktfm.sparse"}  # the reader sees relative imports
     assert imports["model"] <= {"ktfm.sparse"}
+    assert imports["training"] <= {"ktfm.model", "ktfm.sparse"}
     assert imports["sparse"] <= {"ktfm.sparse"}

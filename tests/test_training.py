@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from ktfm import (
     FMParams,
@@ -16,7 +17,13 @@ from ktfm import (
     train_gibbs_probit,
     train_map_logit,
 )
-from ktfm.training import _GroupState, _logistic, _row_gradient, sample_truncated_normal
+from ktfm.training import (
+    _finite,
+    _GroupState,
+    _logistic,
+    _row_gradient,
+    sample_truncated_normal,
+)
 from tests.conftest import matrix_from_rows
 from tests.test_model import random_instance
 
@@ -181,20 +188,6 @@ class TestMapTrainer:
         losses = [row["train_nll"] for row in log]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    def test_full_batch_monotonically_decreases_regularized_nll(self):
-        rng = np.random.default_rng(12)
-        data = make_matrix(rng, n_rows=60, width=10)
-        l2 = 0.01
-        cfg = TrainConfig(epochs=40, learning_rate=0.1, l2=l2, seed=0, full_batch=True)
-
-        # replay epoch by epoch so the regularized objective itself is visible
-        objective = []
-        for epochs in range(1, 21):
-            params = train_map_logit(data, replace(cfg, epochs=epochs))
-            loss = nll(Link.LOGIT.inverse(raw_scores(params, data)), data.labels)
-            objective.append(loss + 0.5 * l2 * float(params.w @ params.w))
-        assert all(b < a for a, b in zip(objective, objective[1:]))
-
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
         data = make_matrix(rng, n_rows=50, width=10)
@@ -210,15 +203,14 @@ class TestMapTrainer:
         rng = np.random.default_rng(8)
         data = make_matrix(rng, n_rows=30, width=8)
         with pytest.raises(TrainingDivergedError):
-            train_map_logit(data, TrainConfig(epochs=400, learning_rate=1e12, d=2, init_scale=5.0))
+            train_map_logit(data, TrainConfig(epochs=400, learning_rate=1e12, d=2))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_full_batch_factor_overflow_raises(self):
-        # the first step sends V, and only V, past the float range
-        data = matrix_from_rows(3, [[(0, 1.0), (1, 2.0)], [(1, 1.0), (2, 1.0)], [(0, 1.0), (2, 3.0)]], [1, 0, 1])
-        cfg = TrainConfig(d=2, epochs=5, learning_rate=1e250, init_scale=1e100, full_batch=True)
+    def test_factor_overflow_alone_raises(self):
+        # the end-of-epoch check sees a non-finite V even when bias and w are finite
+        V = np.zeros((3, 2))
+        V[1, 0] = np.inf
         with pytest.raises(TrainingDivergedError, match="at epoch 0$"):
-            train_map_logit(data, cfg)
+            _finite(0.0, np.zeros(3), V, 0)
 
     def test_sgd_step_uses_the_row_gradient(self):
         # one epoch over one row is one step of the kernel's gradient
@@ -244,25 +236,34 @@ class TestMapTrainer:
         with pytest.raises(ValueError):
             train_map_logit(data, TrainConfig(epochs=1))
 
-    def test_agrees_with_reference_logistic_regression(self):
-        # at d = 0 the objective is plain L2 logistic regression, so an
-        # off-the-shelf solver must land on the same predictions
-        sklearn = pytest.importorskip("sklearn.linear_model")
-        rng = np.random.default_rng(31)
-        data = make_matrix(rng, n_rows=200, width=12, max_nnz=4)
+    def test_fits_the_row_weighted_objective(self):
+        # at d = 0 per-row SGD minimizes mean NLL + (l2 / 2) * sum_k (n_k / N) * w_k^2,
+        # bias unpenalized; an L-BFGS fit of that objective must land on the
+        # same predictions, and a fit of the unweighted penalty must not
+        rng = np.random.default_rng(5)
+        data = make_matrix(rng, n_rows=100, width=12, max_nnz=4)
         l2 = 0.1
-        cfg = TrainConfig(epochs=4000, learning_rate=0.5, l2=l2, seed=0, full_batch=True)
-        params = train_map_logit(data, cfg)
+        params = train_map_logit(data, TrainConfig(epochs=2000, learning_rate=0.002, l2=l2, seed=0))
         ours = Link.LOGIT.inverse(raw_scores(params, data))
 
         X = data.csr.toarray()
-        y = data.labels
-        clf = sklearn.LogisticRegression(
-            C=1.0 / (l2 * len(data)), solver="lbfgs", max_iter=10000, tol=1e-12
-        )
-        clf.fit(X, y)
-        theirs = clf.predict_proba(X)[:, 1]
-        assert np.abs(ours - theirs).mean() <= 1e-3
+        y = data.labels.astype(np.float64)
+
+        def oracle(penalty):
+            def objective(theta):
+                z = theta[0] + X @ theta[1:]
+                r = (expit(z) - y) / len(y)
+                value = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * penalty @ theta[1:] ** 2
+                return value, np.concatenate(([r.sum()], X.T @ r + l2 * penalty * theta[1:]))
+
+            fit = minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
+                           options={"maxiter": 10_000, "ftol": 1e-15, "gtol": 1e-10})
+            assert np.abs(fit.jac).max() <= 1e-6
+            return expit(fit.x[0] + X @ fit.x[1:])
+
+        row_share = (X != 0).mean(axis=0)  # n_k / N
+        assert np.abs(ours - oracle(row_share)).mean() <= 2e-3
+        assert np.abs(ours - oracle(np.ones(X.shape[1]))).mean() >= 1e-2
 
 
 class TestTruncatedSampling:
@@ -460,7 +461,7 @@ class TestLeanLoopsAreBitExact:
     def test_sgd_matches_reference_epochs(self, d, l2):
         rng = np.random.default_rng(60 + d)
         data = make_matrix(rng, n_rows=80, width=12, untouched=2)
-        cfg = TrainConfig(d=d, epochs=4, learning_rate=0.05, l2=l2, seed=3, init_scale=0.1)
+        cfg = TrainConfig(d=d, epochs=4, learning_rate=0.05, l2=l2, seed=3)
         assert_same_bits(train_map_logit(data, cfg), reference_sgd(data, cfg))
 
     @pytest.mark.parametrize("d", [0, 3])
