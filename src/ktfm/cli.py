@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .datasets import (
@@ -73,6 +74,17 @@ def _write_epoch_log(path, log_rows) -> None:
         fh.write("epoch,train_nll\n")
         for row in log_rows:
             fh.write(f"{row['epoch']},{float(row['train_nll'])!r}\n")
+
+
+def _reject_sgd_options_for_probit(link: str) -> None:
+    """Gibbs sampling reads neither a step size nor a penalty, so an explicit
+    ``--lr`` or ``--l2`` with ``--link probit`` is an error, not a silent no-op."""
+    if Link(link) is not Link.PROBIT:
+        return
+    ctx = click.get_current_context()
+    for name in ("lr", "l2"):
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.ClickException(f"--{name} applies only to --link logit; Gibbs sampling does not read it")
 
 
 class _Main(click.Group):
@@ -140,8 +152,8 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 @d_opt
 @link_opt
 @epochs_opt
-@click.option("--lr", default=0.01, show_default=True)
-@click.option("--l2", default=0.0, show_default=True)
+@click.option("--lr", default=0.01, show_default=True, help="SGD step size (logit only).")
+@click.option("--l2", default=0.0, show_default=True, help="L2 penalty (logit only).")
 @click.option("--burn-in", type=int, default=None, help="Gibbs burn-in (default 20%).")
 @seed_opt
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -149,6 +161,7 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), help="Per-epoch metrics CSV.")
 def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
     """Fit a model on a full log and save it as versioned JSON."""
+    _reject_sgd_options_for_probit(link)
     for path in filter(None, (out, vocab_out, log_path)):
         if not Path(path).parent.is_dir():
             raise OSError(f"cannot write {path}: its directory does not exist")
@@ -260,14 +273,15 @@ def evaluate(model, data, qmatrix, vocab, out):
 @click.option("--d", "dims", multiple=True, type=int, default=(0,), show_default=True)
 @link_opt
 @epochs_opt
-@click.option("--lr", default=0.01, show_default=True)
-@click.option("--l2", default=0.0, show_default=True)
+@click.option("--lr", default=0.01, show_default=True, help="SGD step size (logit only).")
+@click.option("--l2", default=0.0, show_default=True, help="L2 penalty (logit only).")
 @click.option("--folds", default=5, show_default=True)
 @click.option("--split", type=click.Choice(["row", "student"]), default="row", show_default=True)
 @seed_opt
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, seed, out_dir):
     """Cross-validate a preset/dimension grid and write report CSVs."""
+    _reject_sgd_options_for_probit(link)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(data, qmatrix, vocab)

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .encoding import EncodingConfig, EncodingError, QMatrix, Triplet, encode_dataset, load_qmatrix
 from .model import FMParams, Link, raw_scores
@@ -310,6 +309,8 @@ def _random_qmatrix(n_items: int, n_skills: int, rng) -> QMatrix:
 
 
 def _inv_link(link: Link, z: np.ndarray) -> np.ndarray:
+    from scipy.special import expit, ndtr  # here, so that loading a log never imports scipy
+
     return expit(z) if link is Link.LOGIT else ndtr(z)
 
 

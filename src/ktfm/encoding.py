@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sparse import DesignMatrix, FeatureSpace, _readonly
 
@@ -311,9 +310,14 @@ def encode_dataset(
     if config.needs_skills:
         # one (row, skill) pair per skill of each attempted item, in row order
         attempted = np.flatnonzero(item >= 0)
-        kc = sp.csr_matrix(q.matrix)[item[attempted]]
-        pair_row = np.repeat(attempted, np.diff(kc.indptr))
-        pair_skill = kc.indices.astype(np.int64)
+        _, tagged = np.nonzero(q.matrix)  # row-major: item j's skills are one run of ``tagged``
+        per_item = np.count_nonzero(q.matrix, axis=1)
+        run_start = np.cumsum(per_item) - per_item
+        counts = per_item[item[attempted]]
+        pair_row = np.repeat(attempted, counts)
+        # each pair's rank among its row's pairs, shifted to the start of its item's run
+        shift = np.repeat(run_start[item[attempted]] - (np.cumsum(counts) - counts), counts)
+        pair_skill = tagged[np.arange(shift.size) + shift].astype(np.int64)
         if "skills" in config.blocks:
             add("skills", pair_row, pair_skill)
     if config.needs_counters:

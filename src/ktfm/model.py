@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.special import erfc, expit
 
 from .sparse import DesignMatrix, FeatureSpace, _readonly
 
@@ -36,6 +35,8 @@ class Link(str, enum.Enum):
 
     def inverse(self, z):
         """Probability for score ``z``, clipped into the open unit interval."""
+        from scipy.special import erfc, expit  # here, so that commands that never score skip its import
+
         z = np.asarray(z, dtype=np.float64)
         if self is Link.LOGIT:
             p = expit(z)

@@ -3,7 +3,9 @@
 Everything downstream (encoder, model, trainers) shares these types. A
 ``DesignMatrix`` holds its rows as read-only CSR arrays (``indptr``,
 ``indices``, ``data``) plus one label per row; its ``csr`` view wraps those
-arrays without copying them, and all bulk math goes through it.
+arrays without copying them, and all bulk math goes through it. The view is
+built, and scipy loaded, on the first bulk math, so encoding a log and
+writing it out never import scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from functools import cached_property
 from typing import Sequence, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class LayoutError(ValueError):
@@ -171,14 +172,16 @@ class DesignMatrix:
         return int(self.labels.size)
 
     @cached_property
-    def csr(self) -> sp.csr_matrix:
+    def csr(self) -> "scipy.sparse.csr_matrix":
         """CSR view of the stored arrays (no copy), for all batch math."""
+        import scipy.sparse as sp  # here, not at the top: its import costs more than encoding a log
+
         return sp.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(len(self), self.space.width)
         )
 
     @cached_property
-    def csr_squared(self) -> sp.csr_matrix:
+    def csr_squared(self) -> "scipy.sparse.csr_matrix":
         """Same sparsity pattern as :attr:`csr` with squared values."""
         sq = self.csr.copy()
         sq.data = sq.data**2

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import PROB_EPS, FMParams, Link, raw_scores
 from .sparse import DesignMatrix
@@ -186,9 +185,8 @@ def train_map_logit(
     """
     bias, w, V = _start(data, config)
     lr, l2 = config.learning_rate, config.l2
-    X = data.csr
-    cols, vals = X.indices, X.data
-    row_ptr, labels = X.indptr.tolist(), data.labels.astype(np.float64).tolist()
+    cols, vals = data.indices, data.data
+    row_ptr, labels = data.indptr.tolist(), data.labels.astype(np.float64).tolist()
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
@@ -218,6 +216,8 @@ def sample_truncated_normal(
     Uses the inverse upper-tail CDF, which stays accurate when the mean sits
     many standard deviations on the wrong side of zero.
     """
+    from scipy.special import ndtr, ndtri  # here, so that a logit fit never imports scipy
+
     means = np.asarray(means, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
     signed = np.where(positive, means, -means)

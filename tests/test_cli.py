@@ -275,6 +275,24 @@ class TestTrainPredictEvaluate:
         assert got == predict_proba_matrix(bundle.params, dm, bundle.link).tolist()
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+@pytest.mark.parametrize("option", [("--lr", "0.01"), ("--l2", "0.0")])
+def test_probit_rejects_explicit_sgd_options(runner, tmp_path, example_log_csv, monkeypatch, command, option):
+    # the defaults, given explicitly: the option's presence is the error, not its value
+    def no_loading(*args, **kwargs):
+        raise AssertionError("data loaded before the options were checked")
+
+    monkeypatch.setattr("ktfm.cli.load_dataset", no_loading)
+    data, qfile = example_log_csv
+    out = ["--out", str(tmp_path / "m.json")] if command == "train" else ["--out-dir", str(tmp_path / "cv")]
+    result = runner.invoke(
+        main, [command, "--data", str(data), "--qmatrix", str(qfile), "--link", "probit", *option, *out]
+    )
+    assert result.exit_code != 0
+    assert result.output.startswith(f"Error: {option[0]} ") and result.output.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["qmatrix.csv", "triplets.csv"]
+
+
 class TestCvCommand:
     def test_smoke_single_cell(self, runner, tmp_path):
         synth = tmp_path / "synth"
@@ -400,10 +418,47 @@ class TestErrors:
         assert result.exit_code != 0
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats alone costs about a second of every command's start-up
+# Runs CLI commands in one fresh interpreter and prints, after the import and
+# after each command, whether any scipy module and whether scipy.special is loaded.
+_SCIPY_PROBE = """
+import json, sys
+import ktfm.cli
+
+def loaded():
+    return [any(m.startswith("scipy") for m in sys.modules), "scipy.special" in sys.modules]
+
+seen = [loaded()]
+for args in json.loads(sys.argv[1]):
+    ktfm.cli.main.main(args, standalone_mode=False)
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def scipy_after_each(commands):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ktfm.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return [tuple(flags) for flags in json.loads(result.stdout.splitlines()[-1])]
+
+
+def test_scipy_loads_only_in_commands_that_score_or_draw(tmp_path, example_log_csv):
+    # importing scipy costs more than half of a bare command's start-up
+    data, qfile = example_log_csv
+    log = ["--data", str(data), "--qmatrix", str(qfile)]
+    model, vocab = str(tmp_path / "m.json"), str(tmp_path / "v.json")
+    without_scipy = scipy_after_each([
+        ["encode", *log, "--preset", "pfa", "--out", str(tmp_path / "dm.txt")],
+        ["train", *log, "--preset", "ktm-iswf", "--d", "2", "--epochs", "2",
+         "--out", model, "--vocab-out", vocab],
+        ["export-embeddings", "--model", model, "--out", str(tmp_path / "emb.csv")],
+        ["train", *log, "--link", "probit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "2",
+         "--out", str(tmp_path / "probit.json")],
+    ])
+    # import, encode, logit train and export-embeddings; then probit train
+    assert without_scipy == [(False, False)] * 4 + [(True, True)]
+    predict = ["predict", "--model", model, *log, "--vocab", vocab, "--out", str(tmp_path / "p.csv")]
+    assert scipy_after_each([predict]) == [(False, False), (True, True)]

@@ -304,6 +304,36 @@ class TestEncodingConfig:
             EncodingConfig(("users",), extra_columns=(("wins", 2),))
 
 
+# the skill lookup gathers q-matrix rows; these are its corner cases
+SKILL_LOOKUP_CASES = {
+    # item 3 has no skill and nobody attempts it
+    "untagged_last_item": (
+        [[1, 0], [0, 1], [1, 1], [0, 0]],
+        [Triplet(0, 2, 1), Triplet(1, 0, 0), Triplet(0, 1, 1), Triplet(0, 2, 0), Triplet(1, 2, 1)],
+    ),
+    # only item 2 has a skill, and no row attempts it: zero (row, skill) pairs
+    "no_skill_pairs": (
+        [[0, 0], [0, 0], [0, 1]],
+        [Triplet(0, 0, 1), Triplet(1, 1, 0), Triplet(0, 1, 1)],
+    ),
+    # item -1 is an attempt at an item the vocabulary does not know
+    "unknown_items": (
+        [[1, 0], [1, 1]],
+        [Triplet(0, -1, 1), Triplet(0, 1, 1), Triplet(1, -1, 0), Triplet(0, 0, 0), Triplet(0, -1, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", ["pfa", "ktm-iswf"])
+@pytest.mark.parametrize("case", sorted(SKILL_LOOKUP_CASES))
+def test_skill_lookup_corner_cases_match_the_replay(preset, case):
+    matrix, triplets = SKILL_LOOKUP_CASES[case]
+    q = QMatrix(np.array(matrix))
+    config, _ = preset_encoding(preset)
+    dm = encode_dataset(triplets, q, config, n_students=2)
+    assert np.array_equal(dm.densify(), replay_encode(triplets, q, config, 2))
+
+
 @st.composite
 def encoding_cases(draw):
     n_students = draw(st.integers(1, 4))

@@ -277,3 +277,31 @@ def test_score_and_matrix_layers_import_only_sparse():
     assert imports["model"] <= {"ktfm.sparse"}
     assert imports["training"] <= {"ktfm.model", "ktfm.sparse"}
     assert imports["sparse"] <= {"ktfm.sparse"}
+
+
+def import_time_imports(path: Path) -> set[str]:
+    """The absolute imports one source file runs when it is imported: all of
+    them except those inside a function body."""
+    found, todo = set(), [ast.parse(path.read_text())]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy is imported inside the functions that call its kernels, so that
+    # commands that never score or draw start without it
+    src = Path(__file__).resolve().parents[1] / "src" / "ktfm"
+    at_import = {
+        path.name: sorted(name for name in import_time_imports(path) if name.split(".")[0] == "scipy")
+        for path in src.glob("*.py")
+    }
+    assert at_import == {name: [] for name in at_import}
+    assert "numpy" in import_time_imports(src / "model.py")  # the walk does see the top
