@@ -118,6 +118,8 @@ link_opt = click.option(
     help="logit trains by MAP gradient descent, probit by Gibbs sampling.",
 )
 epochs_opt = click.option("--epochs", "--iters", "epochs", default=200, show_default=True)
+lr_opt = click.option("--lr", default=0.01, show_default=True, help="SGD step size (logit only).")
+l2_opt = click.option("--l2", default=0.0, show_default=True, help="L2 penalty (logit only).")
 
 
 @main.command()
@@ -152,8 +154,8 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 @d_opt
 @link_opt
 @epochs_opt
-@click.option("--lr", default=0.01, show_default=True, help="SGD step size (logit only).")
-@click.option("--l2", default=0.0, show_default=True, help="L2 penalty (logit only).")
+@lr_opt
+@l2_opt
 @click.option("--burn-in", type=int, default=None, help="Gibbs burn-in (default 20%).")
 @seed_opt
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -273,8 +275,8 @@ def evaluate(model, data, qmatrix, vocab, out):
 @click.option("--d", "dims", multiple=True, type=int, default=(0,), show_default=True)
 @link_opt
 @epochs_opt
-@click.option("--lr", default=0.01, show_default=True, help="SGD step size (logit only).")
-@click.option("--l2", default=0.0, show_default=True, help="L2 penalty (logit only).")
+@lr_opt
+@l2_opt
 @click.option("--folds", default=5, show_default=True)
 @click.option("--split", type=click.Choice(["row", "student"]), default="row", show_default=True)
 @seed_opt

@@ -4,7 +4,10 @@ Raw logs arrive as CSV with string ids; everything downstream wants dense
 0-based ids, so loaders build (or reuse) a vocabulary mapping raw ids to
 dense indices by first appearance. The synthetic generators exist as
 verification oracles: they save the parameters that produced the data so
-recovery can be checked against ground truth.
+recovery can be checked against ground truth. Each generator is the FM of a
+block set (``GENERATOR_BLOCKS``); its outcomes are drawn against the same
+oracle that ``oracle_probabilities`` exposes, so the encoder's counter replay
+is the only one in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from .encoding import EncodingConfig, EncodingError, QMatrix, Triplet, encode_dataset, load_qmatrix
 from .model import FMParams, Link, raw_scores
-from .sparse import DesignMatrix
 
 
 class DataFormatError(ValueError):
@@ -150,35 +152,19 @@ def load_triplets(
     return triplets, {k: np.array(v) for k, v in extras.items()}, vocab
 
 
-def write_triplets(
-    path,
-    triplets: Sequence[Triplet],
-    vocab: Vocabulary | None = None,
-    extras: Mapping[str, Sequence[int]] | None = None,
-) -> None:
+def write_triplets(path, triplets: Sequence[Triplet], vocab: Vocabulary | None = None) -> None:
     """Inverse of :func:`load_triplets`; dense ids map back through the vocab."""
-    extras = extras or {}
     inv_users = inv_items = None
-    inv_extras = {}
     if vocab is not None:
         inv_users = {v: k for k, v in vocab.users.items()}
         inv_items = {v: k for k, v in vocab.items.items()}
-        inv_extras = {
-            name: {v: k for k, v in column.items()}
-            for name, column in vocab.extras.items()
-        }
-    names = list(extras)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "item_id", "correct"] + names)
-        for r, t in enumerate(triplets):
+        writer.writerow(["user_id", "item_id", "correct"])
+        for t in triplets:
             user = inv_users[t.student] if inv_users else str(t.student)
             item = inv_items[t.item] if inv_items else str(t.item)
-            row = [user, item, str(t.outcome)]
-            for name in names:
-                value = int(extras[name][r])
-                row.append(inv_extras[name][value] if name in inv_extras and inv_extras[name] else str(value))
-            writer.writerow(row)
+            writer.writerow([user, item, str(t.outcome)])
 
 
 def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: bool = False) -> QMatrix:
@@ -264,6 +250,15 @@ def load_dataset(
 # synthetic generators
 
 
+# each generator is the FM of one block set
+GENERATOR_BLOCKS = {
+    "rasch": ("users", "items"),
+    "mirt": ("users", "items"),
+    "pfa": ("skills", "wins", "fails"),
+    "ktm": ("users", "items", "skills", "wins", "fails"),
+}
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a synthetic log with known ground truth."""
@@ -279,7 +274,7 @@ class SynthSpec:
     scale: float = 1.0  # std dev of the true parameters
 
     def __post_init__(self):
-        if self.generator not in ("rasch", "mirt", "pfa", "ktm"):
+        if self.generator not in GENERATOR_BLOCKS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if min(self.n_students, self.n_items, self.attempts) <= 0:
             raise ValueError("counts must be positive")
@@ -308,50 +303,13 @@ def _random_qmatrix(n_items: int, n_skills: int, rng) -> QMatrix:
     return QMatrix(m)
 
 
-def _inv_link(link: Link, z: np.ndarray) -> np.ndarray:
-    from scipy.special import expit, ndtr  # here, so that loading a log never imports scipy
-
-    return expit(z) if link is Link.LOGIT else ndtr(z)
-
-
-def simulate_pfa(
-    q: QMatrix,
-    skill_bias: np.ndarray,
-    win_gain: np.ndarray,
-    fail_gain: np.ndarray,
-    n_students: int,
-    attempts: int,
-    link: Link,
-    rng,
-) -> list[Triplet]:
-    """Sequential attempts whose success odds follow the counter formula.
-
-    Score of student i on item j is the sum over the item's skills of
-    ``skill_bias[k] + win_gain[k] * wins[i,k] + fail_gain[k] * fails[i,k]``.
-    """
-    triplets = []
-    for student in range(n_students):
-        wins = np.zeros(q.n_skills)
-        fails = np.zeros(q.n_skills)
-        for _ in range(attempts):
-            for item in rng.permutation(q.n_items):
-                kc = list(q.kc(int(item)))
-                z = float(
-                    skill_bias[kc].sum()
-                    + (win_gain[kc] * wins[kc]).sum()
-                    + (fail_gain[kc] * fails[kc]).sum()
-                )
-                outcome = int(rng.random() < _inv_link(link, np.array(z)))
-                triplets.append(Triplet(student, int(item), outcome))
-                if outcome:
-                    wins[kc] += 1
-                else:
-                    fails[kc] += 1
-    return triplets
-
-
 def generate_synthetic(spec: SynthSpec) -> SyntheticData:
-    """Draw ground-truth parameters, then outcomes from the matching model."""
+    """Draw the FM parameters of the generator's block set, the attempt order
+    and one uniform per attempt, then settle the outcomes against the oracle.
+
+    rasch/mirt shuffle every (student, item, pass) together; pfa/ktm let each
+    student take the items in a fresh random order on every pass.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
     n, m = spec.n_students, spec.n_items
     truth: dict = {
@@ -361,103 +319,80 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
         "n_students": n,
         "n_items": m,
     }
-
+    q = None
     if spec.generator in ("rasch", "mirt"):
-        ability = rng.normal(0.0, spec.scale, size=n)
-        difficulty = rng.normal(0.0, spec.scale, size=m)
-        truth["ability"] = ability.tolist()
-        truth["difficulty"] = difficulty.tolist()
+        truth["ability"] = rng.normal(0.0, spec.scale, size=n).tolist()
+        truth["difficulty"] = rng.normal(0.0, spec.scale, size=m).tolist()
         if spec.generator == "mirt":
             emb_scale = spec.scale / np.sqrt(spec.d)
-            user_vecs = rng.normal(0.0, emb_scale, size=(n, spec.d))
-            item_vecs = rng.normal(0.0, emb_scale, size=(m, spec.d))
-            truth["user_vectors"] = user_vecs.tolist()
-            truth["item_vectors"] = item_vecs.tolist()
-        pairs = [(i, j) for i in range(n) for j in range(m)] * spec.attempts
-        order = rng.permutation(len(pairs))
-        triplets = []
-        for idx in order:
-            i, j = pairs[idx]
-            z = ability[i] - difficulty[j]
-            if spec.generator == "mirt":
-                z += float(user_vecs[i] @ item_vecs[j])
-            outcome = int(rng.random() < float(_inv_link(spec.link, np.array(z))))
-            triplets.append(Triplet(i, j, outcome))
-        return SyntheticData(triplets, None, truth)
+            truth["user_vectors"] = rng.normal(0.0, emb_scale, size=(n, spec.d)).tolist()
+            truth["item_vectors"] = rng.normal(0.0, emb_scale, size=(m, spec.d)).tolist()
+        pair = np.tile(np.arange(n * m), spec.attempts)[rng.permutation(n * m * spec.attempts)]
+        students, items = np.divmod(pair, m)
+        uniforms = rng.random(pair.size)
+    else:
+        q = _random_qmatrix(m, spec.n_skills, rng)
+        truth["qmatrix"] = q.matrix.tolist()
+        if spec.generator == "pfa":
+            truth["skill_bias"] = rng.normal(0.0, spec.scale, size=spec.n_skills).tolist()
+            truth["win_gain"] = np.abs(rng.normal(0.0, spec.scale / 4, size=spec.n_skills)).tolist()
+            truth["fail_gain"] = (-np.abs(rng.normal(0.0, spec.scale / 4, size=spec.n_skills))).tolist()
+        else:
+            space = EncodingConfig(GENERATOR_BLOCKS["ktm"]).feature_space(n, m, spec.n_skills)
+            truth["w"] = rng.normal(0.0, spec.scale / 2, size=space.width).tolist()
+            v_scale = spec.scale / (2 * np.sqrt(spec.d))
+            truth["V"] = rng.normal(0.0, v_scale, size=(space.width, spec.d)).tolist()
+            truth["blocks"] = list(space.blocks)
+        students = np.repeat(np.arange(n), m * spec.attempts)
+        draws = [(rng.permutation(m), rng.random(m)) for _ in range(n * spec.attempts)]
+        items, uniforms = (np.concatenate(parts) for parts in zip(*draws))
+    return SyntheticData(settle_outcomes(truth, students, items, uniforms), q, truth)
 
-    q = _random_qmatrix(m, spec.n_skills, rng)
-    truth["qmatrix"] = q.matrix.tolist()
 
-    if spec.generator == "pfa":
-        skill_bias = rng.normal(0.0, spec.scale, size=spec.n_skills)
-        win_gain = np.abs(rng.normal(0.0, spec.scale / 4, size=spec.n_skills))
-        fail_gain = -np.abs(rng.normal(0.0, spec.scale / 4, size=spec.n_skills))
-        truth["skill_bias"] = skill_bias.tolist()
-        truth["win_gain"] = win_gain.tolist()
-        truth["fail_gain"] = fail_gain.tolist()
-        triplets = simulate_pfa(
-            q, skill_bias, win_gain, fail_gain, n, spec.attempts, spec.link, rng
-        )
-        return SyntheticData(triplets, q, truth)
-
-    # ktm: full feature model over users+items+skills+wins+fails
-    config = EncodingConfig(("users", "items", "skills", "wins", "fails"))
-    space = config.feature_space(n, m, spec.n_skills)
-    w = rng.normal(0.0, spec.scale / 2, size=space.width)
-    V = rng.normal(0.0, spec.scale / (2 * np.sqrt(spec.d)), size=(space.width, spec.d))
-    params = FMParams(0.0, w, V)
-    truth["w"] = w.tolist()
-    truth["V"] = V.tolist()
-    truth["blocks"] = list(space.blocks)
-
-    # each outcome depends on the counters the earlier ones left, so the
-    # attempts are drawn and scored one at a time
-    triplets = []
-    wins = np.zeros((n, spec.n_skills), dtype=np.int64)
-    fails = np.zeros((n, spec.n_skills), dtype=np.int64)
-    for student in range(n):
-        for _ in range(spec.attempts):
-            for item in rng.permutation(m):
-                item = int(item)
-                kc = np.array(q.kc(item), dtype=np.int64)
-                x = np.zeros(space.width)
-                x[[space.column("users", student), space.column("items", item)]] = 1.0
-                x[space.offset("skills") + kc] = 1.0
-                x[space.offset("wins") + kc] = wins[student, kc]
-                x[space.offset("fails") + kc] = fails[student, kc]
-                cols = np.flatnonzero(x)  # zero counters are not stored
-                z = float(raw_scores(params, DesignMatrix(space, [0, cols.size], cols, x[cols], [0]))[0])
-                outcome = int(rng.random() < float(_inv_link(spec.link, np.array(z))))
-                triplets.append(Triplet(student, item, outcome))
-                (wins if outcome else fails)[student, kc] += 1
-    return SyntheticData(triplets, q, truth)
+def _truth_model(truth: Mapping) -> tuple[EncodingConfig, QMatrix | None, FMParams]:
+    """The FM that ``truth`` describes: block set, q-matrix and parameters."""
+    kind = truth["generator"]
+    if kind not in GENERATOR_BLOCKS:
+        raise ValueError(f"no oracle for generator {kind!r}")
+    config = EncodingConfig(GENERATOR_BLOCKS[kind])
+    if kind in ("rasch", "mirt"):
+        w = np.concatenate([truth["ability"], np.negative(truth["difficulty"])])
+        V = np.vstack([truth["user_vectors"], truth["item_vectors"]]) if kind == "mirt" else None
+        return config, None, FMParams(0.0, w, V)
+    q = QMatrix(np.array(truth["qmatrix"], dtype=np.int8))
+    if kind == "pfa":
+        w = np.concatenate([truth["skill_bias"], truth["win_gain"], truth["fail_gain"]])
+        return config, q, FMParams(0.0, w)
+    return config, q, FMParams(0.0, truth["w"], truth["V"])
 
 
 def oracle_probabilities(truth: Mapping, triplets: Sequence[Triplet]) -> np.ndarray:
     """True success probabilities under the generating parameters.
 
-    Counter-based generators replay the observed outcomes to rebuild the
-    counter history, so the returned probability is the one each attempt was
-    actually drawn from.
+    Every generator is an FM, so this is its score on the encoded log. The
+    encoder replays the observed outcomes into the counter blocks, so the
+    returned probability is the one each attempt was actually drawn from.
+    ``triplets`` may also be an ``(N, 3)`` int array.
     """
-    link = Link(truth["link"])
-    kind = truth["generator"]
-    if kind in ("rasch", "mirt"):
-        ability = np.asarray(truth["ability"])
-        difficulty = np.asarray(truth["difficulty"])
-        z = np.array([ability[t.student] - difficulty[t.item] for t in triplets])
-        if kind == "mirt":
-            uv = np.asarray(truth["user_vectors"])
-            iv = np.asarray(truth["item_vectors"])
-            z += np.array([float(uv[t.student] @ iv[t.item]) for t in triplets])
-        return _inv_link(link, z)
-    if kind == "pfa":
-        q = QMatrix(np.array(truth["qmatrix"], dtype=np.int8))
-        config = EncodingConfig(("skills", "wins", "fails"))
-        data = encode_dataset(triplets, q, config, int(truth["n_students"]))
-        w = np.concatenate([truth["skill_bias"], truth["win_gain"], truth["fail_gain"]])
-        return _inv_link(link, raw_scores(FMParams(0.0, w), data))
-    raise ValueError(f"no oracle for generator {kind!r}")
+    config, q, params = _truth_model(truth)
+    data = encode_dataset(triplets, q, config, int(truth["n_students"]), n_items=int(truth["n_items"]))
+    return Link(truth["link"]).inverse(raw_scores(params, data))
+
+
+def settle_outcomes(truth: Mapping, students, items, uniforms) -> list[Triplet]:
+    """The log whose outcome ``r`` is ``uniforms[r] < p_r``, with ``p_r`` the
+    oracle probability given the log's own earlier outcomes.
+
+    An outcome depends only on its student's earlier ones, so re-scoring until
+    nothing changes settles at least one more attempt of every student per
+    round: the loop ends within the longest per-student run plus one rounds.
+    """
+    log = np.stack([students, items, np.zeros_like(students)], axis=1)
+    while True:
+        outcome = uniforms < oracle_probabilities(truth, log)
+        if np.array_equal(outcome, log[:, 2]):
+            return list(map(Triplet._make, log.tolist()))
+        log[:, 2] = outcome
 
 
 def write_synthetic(data: SyntheticData, outdir) -> dict[str, str]:

@@ -17,12 +17,16 @@ from ktfm import (
     write_triplets,
 )
 from ktfm.datasets import (
+    GENERATOR_BLOCKS,
     DataFormatError,
+    _random_qmatrix,
     align_qmatrix,
     convert_assistments,
-    simulate_pfa,
+    settle_outcomes,
 )
-from ktfm.encoding import EncodingError
+from ktfm.encoding import EncodingConfig, EncodingError
+from ktfm.model import FMParams, raw_scores
+from ktfm.sparse import DesignMatrix
 
 
 class TestLoadTriplets:
@@ -206,18 +210,19 @@ class TestGenerators:
     def test_win_gain_raises_success_rate(self):
         # positive win gain, zero fail gain: empirical success rate must be
         # nondecreasing in the prior win count, checked on 10k attempts
-        rng = np.random.default_rng(0)
-        q = QMatrix(np.ones((1, 1), dtype=np.int8))
-        triplets = simulate_pfa(
-            q,
-            skill_bias=np.array([-1.0]),
-            win_gain=np.array([0.35]),
-            fail_gain=np.array([0.0]),
-            n_students=100,
-            attempts=100,
-            link=Link.LOGIT,
-            rng=rng,
-        )
+        truth = {
+            "generator": "pfa",
+            "link": "logit",
+            "n_students": 100,
+            "n_items": 1,
+            "qmatrix": [[1]],
+            "skill_bias": [-1.0],
+            "win_gain": [0.35],
+            "fail_gain": [0.0],
+        }
+        students = np.repeat(np.arange(100), 100)
+        uniforms = np.random.default_rng(0).random(students.size)
+        triplets = settle_outcomes(truth, students, np.zeros_like(students), uniforms)
         assert len(triplets) == 10_000
         wins = {}
         by_count: dict[int, list[int]] = {}
@@ -270,6 +275,150 @@ class TestGenerators:
         dataset = load_dataset(tmp_path / "triplets.csv", tmp_path / "qmatrix.csv")
         assert len(dataset.triplets) == len(data.triplets)
         assert dataset.qmatrix.n_skills == 2
+
+
+def _reference_inv_link(link: Link, z):
+    from scipy.special import expit, ndtr
+
+    return expit(z) if link is Link.LOGIT else ndtr(z)
+
+
+def reference_synthetic(spec: SynthSpec):
+    """The generators as written before they shared one FM oracle: a per-pair
+    rasch/mirt loop, a per-attempt pfa tally and a per-attempt ktm score on a
+    one-row design matrix, each drawing its own uniforms one at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
+    n, m = spec.n_students, spec.n_items
+    truth = {
+        "generator": spec.generator,
+        "link": spec.link.value,
+        "seed": spec.seed,
+        "n_students": n,
+        "n_items": m,
+    }
+
+    def draw(z):
+        return int(rng.random() < float(_reference_inv_link(spec.link, np.array(z))))
+
+    if spec.generator in ("rasch", "mirt"):
+        ability = rng.normal(0.0, spec.scale, size=n)
+        difficulty = rng.normal(0.0, spec.scale, size=m)
+        truth["ability"] = ability.tolist()
+        truth["difficulty"] = difficulty.tolist()
+        if spec.generator == "mirt":
+            emb_scale = spec.scale / np.sqrt(spec.d)
+            user_vecs = rng.normal(0.0, emb_scale, size=(n, spec.d))
+            item_vecs = rng.normal(0.0, emb_scale, size=(m, spec.d))
+            truth["user_vectors"] = user_vecs.tolist()
+            truth["item_vectors"] = item_vecs.tolist()
+        pairs = [(i, j) for i in range(n) for j in range(m)] * spec.attempts
+        triplets = []
+        for idx in rng.permutation(len(pairs)):
+            i, j = pairs[idx]
+            z = ability[i] - difficulty[j]
+            if spec.generator == "mirt":
+                z += float(user_vecs[i] @ item_vecs[j])
+            triplets.append(Triplet(i, j, draw(z)))
+        return triplets, None, truth
+
+    q = _random_qmatrix(m, spec.n_skills, rng)
+    truth["qmatrix"] = q.matrix.tolist()
+    wins = np.zeros((n, spec.n_skills), dtype=np.int64)
+    fails = np.zeros((n, spec.n_skills), dtype=np.int64)
+    if spec.generator == "pfa":
+        skill_bias = rng.normal(0.0, spec.scale, size=spec.n_skills)
+        win_gain = np.abs(rng.normal(0.0, spec.scale / 4, size=spec.n_skills))
+        fail_gain = -np.abs(rng.normal(0.0, spec.scale / 4, size=spec.n_skills))
+        truth["skill_bias"] = skill_bias.tolist()
+        truth["win_gain"] = win_gain.tolist()
+        truth["fail_gain"] = fail_gain.tolist()
+
+        def score(student, item, kc):
+            return float(
+                skill_bias[kc].sum()
+                + (win_gain[kc] * wins[student, kc]).sum()
+                + (fail_gain[kc] * fails[student, kc]).sum()
+            )
+
+    else:
+        space = EncodingConfig(GENERATOR_BLOCKS["ktm"]).feature_space(n, m, spec.n_skills)
+        w = rng.normal(0.0, spec.scale / 2, size=space.width)
+        V = rng.normal(0.0, spec.scale / (2 * np.sqrt(spec.d)), size=(space.width, spec.d))
+        params = FMParams(0.0, w, V)
+        truth["w"] = w.tolist()
+        truth["V"] = V.tolist()
+        truth["blocks"] = list(space.blocks)
+
+        def score(student, item, kc):
+            x = np.zeros(space.width)
+            x[[space.column("users", student), space.column("items", item)]] = 1.0
+            x[space.offset("skills") + kc] = 1.0
+            x[space.offset("wins") + kc] = wins[student, kc]
+            x[space.offset("fails") + kc] = fails[student, kc]
+            cols = np.flatnonzero(x)
+            return float(raw_scores(params, DesignMatrix(space, [0, cols.size], cols, x[cols], [0]))[0])
+
+    triplets = []
+    for student in range(n):
+        for _ in range(spec.attempts):
+            for item in rng.permutation(m):
+                item = int(item)
+                kc = np.array(q.kc(item), dtype=np.int64)
+                outcome = draw(score(student, item, kc))
+                triplets.append(Triplet(student, item, outcome))
+                (wins if outcome else fails)[student, kc] += 1
+    return triplets, q, truth
+
+
+class TestSettledGenerators:
+    # (students, items, skills, d, attempts, scale); one skill forces a
+    # one-column q-matrix where every attempt moves the same counters
+    SHAPES = [(7, 5, 1, 1, 3, 1.0), (12, 9, 3, 2, 2, 1.0), (20, 6, 2, 3, 2, 3.0)]
+
+    @pytest.mark.parametrize("generator", sorted(GENERATOR_BLOCKS))
+    @pytest.mark.parametrize("link", list(Link))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_sequential_generators(self, generator, link, seed):
+        for n, m, n_skills, d, attempts, scale in self.SHAPES:
+            spec = SynthSpec(
+                generator,
+                n,
+                m,
+                n_skills=n_skills if generator in ("pfa", "ktm") else 0,
+                d=d if generator in ("mirt", "ktm") else 0,
+                attempts=attempts,
+                link=link,
+                seed=seed,
+                scale=scale,
+            )
+            data = generate_synthetic(spec)
+            triplets, q, truth = reference_synthetic(spec)
+            assert data.triplets == triplets
+            assert data.truth == truth
+            assert (q is None) == (data.qmatrix is None)
+            if q is not None:
+                assert np.array_equal(data.qmatrix.matrix, q.matrix)
+
+    def test_ktm_oracle_is_the_dense_fm_score(self):
+        spec = SynthSpec("ktm", 5, 4, n_skills=3, d=2, attempts=2, seed=8)
+        data = generate_synthetic(spec)
+        w, V = np.array(data.truth["w"]), np.array(data.truth["V"])
+        n, m, n_skills = 5, 4, 3
+        q = data.qmatrix.matrix
+        wins = np.zeros((n, n_skills))
+        fails = np.zeros((n, n_skills))
+        expected = []
+        for t in data.triplets:
+            kc = q[t.item]
+            x = np.concatenate(
+                [np.eye(n)[t.student], np.eye(m)[t.item], kc, kc * wins[t.student], kc * fails[t.student]]
+            )
+            z = sum(w[a] * x[a] for a in range(x.size))
+            z += sum(V[a] @ V[b] * x[a] * x[b] for a in range(x.size) for b in range(a + 1, x.size))
+            expected.append(1 / (1 + np.exp(-z)))
+            (wins if t.outcome else fails)[t.student] += kc
+        probs = oracle_probabilities(data.truth, data.triplets)
+        np.testing.assert_allclose(probs, expected, rtol=1e-12)
 
 
 class TestAssistmentsConverter:

@@ -345,6 +345,28 @@ class TestGibbsTrainer:
         gibbs_auc = auc(out.test_predictions, dm.labels[test_idx])
         assert abs(gibbs_auc - oracle_auc) <= 0.05
 
+    def test_tracks_oracle_on_probit_ktm_data(self):
+        # the ktm generator's own block set, counters included, fitted by Gibbs
+        from ktfm import SynthSpec, auc, encode_dataset, generate_synthetic, oracle_probabilities
+        from ktfm.datasets import GENERATOR_BLOCKS
+        from ktfm.encoding import EncodingConfig
+
+        data = generate_synthetic(
+            SynthSpec("ktm", 80, 20, n_skills=4, d=2, attempts=2, link=Link.PROBIT, seed=2)
+        )
+        config = EncodingConfig(GENERATOR_BLOCKS["ktm"])
+        dm = encode_dataset(data.triplets, data.qmatrix, config, 80)
+        perm = np.random.default_rng(0).permutation(len(dm))
+        cut = int(0.8 * len(dm))
+        train_idx, test_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
+        out = train_gibbs_probit(
+            dm.subset(train_idx), dm.subset(test_idx), TrainConfig(d=2, epochs=200, seed=1)
+        )
+        oracle = oracle_probabilities(data.truth, data.triplets)[test_idx]
+        oracle_auc = auc(oracle, dm.labels[test_idx])
+        gibbs_auc = auc(out.test_predictions, dm.labels[test_idx])
+        assert abs(gibbs_auc - oracle_auc) <= 0.05
+
     def test_burn_in_default_is_fifth(self):
         assert TrainConfig(epochs=500).effective_burn_in == 100
         assert TrainConfig(epochs=500, burn_in=42).effective_burn_in == 42
