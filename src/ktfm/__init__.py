@@ -2,7 +2,7 @@
 
 Encode chronological (student, item, outcome) logs into sparse feature rows
 (one-hot users/items/skills plus per-skill win/fail or attempt counters),
-fit a factorization machine by MAP gradient descent (logit link) or Gibbs
+fit a factorization machine by MAP coordinate descent (logit link) or Gibbs
 sampling (probit link), and evaluate under cross-validation. Classic student
 models fall out as encoding presets: IRT/Rasch, MIRT with biases, the
 additive factor model, and performance factor analysis.

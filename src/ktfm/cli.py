@@ -24,7 +24,7 @@ from .datasets import (
     load_triplets,
     write_synthetic,
 )
-from .encoding import EncodingError, encode_dataset, load_qmatrix, preset_encoding
+from .encoding import EncodingError, encode_dataset, load_qmatrix
 from .evaluation import (
     FoldSpec,
     encode_preset,
@@ -76,15 +76,15 @@ def _write_epoch_log(path, log_rows) -> None:
             fh.write(f"{row['epoch']},{float(row['train_nll'])!r}\n")
 
 
-def _reject_sgd_options_for_probit(link: str) -> None:
-    """Gibbs sampling reads neither a step size nor a penalty, so an explicit
-    ``--lr`` or ``--l2`` with ``--link probit`` is an error, not a silent no-op."""
-    if Link(link) is not Link.PROBIT:
-        return
+def _check_trainer_options(link: str) -> None:
+    """Gibbs sampling reads no penalty, so ``--l2`` (or ``--lr``) with ``--link probit`` is
+    an error, not a silent no-op; the MAP fit has no step size, so ``--lr`` is ignored with a note."""
     ctx = click.get_current_context()
-    for name in ("lr", "l2"):
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            raise click.ClickException(f"--{name} applies only to --link logit; Gibbs sampling does not read it")
+    given = [name for name in ("lr", "l2") if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if Link(link) is Link.PROBIT and given:
+        raise click.ClickException(f"--{given[0]} applies only to --link logit; Gibbs sampling does not read it")
+    if "lr" in given:
+        click.echo("--lr is ignored: the MAP fit takes bound steps and has no step size", err=True)
 
 
 class _Main(click.Group):
@@ -115,11 +115,15 @@ link_opt = click.option(
     type=click.Choice(["logit", "probit"]),
     default="logit",
     show_default=True,
-    help="logit trains by MAP gradient descent, probit by Gibbs sampling.",
+    help="logit fits the MAP by coordinate descent, probit samples by Gibbs.",
 )
-epochs_opt = click.option("--epochs", "--iters", "epochs", default=200, show_default=True)
-lr_opt = click.option("--lr", default=0.01, show_default=True, help="SGD step size (logit only).")
-l2_opt = click.option("--l2", default=0.0, show_default=True, help="L2 penalty (logit only).")
+epochs_opt = click.option(
+    "--epochs", "--iters", "epochs", default=200, show_default=True, help="MAP sweeps at most; Gibbs iterations."
+)
+# --lr set the step of the per-row SGD that coordinate descent replaced; it is
+# accepted and ignored, so that existing invocations keep running
+lr_opt = click.option("--lr", type=float, hidden=True, help="Ignored: the MAP fit has no step size.")
+l2_opt = click.option("--l2", default=1e-4, show_default=True, help="L2 penalty on w and V (logit only).")
 
 
 @main.command()
@@ -163,13 +167,13 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), help="Per-epoch metrics CSV.")
 def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
     """Fit a model on a full log and save it as versioned JSON."""
-    _reject_sgd_options_for_probit(link)
+    _check_trainer_options(link)
     for path in filter(None, (out, vocab_out, log_path)):
         if not Path(path).parent.is_dir():
             raise OSError(f"cannot write {path}: its directory does not exist")
     dataset = load_dataset(data, qmatrix, vocab)
     config, dm = encode_preset(dataset, preset, dim)
-    cfg = TrainConfig(d=dim, epochs=epochs, learning_rate=lr, l2=l2, seed=seed, burn_in=burn_in)
+    cfg = TrainConfig(d=dim, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
     epoch_log: list | None = [] if log_path else None
     if Link(link) is Link.PROBIT:
         params = train_gibbs_probit(dm, None, cfg, epoch_log=epoch_log).params
@@ -192,7 +196,7 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
     write_manifest(
         Path(out).with_suffix(".manifest.json"),
         "train",
-        {"preset": preset, "d": dim, "link": link, "epochs": epochs, "lr": lr, "l2": l2,
+        {"preset": preset, "d": dim, "link": link, "epochs": epochs, "l2": l2,
          "burn_in": burn_in, "seed": seed},
         {"data": data, "qmatrix": qmatrix or "", "vocab": vocab or ""},
     )
@@ -283,30 +287,18 @@ def evaluate(model, data, qmatrix, vocab, out):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, seed, out_dir):
     """Cross-validate a preset/dimension grid and write report CSVs."""
-    _reject_sgd_options_for_probit(link)
+    _check_trainer_options(link)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(data, qmatrix, vocab)
-    grid = []
-    for p in presets:
-        for d in dims:
-            try:
-                _, rule = preset_encoding(p, dataset.extra_columns)
-                rule.check(d)
-            except ValueError as exc:
-                if len(presets) * len(dims) == 1:
-                    raise
-                click.echo(f"skipping {p} at d={d}: {exc}", err=True)
-                continue
-            grid.append((p, d))
-    if not grid:
-        raise click.ClickException("no valid (preset, d) grid cells")
+    single = len(presets) * len(dims) == 1  # a lone cell raises its error rather than being skipped
     reports = run_cv(
         dataset,
-        grid,
+        [(p, d) for p in presets for d in dims],
         FoldSpec(k=folds, seed=seed, mode=f"by_{split}"),
-        TrainConfig(epochs=epochs, learning_rate=lr, l2=l2, seed=seed),
+        TrainConfig(epochs=epochs, l2=l2, seed=seed),
         Link(link),
+        skip=None if single else lambda p, d, exc: click.echo(f"skipping {p} at d={d}: {exc}", err=True),
     )
     with open(out / "report.csv", "w", newline="\n") as fh:
         write_fold_report(reports, fh)
@@ -320,7 +312,6 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
             "dims": list(dims),
             "link": link,
             "epochs": epochs,
-            "lr": lr,
             "l2": l2,
             "folds": folds,
             "split": split,

@@ -12,7 +12,7 @@ import csv
 import warnings
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -188,18 +188,15 @@ def cross_validate_encoded(
     return CVReport(preset=preset, d=d, folds=tuple(metrics))
 
 
+def _encode(ds, config: EncodingConfig) -> DesignMatrix:
+    return encode_dataset(ds.triplets, ds.qmatrix, config, ds.n_students, extras=ds.extras, n_items=ds.n_items)
+
+
 def encode_preset(dataset, preset: str, d: int) -> tuple[EncodingConfig, DesignMatrix]:
     """Encode a loaded dataset with a named preset, once the preset allows ``d``."""
     config, rule = preset_encoding(preset, dataset.extra_columns)
     rule.check(d)
-    return config, encode_dataset(
-        dataset.triplets,
-        dataset.qmatrix,
-        config,
-        dataset.n_students,
-        extras=dataset.extras,
-        n_items=dataset.n_items,
-    )
+    return config, _encode(dataset, config)
 
 
 def run_cv(
@@ -208,23 +205,37 @@ def run_cv(
     fold_spec: FoldSpec,
     train_config: TrainConfig,
     link: Link = Link.LOGIT,
+    *,
+    skip: Callable[[str, int, ValueError], None] | None = None,
 ) -> list[CVReport]:
     """Cross-validate every (preset, d) grid cell on one dataset.
 
-    Every cell's d is checked before any work. Each run of consecutive cells
-    with one preset shares one encoding of the full log (counters always see
-    the whole history), and all cells share one fold partition. Reports give
-    per-fold ACC/AUC/NLL and come back sorted by mean AUC, best first.
+    Every cell is checked once, before any work: a bad cell raises, or is
+    handed to ``skip`` and left out. Each run of consecutive cells with one
+    preset shares one encoding of the full log (counters always see the whole
+    history), and all cells share one fold partition. Reports give per-fold
+    ACC/AUC/NLL and come back sorted by mean AUC, best first.
     """
+    cells, configs = [], {}
     for preset, d in grid:
-        preset_encoding(preset, dataset.extra_columns)[1].check(d)
+        try:
+            config, rule = preset_encoding(preset, dataset.extra_columns)
+            rule.check(d)
+        except ValueError as exc:
+            if skip is None:
+                raise
+            skip(preset, d, exc)
+            continue
+        cells.append((preset, d))
+        configs[preset] = config
+    if not cells:
+        raise ValueError("no valid (preset, d) grid cells")
     students = [t.student for t in dataset.triplets]
     folds = make_folds(len(dataset.triplets), fold_spec, students)
     reports = []
-    for preset, cells in groupby(grid, key=lambda cell: cell[0]):
-        dims = [d for _, d in cells]
-        _, encoded = encode_preset(dataset, preset, dims[0])
-        for d in dims:
+    for preset, run in groupby(cells, key=lambda cell: cell[0]):
+        encoded = _encode(dataset, configs[preset])
+        for _, d in run:
             reports.append(
                 cross_validate_encoded(
                     encoded, preset, d, folds, replace(train_config, d=d), link

@@ -1,41 +1,30 @@
-"""Model fitting: MAP by per-row SGD (logit) and Gibbs sampling (probit).
+"""Model fitting: MAP by coordinate descent (logit) and Gibbs sampling (probit).
 
-The MAP fit is per-row stochastic gradient descent on the logit NLL with an
-L2 penalty on the per-feature parameters (fixed Gaussian priors; the global
-bias is not penalized). A step shrinks only the columns its row touches, so
-an epoch penalizes a column once per row that contains it, and the fit
-minimizes
+Both trainers move the parameters one class of columns at a time. The score
+is linear in each single parameter, and columns that share no training row
+touch disjoint scores, so the columns are coloured once per fit, first-fit in
+column order, into classes of row-disjoint columns, and one numpy step moves a
+whole class (``_class_steps``); a half-sweep (w, or one column of V) takes the
+classes in class order. The trainers differ only in the step.
 
-    mean NLL + (l2 / 2) * sum_k (n_k / N) * |theta_k|^2,
+The MAP fit minimizes mean NLL + (l2 / 2) * (|w|^2 + |V|^2) under the logit
+link, the global bias unpenalized. A sweep steps the bias, then w, then each
+column of V. With h = d score / d theta_k on the rows of column k and
+lam = l2 * N, a column steps to theta_k - g / H, where g = sum h (p - y) +
+lam theta_k and H = sum h^2 / 4 + lam (the bias likewise, with h = 1 and no
+penalty): as p (1 - p) <= 1/4, the minimum of a quadratic lying above the
+objective (Böhning & Lindsay, 1988), so no step raises the objective and there
+is no step size. A column with H = 0 keeps its value. This is libFM's
+coordinate descent (Rendle, 2012) with the bound in place of the curvature.
 
-where n_k of the N rows touch column k and theta_k is w_k and V[k]: frequent
-columns are penalized more.
-
-The Gibbs sampler treats each binary outcome through a latent Gaussian
-utility:
-
-    z_i ~ Normal(score_i, 1), truncated to (0, inf) when y_i = 1
-                              and to (-inf, 0) when y_i = 0,
-
-then draws every parameter from its Gaussian conditional, which is available
-in closed form because the score is linear in each single parameter. Biases
-share one (mean, precision) prior group; each factor dimension gets its own
-group; group means and precisions are resampled from fixed Normal(0, 1) and
-Gamma(1, 1) hyperpriors, as in libFM's MCMC. Test predictions are averaged
-over the post-burn-in iterations.
-
-The SGD loop keeps scalars as plain floats, with one gather and one scatter
-per row; a test pins it bit for bit to a reference loop that gathers twice.
-
-A Gibbs half-sweep (w, or one column of V) is blocked: columns that share no
-training row have independent conditionals given the residuals, so the
-columns are coloured once per fit, first-fit in column order, into classes
-whose columns share no row, and each class is drawn in one numpy step
-(Freudenthaler et al., Bayesian Factorization Machines, 2011). Within a
-half-sweep the classes are drawn in class order, and column k takes the k-th
-of one vector of normals. Tests check a blocked half-sweep against a loop that
-draws one column at a time in that order, and the sampler against the older
-column-order one by held-out AUC and NLL over several seeds.
+The Gibbs sampler treats each binary outcome through a latent utility
+z_i ~ Normal(score_i, 1), truncated to the side of zero its label dictates,
+and draws every parameter from its Gaussian conditional. Biases share one
+(mean, precision) prior group and each factor dimension has its own, each
+resampled under fixed Normal(0, 1) and Gamma(1, 1) hyperpriors as in libFM's
+MCMC. Given the residuals, the columns of a class have independent
+conditionals, so a class is drawn in one step (Freudenthaler et al., 2011).
+Test predictions are averaged over the post-burn-in iterations.
 """
 
 from __future__ import annotations
@@ -47,11 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PROB_EPS, FMParams, Link, raw_scores
+from .model import FMParams, Link, raw_scores
 from .sparse import DesignMatrix
 
 NLL_EPS = 1e-12
 _INIT_SCALE = 0.01  # standard deviation of the initial factor entries
+_MAP_TOL = 1e-6  # a MAP fit stops once a sweep lowers its objective by less than this share
 _TINY = np.finfo(np.float64).tiny
 # Hyperpriors of every Gibbs group: mean ~ Normal(0, 1 / _MEAN_PRIOR_PRECISION),
 # precision ~ Gamma(_PRECISION_SHAPE, _PRECISION_RATE)
@@ -61,17 +51,16 @@ _PRECISION_RATE = 1.0
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss or parameters became non-finite (learning rate too large)."""
+    """Parameters or a Gibbs precision or variance became non-finite or zero."""
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs shared by both trainers; `epochs` doubles as MCMC iterations."""
+    """Knobs shared by both trainers; `epochs` caps the MAP sweeps and counts the MCMC iterations."""
 
     d: int = 0
     epochs: int = 200
-    learning_rate: float = 0.01
-    l2: float = 0.0
+    l2: float = 1e-4  # MAP only
     seed: int = 0
     burn_in: int | None = None  # Gibbs only; defaults to epochs // 5
 
@@ -80,8 +69,6 @@ class TrainConfig:
             raise ValueError("d must be >= 0")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
         if self.burn_in is not None and not 0 <= self.burn_in < self.epochs:
@@ -152,67 +139,59 @@ def _epoch_row(epoch: int, params: FMParams, data: DesignMatrix, link: Link) -> 
     return {"epoch": epoch, "train_nll": nll(link.inverse(raw_scores(params, data)), data.labels)}
 
 
-def _logistic(z: float) -> float:
-    """``float(Link.LOGIT.inverse(z))`` without numpy's per-call cost (exp(-z) overflows below -709)."""
-    return PROB_EPS if z < -709.0 else min(max(1.0 / (1.0 + math.exp(-z)), PROB_EPS), 1.0 - PROB_EPS)
-
-
-def _row_gradient(
-    bias: float, wk: np.ndarray, Vk: np.ndarray | None, xv: np.ndarray, y: float
-) -> tuple[float, np.ndarray | None]:
-    """Logit-NLL gradient of one row with entries ``xv``, given ``wk = w[idx]`` and ``Vk = V[idx]``.
-
-    Returns the residual g = p - y, which is d loss / d bias and, times
-    ``xv``, d loss / d w[idx]; and, when Vk is set, d loss / d V[idx]. The SGD
-    loop takes every step from this function, so checking it against finite
-    differences checks the trainer's own gradient.
-    """
-    z = bias + wk @ xv
-    if Vk is not None:
-        vx = Vk * xv[:, None]
-        qf = vx.sum(axis=0)
-        z += 0.5 * (qf @ qf - (vx * vx).sum())
-    g = _logistic(z) - y
-    if Vk is None:
-        return g, None
-    return g, g * (xv[:, None] * qf[None, :] - (xv * xv)[:, None] * Vk)
+def _probability(z: np.ndarray) -> np.ndarray:
+    """The logistic function, by tanh so that no exp overflows (scipy is not imported)."""
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def train_map_logit(
     data: DesignMatrix, config: TrainConfig, *, epoch_log: list | None = None
 ) -> FMParams:
-    """MAP fit under the logit link by per-row SGD, shuffled by the seed each epoch.
-
-    A step on row i with label y takes the residual (p - y) times
-
-        d score / d w_k    = x_k
-        d score / d V_kf   = x_k * q_f - x_k^2 * V_kf,   q_f = sum_l x_l V_lf,
-
-    plus l2 times each touched parameter, so the fit minimizes
-    mean NLL + (l2 / 2) * sum_k (n_k / N) * |theta_k|^2.
-    """
+    """MAP fit under the logit link by colour-blocked coordinate descent: one sweep per
+    epoch, until a sweep lowers the objective by less than ``_MAP_TOL`` of its value
+    or ``config.epochs`` sweeps have run. Epoch-log rows also carry the objective."""
     bias, w, V = _start(data, config)
-    lr, l2 = config.learning_rate, config.l2
-    cols, vals = data.indices, data.data
-    row_ptr, labels = data.indptr.tolist(), data.labels.astype(np.float64).tolist()
+    y = data.labels.astype(np.float64)
+    lam = config.l2 * len(data)
+    blocks, empty = _colour_blocks(data)
 
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    def residual(rows, old, h):
+        return _probability(scores[rows]) - y[rows]
 
+    scores, Q = np.zeros(len(data)), None  # the bias and w start at zero
+    if V is not None:
+        # V steps from zero to its start, which fills in the scores and
+        # Q[f] = X @ V[:, f]; the penalty alone pulls a column no row touches to zero
+        start, V[:] = V.copy(), 0.0
+        Q = np.zeros((config.d, len(data)))
+        for f in range(config.d):
+            _class_steps(V[:, f], blocks, Q[f], scores, residual, lambda cols, old, hh, hr: start[cols, f])
+        if not lam:
+            V[empty] = start[empty]
+
+    def objective():  # mean logit NLL + (l2 / 2) * (|w|^2 + |V|^2)
+        penalty = float(w @ w) + (0.0 if V is None else float((V * V).sum()))
+        return float(np.mean(np.logaddexp(0.0, scores) - y * scores)) + 0.5 * config.l2 * penalty
+
+    def bound_step(cols, old, hh, hr):  # old - g / H, or old where H = 0
+        curvature = 0.25 * hh + lam
+        return old - np.divide(hr + lam * old, curvature, out=np.zeros_like(old), where=curvature > 0)
+
+    current = objective()
     for epoch in range(config.epochs):
-        for r in shuffle_rng.permutation(len(data)).tolist():
-            lo, hi = row_ptr[r], row_ptr[r + 1]
-            idx = cols[lo:hi]
-            xv = vals[lo:hi]
-            wk = w[idx]
-            Vk = None if V is None else V[idx]
-            g, gV = _row_gradient(bias, wk, Vk, xv, labels[r])
-            bias -= lr * g
-            w[idx] = wk - lr * (g * xv + l2 * wk)
-            if V is not None:
-                V[idx] = Vk - lr * (gV + l2 * Vk)
+        step = 4.0 * float(np.mean(_probability(scores) - y))  # the bias: h = 1, so H = N / 4
+        bias -= step
+        scores -= step
+        _class_steps(w, blocks, None, scores, residual, bound_step)
+        if V is not None:
+            for f in range(config.d):
+                _class_steps(V[:, f], blocks, Q[f], scores, residual, bound_step)
         params = _finite(bias, w, V, epoch)
+        previous, current = current, objective()
         if epoch_log is not None:
-            epoch_log.append(_epoch_row(epoch, params, data, Link.LOGIT))
+            epoch_log.append({**_epoch_row(epoch, params, data, Link.LOGIT), "objective": current})
+        if previous - current < _MAP_TOL * abs(current):
+            break
     return params
 
 
@@ -271,21 +250,27 @@ def _draw(prior: float, prior_prec: float, h_dot_r: float, h_dot_h: float, noise
     return (prior + h_dot_r) * var + noise * math.sqrt(var)
 
 
-def _colour_blocks(Xc) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
-    """Split the columns of the CSC matrix ``Xc`` into classes that share no row.
+def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """Split the columns of ``data`` into classes that share no row.
 
     Columns are coloured first-fit in column order: each takes the smallest
     class none of its rows is in yet. Returns, per class in class order, its
-    columns in column order, the concatenation of their rows and values, and
-    each entry's segment (the position of its column within the class); and,
-    apart, the columns no row touches.
+    columns in column order, the concatenation of their rows (ascending per
+    column) and values, and each entry's segment (the position of its column
+    within the class); and, apart, the columns no row touches.
     """
-    counts = np.diff(Xc.indptr)
+    # CSC order without scipy: stable radix sorts (numpy's take 16-bit keys) by the low, then the high
+    # half of the column; rows and segments are intp, as int32 indices gather at half speed or less
+    by_column = np.argsort(data.indices.astype(np.uint16), kind="stable")
+    by_column = by_column[np.argsort((data.indices[by_column] >> 16).astype(np.uint16), kind="stable")]
+    col_rows = np.repeat(np.arange(len(data)), np.diff(data.indptr))[by_column]
+    counts = np.bincount(data.indices, minlength=data.space.width)
+    col_ptr = np.r_[0, np.cumsum(counts)]
     touched = np.flatnonzero(counts)
-    colour = np.full(Xc.shape[1], -1)
-    used = np.zeros((Xc.shape[0], 8), dtype=bool)  # used[r, c]: a column of class c has row r
+    colour = np.full(counts.size, -1)
+    used = np.zeros((len(data), 8), dtype=bool)  # used[r, c]: a column of class c has row r
     for k in touched.tolist():
-        rows = Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]]
+        rows = col_rows[col_ptr[k] : col_ptr[k + 1]]
         free = np.flatnonzero(~used[rows].any(axis=0))
         if free.size:
             c = free[0]
@@ -294,16 +279,18 @@ def _colour_blocks(Xc) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
             used = np.hstack([used, np.zeros_like(used)])
         colour[k] = c
         used[rows, c] = True
+    del used
     edges = np.arange(colour.max(initial=-1) + 2)  # class c spans [edges[c], edges[c + 1])
     cols = touched[np.argsort(colour[touched], kind="stable")]
     col_cut = np.searchsorted(colour[cols], edges)
-    local = np.zeros(colour.size, dtype=np.intp)
-    local[cols] = np.arange(cols.size) - col_cut[colour[cols]]
-    # CSC entries run in column order, and a stable sort by class keeps that order
-    entry_colour = np.repeat(colour, counts)
-    order = np.argsort(entry_colour, kind="stable")
-    cut = np.searchsorted(entry_colour[order], edges)
-    rows, vals, seg = Xc.indices[order], Xc.data[order], np.repeat(local, counts)[order]
+    # each column's CSC entries, the columns in class order
+    sizes = counts[cols]
+    ends = np.cumsum(sizes)
+    order = np.repeat(col_ptr[cols] + sizes - ends, sizes)
+    order += np.arange(order.size)
+    cut = np.r_[0, ends][col_cut]
+    seg = np.repeat(np.arange(cols.size) - col_cut[colour[cols]], sizes)
+    rows, vals = col_rows[order], data.data[by_column[order]]
     blocks = [
         (cols[a:b], rows[c:d], vals[c:d], seg[c:d])
         for a, b, c, d in zip(col_cut, col_cut[1:], cut, cut[1:])
@@ -311,35 +298,45 @@ def _colour_blocks(Xc) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
     return blocks, np.flatnonzero(counts == 0)
 
 
-def _sweep(
-    values: np.ndarray, blocks, empty: np.ndarray, qf: np.ndarray | None, e: np.ndarray, group, rng
-) -> None:
-    """Draw every entry of ``values`` in place, one class of ``_colour_blocks`` at a time.
+def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.ndarray, residual, step) -> None:
+    """Move every touched entry of ``values`` in place, one class of ``_colour_blocks`` at a time.
 
-    On the rows of column k, d score / d entry k is h: the column's values for
-    w (``qf`` None), or x_k * (q_f - x_k * V[k, f]) for factor f, whose
-    q_f = X @ V[:, f] is kept in sync, as are the residuals ``e``. Columns of
-    one class share no row, so their conditionals are independent given the
-    rest and one numpy step draws them all; a column no row touches is a pure
-    prior draw. Entry k takes the k-th of one vector of normals.
+    On the rows of column k, h = d score / d entry k: the column's values for
+    w (``qf`` None), or x_k * (q_f - x_k * V[k, f]) for factor f, with q_f =
+    X @ V[:, f]. ``step(cols, old, hh, hr)`` maps the old values and the sums
+    hh = sum h^2 and hr = sum h * residual(rows, old, h) per column to the new
+    values; ``target`` (scores or residuals) and q_f move by the change.
     """
-    mean, prec = group.mean, group.precision
-    noise = rng.standard_normal(len(values))
-    values[empty] = mean + noise[empty] / math.sqrt(prec)
     for cols, rows, xv, seg in blocks:
         old = values[cols]
         old_e = old[seg]
         h = xv if qf is None else xv * (qf[rows] - xv * old_e)
-        var = 1.0 / (prec + np.bincount(seg, h * h, len(cols)))
-        if not np.isfinite(var).all():
-            raise TrainingDivergedError("non-finite conditional variance in Gibbs sweep")
-        h_dot_r = np.bincount(seg, h * (old_e * h - e[rows]), len(cols))
-        new = (prec * mean + h_dot_r) * var + noise[cols] * np.sqrt(var)
+        hh = np.bincount(seg, h * h, len(cols))
+        hr = np.bincount(seg, h * residual(rows, old_e, h), len(cols))
+        new = step(cols, old, hh, hr)
         delta = (new - old)[seg]
-        e[rows] += delta * h
+        target[rows] += delta * h
         if qf is not None:
             qf[rows] += delta * xv
         values[cols] = new
+
+
+def _sweep(
+    values: np.ndarray, blocks, empty: np.ndarray, qf: np.ndarray | None, e: np.ndarray, group, rng
+) -> None:
+    """Draw every entry of ``values`` in place from its Gaussian conditional given
+    the residuals ``e``; entry k takes the k-th of one vector of normals."""
+    mean, prec = group.mean, group.precision
+    noise = rng.standard_normal(len(values))
+    values[empty] = mean + noise[empty] / math.sqrt(prec)
+
+    def draw(cols, old, hh, hr):
+        var = 1.0 / (prec + hh)
+        if not np.isfinite(var).all():
+            raise TrainingDivergedError("non-finite conditional variance in Gibbs sweep")
+        return (prec * mean + hr) * var + noise[cols] * np.sqrt(var)
+
+    _class_steps(values, blocks, qf, e, lambda rows, old, h: old * h - e[rows], draw)
 
 
 def train_gibbs_probit(
@@ -368,7 +365,7 @@ def train_gibbs_probit(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
 
     X = train.csr
-    blocks, empty = _colour_blocks(X.tocsc())
+    blocks, empty = _colour_blocks(train)
     positive = train.labels.astype(bool)
 
     bias_group = _GroupState("bias and w")

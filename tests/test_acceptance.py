@@ -36,7 +36,12 @@ from ktfm.cli import main as cli_main
 from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, EXAMPLE_TRIPLETS, FULL_CONFIG, matrix_from_rows
 from tests.test_evaluation import all_pairs_auc
 from tests.test_model import brute_force_score, random_instance
-from tests.test_training import logit_loss, moderate_instance, row_gradient
+from tests.test_training import (
+    assert_matches_central_differences,
+    make_matrix,
+    moderate_instance,
+    objective_gradient,
+)
 
 
 @contextmanager
@@ -77,42 +82,22 @@ def test_criterion_2_fast_score_identity():
 
 
 def test_criterion_3_gradient_check():
-    with criterion("C3 gradient check: the SGD step's gradient vs central differences at 1e-4"):
-        step = 1e-5
+    with criterion("C3 gradient check: the MAP objective's gradient vs central differences at 1e-4"):
         for d in (0, 5):
             rng = np.random.default_rng(300 + d)
-            for _ in range(20):
-                params, row = moderate_instance(rng, n=12, d=d)
-                y = int(rng.integers(0, 2))
-                g_bias, g_w, g_V = row_gradient(params, row, y)
+            for _ in range(10):
+                params, data = moderate_instance(rng, n=12, d=d, n_rows=8)
+                assert_matches_central_differences(params, data, l2=0.05)
 
-                def loss_at(bias, w, V):
-                    return logit_loss(FMParams(bias, w, V), row, y)
-
-                def check(analytic, numeric):
-                    err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
-                    assert err <= 1e-4
-
-                check(
-                    g_bias,
-                    (loss_at(params.bias + step, params.w, params.V)
-                     - loss_at(params.bias - step, params.w, params.V)) / (2 * step),
-                )
-                for k in row.indices:
-                    w_hi, w_lo = params.w.copy(), params.w.copy()
-                    w_hi[k] += step
-                    w_lo[k] -= step
-                    fd = (loss_at(params.bias, w_hi, params.V)
-                          - loss_at(params.bias, w_lo, params.V)) / (2 * step)
-                    check(g_w[k], fd)
-                    if d:
-                        for f in range(d):
-                            V_hi, V_lo = params.V.copy(), params.V.copy()
-                            V_hi[k, f] += step
-                            V_lo[k, f] -= step
-                            fd = (loss_at(params.bias, params.w, V_hi)
-                                  - loss_at(params.bias, params.w, V_lo)) / (2 * step)
-                            check(g_V[k, f], fd)
+    with criterion("C3 first-order optimality: |gradient| <= 1e-3 at a converged fit"):
+        for d in (0, 3):
+            data = make_matrix(np.random.default_rng(30), n_rows=80, width=10, max_nnz=4)
+            log: list = []
+            params = train_map_logit(data, TrainConfig(d=d, epochs=5000, l2=0.05, seed=0), epoch_log=log)
+            assert len(log) < 5000  # stopped on its tolerance
+            g_bias, g_w, g_V = objective_gradient(params, data, l2=0.05)
+            gradient = np.concatenate([[g_bias], g_w, [] if g_V is None else g_V.ravel()]) / len(data)
+            assert np.abs(gradient).max() <= 1e-3
 
 
 def test_criterion_4_auc_oracle():
@@ -213,7 +198,7 @@ def test_criterion_6_parameter_recovery():
     dm = encode_dataset(data.triplets, None, config, 200, n_items=20)
 
     with criterion("C6a MAP recovery: item-difficulty correlation >= 0.9"):
-        params = train_map_logit(dm, TrainConfig(epochs=200, learning_rate=0.01, seed=0))
+        params = train_map_logit(dm, TrainConfig(epochs=200, seed=0))
         recovered = -params.w[dm.space.offset("items") : dm.space.offset("items") + 20]
         r = np.corrcoef(np.array(data.truth["difficulty"]), recovered)[0, 1]
         assert r >= 0.9
@@ -290,6 +275,8 @@ def assistments_dataset(tmp_path_factory):
 
 
 def _assistments_auc(dataset, preset, d):
+    # the MAP fit at the CLI's default penalty, l2 = 1e-4; --epochs caps its
+    # sweeps, and the fit stops earlier once the objective settles
     from ktfm.evaluation import run_cv
 
     key = (preset, d)
@@ -298,7 +285,7 @@ def _assistments_auc(dataset, preset, d):
             dataset,
             [(preset, d)],
             FoldSpec(k=5, seed=42),
-            TrainConfig(epochs=ASSISTMENTS_EPOCHS, learning_rate=0.01, seed=42),
+            TrainConfig(epochs=ASSISTMENTS_EPOCHS, l2=1e-4, seed=42),
         )
         _cell_cache[key] = reports[0].mean_auc
     return _cell_cache[key]

@@ -255,7 +255,7 @@ class TestTrainPredictEvaluate:
             runner,
             [
                 "train", "--data", str(data), "--qmatrix", str(qfile), "--preset", "pfa",
-                "--epochs", "20", "--lr", "0.1", "--out", str(model), "--vocab-out", str(vocab),
+                "--epochs", "20", "--out", str(model), "--vocab-out", str(vocab),
             ],
         )
         invoke(
@@ -336,6 +336,59 @@ class TestCvCommand:
         invoke(runner, args + ["--out-dir", str(tmp_path / "r2")])
         assert (tmp_path / "r1" / "report.csv").read_bytes() == (tmp_path / "r2" / "report.csv").read_bytes()
         assert (tmp_path / "r1" / "summary.csv").read_bytes() == (tmp_path / "r2" / "summary.csv").read_bytes()
+
+    def test_each_cell_is_checked_once(self, runner, tmp_path, monkeypatch):
+        import ktfm.evaluation as evaluation
+
+        checked = []
+        lookup = evaluation.preset_encoding
+        monkeypatch.setattr(
+            evaluation, "preset_encoding", lambda name, *a: checked.append(name) or lookup(name, *a)
+        )
+        synth = tmp_path / "synth"
+        invoke(runner, ["synth", "--students", "12", "--items", "5", "--seed", "8", "--out-dir", str(synth)])
+        result = invoke(
+            runner,
+            [
+                "cv", "--data", str(synth / "triplets.csv"), "--preset", "irt", "--preset", "mirtb",
+                "--d", "0", "--d", "2", "--folds", "2", "--epochs", "2", "--out-dir", str(tmp_path / "cv"),
+            ],
+        )
+        assert checked == ["irt", "irt", "mirtb", "mirtb"]
+        assert result.stderr.splitlines() == [
+            "skipping irt at d=2: this preset requires d = 0, got d = 2",
+            "skipping mirtb at d=0: this preset requires d > 0, got d = 0",
+        ]
+
+    def test_benchmark_invocation_beats_the_base_rate(self, runner, tmp_path):
+        # the flags of perfbench's sgd-cv workload, --lr included, on a small ktm log
+        synth = tmp_path / "synth"
+        invoke(
+            runner,
+            [
+                "synth", "--generator", "ktm", "--students", "40", "--items", "15", "--skills", "4",
+                "--d", "2", "--attempts", "2", "--seed", "3", "--out-dir", str(synth),
+            ],
+        )
+        out = tmp_path / "cv"
+        result = runner.invoke(
+            main,
+            [
+                "cv", "--data", str(synth / "triplets.csv"), "--qmatrix", str(synth / "qmatrix.csv"),
+                "--link", "logit", "--lr", "0.0001", "--epochs", "1",
+                "--preset", "pfa", "--preset", "ktm-iswf", "--d", "0", "--d", "5",
+                "--folds", "5", "--seed", "1", "--out-dir", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr.count("--lr is ignored") == 1
+        labels = np.array([int(line.split(",")[2]) for line in (synth / "triplets.csv").read_text().splitlines()[1:]])
+        rate = labels.mean()
+        base_nll = -(rate * np.log(rate) + (1 - rate) * np.log(1 - rate))
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        cells = {"/".join(row.split(",")[:2]): float(row.split(",")[4]) for row in rows}
+        assert sorted(cells) == ["ktm-iswf/0", "ktm-iswf/5", "pfa/0"]
+        assert all(nll < base_nll for nll in cells.values())
 
 
 class TestExportEmbeddings:

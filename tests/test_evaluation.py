@@ -217,6 +217,20 @@ class TestRunCv:
         with pytest.raises(ValueError, match="d = 0"):
             run_cv(synthetic_dataset(), [("irt", 0), ("irt", 5)], FoldSpec(k=2), TrainConfig(epochs=2))
 
+    def test_skipped_cells_are_handed_over_and_left_out(self):
+        skipped = []
+        reports = run_cv(
+            synthetic_dataset(seed=1, n_students=12, n_items=6),
+            [("irt", 5), ("irt", 0), ("nope", 0)],
+            FoldSpec(k=2, seed=0),
+            TrainConfig(epochs=2, seed=0),
+            skip=lambda preset, d, exc: skipped.append((preset, d, type(exc))),
+        )
+        assert [(r.preset, r.d) for r in reports] == [("irt", 0)]
+        assert skipped == [("irt", 5, ValueError), ("nope", 0, ValueError)]
+        with pytest.raises(ValueError, match="no valid"):
+            run_cv(synthetic_dataset(), [("irt", 5)], FoldSpec(k=2), TrainConfig(epochs=2), skip=lambda *a: None)
+
     def test_degenerate_fold_reports_missing_auc(self):
         # one student answers everything right; splitting by student makes
         # that fold's test labels single-class

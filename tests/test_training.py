@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from ktfm import (
+    DesignMatrix,
     FMParams,
     Link,
     TrainConfig,
@@ -17,14 +19,15 @@ from ktfm import (
     train_gibbs_probit,
     train_map_logit,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ktfm.training import (
+    _class_steps,
     _colour_blocks,
     _finite,
     _GroupState,
-    _logistic,
-    _row_gradient,
+    _probability,
     _sweep,
     sample_truncated_normal,
 )
@@ -97,91 +100,136 @@ class TestInitParams:
         assert 0.005 <= draws.std() <= 0.02
 
 
-def moderate_instance(rng, n=12, d=0, max_nnz=6):
-    """Random instance whose score stays far from link saturation."""
+def moderate_instance(rng, n=12, d=0, max_nnz=6, n_rows=1):
+    """Random parameters and ``n_rows`` labelled rows whose scores stay far from link saturation."""
     w = 0.3 * rng.normal(size=n)
     V = 0.3 * rng.normal(size=(n, d)) if d else None
     params = FMParams(0.3 * rng.normal(), w, V)
-    nnz = int(rng.integers(1, max_nnz + 1))
-    idx = np.sort(rng.choice(n, size=nnz, replace=False))
-    vals = rng.integers(1, 3, size=nnz).astype(float)
-    return params, matrix_from_rows(n, [list(zip(idx.tolist(), vals.tolist()))])
+    rows = []
+    for _ in range(n_rows):
+        nnz = int(rng.integers(1, max_nnz + 1))
+        idx = np.sort(rng.choice(n, size=nnz, replace=False))
+        vals = rng.integers(1, 3, size=nnz).astype(float)
+        rows.append(list(zip(idx.tolist(), vals.tolist())))
+    return params, matrix_from_rows(n, rows, rng.integers(0, 2, size=n_rows))
 
 
-def row_gradient(params: FMParams, row, label: int):
-    """Dense (d/d bias, d/d w, d/d V) of one row's logit NLL, from the SGD kernel."""
-    Vk = None if params.V is None else params.V[row.indices]
-    g, gV_rows = _row_gradient(params.bias, params.w[row.indices], Vk, row.data, label)
-    g_w = np.zeros(params.n_features)
-    g_w[row.indices] = g * row.data
+def map_objective(params: FMParams, data, l2: float) -> float:
+    """The MAP objective, mean logit NLL + (l2 / 2) * (|w|^2 + |V|^2), from the one FM score."""
+    z = raw_scores(params, data)
+    penalty = params.w @ params.w + (0.0 if params.V is None else (params.V**2).sum())
+    return float(np.mean(np.logaddexp(0.0, z) - data.labels * z)) + 0.5 * l2 * penalty
+
+
+def objective_gradient(params: FMParams, data, l2: float):
+    """N times the gradient of ``map_objective`` (d/d bias, d/d w, d/d V), as
+    the MAP trainer forms it: its blocked kernel builds h and sums h (p - y)
+    per column, and a step rule that moves nothing adds them to l2 N theta."""
+    w = params.w.copy()
+    V = None if params.V is None else params.V.copy()
+    blocks, _ = _colour_blocks(data)
+    scores = raw_scores(params, data)
+    Q = None if V is None else (data.csr @ V).T.copy()
+    y = data.labels.astype(np.float64)
+
+    def residual(rows, old, h):
+        return _probability(scores[rows]) - y[rows]
+
+    def adding_to(gradient):
+        def step(cols, old, hh, hr):
+            gradient[cols] += hr
+            return old
+
+        return step
+
+    g_w = l2 * len(data) * w
+    _class_steps(w, blocks, None, scores, residual, adding_to(g_w))
     g_V = None
-    if params.V is not None:
-        g_V = np.zeros_like(params.V)
-        g_V[row.indices] = gV_rows
-    return g, g_w, g_V
+    if V is not None:
+        g_V = l2 * len(data) * V
+        for f in range(V.shape[1]):
+            _class_steps(V[:, f], blocks, Q[f], scores, residual, adding_to(g_V[:, f]))
+    return float((_probability(scores) - y).sum()), g_w, g_V
 
 
-def logit_loss(params: FMParams, row, label: int) -> float:
-    p = float(Link.LOGIT.inverse(raw_scores(params, row)[0]))
-    return -(label * math.log(p) + (1 - label) * math.log(1 - p))
+def assert_matches_central_differences(params: FMParams, data, l2: float, step: float = 1e-5):
+    """Every coordinate of ``objective_gradient`` within 1e-4 of central differences."""
+    g_bias, g_w, g_V = objective_gradient(params, data, l2)
+
+    def loss_at(bias, w, V):
+        return len(data) * map_objective(FMParams(bias, w, V), data, l2)
+
+    def check(analytic, numeric):
+        # the floor keeps finite-difference roundoff (~1e-10 at this step
+        # size) from dominating near-zero coordinates
+        assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5) <= 1e-4
+
+    check(g_bias, (loss_at(params.bias + step, params.w, params.V)
+                   - loss_at(params.bias - step, params.w, params.V)) / (2 * step))
+    for k in range(params.n_features):
+        w_hi, w_lo = params.w.copy(), params.w.copy()
+        w_hi[k] += step
+        w_lo[k] -= step
+        check(g_w[k], (loss_at(params.bias, w_hi, params.V) - loss_at(params.bias, w_lo, params.V)) / (2 * step))
+        for f in range(params.d):
+            V_hi, V_lo = params.V.copy(), params.V.copy()
+            V_hi[k, f] += step
+            V_lo[k, f] -= step
+            check(g_V[k, f], (loss_at(params.bias, params.w, V_hi) - loss_at(params.bias, params.w, V_lo)) / (2 * step))
 
 
 class TestGradients:
     @pytest.mark.parametrize("d", [0, 5])
     def test_matches_central_differences(self, d):
+        # the trainer's g = sum h (p - y) + l2 N theta, untouched columns included
         rng = np.random.default_rng(40 + d)
-        step = 1e-5
-        for _ in range(20):
-            params, row = moderate_instance(rng, n=12, d=d)
-            y = int(rng.integers(0, 2))
-            g_bias, g_w, g_V = row_gradient(params, row, y)
-
-            def loss_at(bias, w, V):
-                return logit_loss(FMParams(bias, w, V), row, y)
-
-            def rel_err(analytic, numeric):
-                # the floor keeps finite-difference roundoff (~1e-10 at this
-                # step size) from dominating near-zero coordinates
-                return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
-
-            fd_bias = (
-                loss_at(params.bias + step, params.w, params.V)
-                - loss_at(params.bias - step, params.w, params.V)
-            ) / (2 * step)
-            assert rel_err(g_bias, fd_bias) <= 1e-4
-
-            for k in row.indices:
-                w_hi, w_lo = params.w.copy(), params.w.copy()
-                w_hi[k] += step
-                w_lo[k] -= step
-                fd = (loss_at(params.bias, w_hi, params.V) - loss_at(params.bias, w_lo, params.V)) / (2 * step)
-                assert rel_err(g_w[k], fd) <= 1e-4
-
-            if d:
-                for k in row.indices:
-                    for f in range(d):
-                        V_hi, V_lo = params.V.copy(), params.V.copy()
-                        V_hi[k, f] += step
-                        V_lo[k, f] -= step
-                        fd = (
-                            loss_at(params.bias, params.w, V_hi)
-                            - loss_at(params.bias, params.w, V_lo)
-                        ) / (2 * step)
-                        assert rel_err(g_V[k, f], fd) <= 1e-4
+        for _ in range(10):
+            params, data = moderate_instance(rng, n=12, d=d, n_rows=8)
+            assert_matches_central_differences(params, data, l2=0.05)
 
     def test_untouched_coordinates_have_zero_gradient(self):
-        # one SGD step on one row moves only that row's coordinates
+        # without a penalty, a column no row touches has zero gradient and
+        # keeps its start; with one, the penalty alone pulls it to zero
         rng = np.random.default_rng(77)
         _, row = random_instance(rng, n=10, d=2)
         row = matrix_from_rows(10, [list(zip(row.indices.tolist(), row.data.tolist()))], [1])
-        cfg = TrainConfig(d=2, epochs=1, learning_rate=0.5, seed=4)
-        start = init_params(cfg, 10)
-        with pytest.warns(UserWarning, match="identical"):
-            params = train_map_logit(row, cfg)
         untouched = np.setdiff1d(np.arange(10), row.indices)
-        assert (params.w[untouched] == 0).all()
-        assert np.array_equal(params.V[untouched], start.V[untouched])
-        assert (params.V[row.indices] != start.V[row.indices]).all()
+        for l2 in (0.0, 0.1):
+            cfg = TrainConfig(d=2, epochs=1, l2=l2, seed=4)
+            start = init_params(cfg, 10)
+            with pytest.warns(UserWarning, match="identical"):
+                params = train_map_logit(row, cfg)
+            assert (params.w[untouched] == 0).all()
+            assert np.array_equal(params.V[untouched], start.V[untouched] if l2 == 0 else np.zeros((untouched.size, 2)))
+            assert (params.V[row.indices] != start.V[row.indices]).all()
+
+
+def map_sweep_loop(data, config):
+    """One MAP sweep written one column at a time, in the colouring's class
+    order, each step from fresh scores of the whole dense matrix."""
+    start = init_params(config, data.space.width)
+    bias, w = start.bias, start.w.copy()
+    V = None if start.V is None else start.V.copy()
+    X, y = data.csr.toarray(), data.labels.astype(np.float64)
+    lam = config.l2 * len(data)
+    blocks, empty = _colour_blocks(data)
+    order = np.concatenate([cols for cols, *_ in blocks]).tolist()
+    if lam:
+        w[empty] = 0.0
+        if V is not None:
+            V[empty] = 0.0
+
+    def residual():
+        return expit(raw_scores(FMParams(bias, w, V), data)) - y
+
+    bias -= 4.0 * residual().mean()
+    for values, f in [(w, None)] + [(V[:, f], f) for f in range(config.d)]:
+        for k in order:
+            h = X[:, k] if f is None else X[:, k] * (X @ V[:, f] - X[:, k] * V[k, f])
+            curvature = 0.25 * h @ h + lam
+            if curvature > 0:
+                values[k] -= (h @ residual() + lam * values[k]) / curvature
+    return FMParams(bias, w, V)
 
 
 class TestMapTrainer:
@@ -189,7 +237,7 @@ class TestMapTrainer:
         labels = np.array([i % 2 for i in range(20)])
         data = matrix_from_rows(2, [[(i % 2, 1.0)] for i in range(20)], labels)
         log: list = []
-        train_map_logit(data, TrainConfig(epochs=10, learning_rate=0.5, seed=0), epoch_log=log)
+        train_map_logit(data, TrainConfig(epochs=10, seed=0), epoch_log=log)
         losses = [row["train_nll"] for row in log]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -203,13 +251,6 @@ class TestMapTrainer:
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.V, b.V)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergent_learning_rate_raises(self):
-        rng = np.random.default_rng(8)
-        data = make_matrix(rng, n_rows=30, width=8)
-        with pytest.raises(TrainingDivergedError):
-            train_map_logit(data, TrainConfig(epochs=400, learning_rate=1e12, d=2))
-
     def test_factor_overflow_alone_raises(self):
         # the end-of-epoch check sees a non-finite V even when bias and w are finite
         V = np.zeros((3, 2))
@@ -217,19 +258,19 @@ class TestMapTrainer:
         with pytest.raises(TrainingDivergedError, match="at epoch 0$"):
             _finite(0.0, np.zeros(3), V, 0)
 
-    def test_sgd_step_uses_the_row_gradient(self):
-        # one epoch over one row is one step of the kernel's gradient
-        rng = np.random.default_rng(5)
-        _, row = moderate_instance(rng, n=8, d=3)
-        row = matrix_from_rows(8, [list(zip(row.indices.tolist(), row.data.tolist()))], [1])
-        cfg = TrainConfig(d=3, epochs=1, learning_rate=0.1, l2=0.0, seed=6)
-        start = init_params(cfg, 8)
-        g_bias, g_w, g_V = row_gradient(start, row, 1)
-        with pytest.warns(UserWarning, match="identical"):
-            params = train_map_logit(row, cfg)
-        assert params.bias == start.bias - 0.1 * g_bias
-        np.testing.assert_allclose(params.w, start.w - 0.1 * g_w, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(params.V, start.V - 0.1 * g_V, rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_one_sweep_equals_a_column_loop_in_class_order(self, d, l2):
+        # columns of one class share no row, so stepping them together is
+        # stepping them one at a time
+        rng = np.random.default_rng(60 + d)
+        data = make_matrix(rng, n_rows=60, width=12, untouched=2)
+        cfg = TrainConfig(d=d, epochs=1, l2=l2, seed=3)
+        ours, loop = train_map_logit(data, cfg), map_sweep_loop(data, cfg)
+        assert ours.bias == pytest.approx(loop.bias, rel=1e-12)
+        np.testing.assert_allclose(ours.w, loop.w, rtol=0, atol=1e-12 * np.abs(loop.w).max())
+        if d:
+            np.testing.assert_allclose(ours.V, loop.V, rtol=0, atol=1e-12 * np.abs(loop.V).max())
 
     def test_constant_labels_warn(self):
         data = matrix_from_rows(2, [[(0, 1.0)]] * 5, np.ones(5, dtype=int))
@@ -241,34 +282,54 @@ class TestMapTrainer:
         with pytest.raises(ValueError):
             train_map_logit(data, TrainConfig(epochs=1))
 
-    def test_fits_the_row_weighted_objective(self):
-        # at d = 0 per-row SGD minimizes mean NLL + (l2 / 2) * sum_k (n_k / N) * w_k^2,
-        # bias unpenalized; an L-BFGS fit of that objective must land on the
-        # same predictions, and a fit of the unweighted penalty must not
+    def test_fits_the_penalized_objective(self):
+        # at d = 0 the fit minimizes mean NLL + (l2 / 2) * |w|^2, bias
+        # unpenalized: it stops on its tolerance, logs the objective of what
+        # it returns, and lands within 1e-6 of an L-BFGS fit's objective and
+        # within 1e-3 of its predictions
         rng = np.random.default_rng(5)
         data = make_matrix(rng, n_rows=100, width=12, max_nnz=4)
         l2 = 0.1
-        params = train_map_logit(data, TrainConfig(epochs=2000, learning_rate=0.002, l2=l2, seed=0))
-        ours = Link.LOGIT.inverse(raw_scores(params, data))
+        log: list = []
+        params = train_map_logit(data, TrainConfig(epochs=2000, l2=l2, seed=0), epoch_log=log)
+        assert len(log) < 2000
+        assert log[-1]["objective"] == pytest.approx(map_objective(params, data, l2), rel=1e-12)
 
         X = data.csr.toarray()
         y = data.labels.astype(np.float64)
 
-        def oracle(penalty):
-            def objective(theta):
-                z = theta[0] + X @ theta[1:]
-                r = (expit(z) - y) / len(y)
-                value = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * penalty @ theta[1:] ** 2
-                return value, np.concatenate(([r.sum()], X.T @ r + l2 * penalty * theta[1:]))
+        def objective(theta):
+            z = theta[0] + X @ theta[1:]
+            r = (expit(z) - y) / len(y)
+            value = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * theta[1:] @ theta[1:]
+            return value, np.concatenate(([r.sum()], X.T @ r + l2 * theta[1:]))
 
-            fit = minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
-                           options={"maxiter": 10_000, "ftol": 1e-15, "gtol": 1e-10})
-            assert np.abs(fit.jac).max() <= 1e-6
-            return expit(fit.x[0] + X @ fit.x[1:])
+        fit = minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
+                       options={"maxiter": 10_000, "ftol": 1e-15, "gtol": 1e-10})
+        assert np.abs(fit.jac).max() <= 1e-6
+        assert map_objective(params, data, l2) - fit.fun <= 1e-6
+        oracle = expit(fit.x[0] + X @ fit.x[1:])
+        assert np.abs(Link.LOGIT.inverse(raw_scores(params, data)) - oracle).max() <= 1e-3
 
-        row_share = (X != 0).mean(axis=0)  # n_k / N
-        assert np.abs(ours - oracle(row_share)).mean() <= 2e-3
-        assert np.abs(ours - oracle(np.ones(X.shape[1]))).mean() >= 1e-2
+    @settings(max_examples=100, deadline=None)
+    @given(dm=design_matrices(), d=st.integers(0, 2), l2=st.sampled_from([0.0, 1e-3]))
+    def test_objective_never_rises(self, dm, d, l2):
+        # each step minimizes a quadratic that lies above the objective, so no
+        # sweep raises it beyond float64 rounding. |x| is clipped into
+        # [1e-3, 300], the range of one-hots and counters: far beyond it the
+        # cancellation in the pairwise term, not the fit, moves the score
+        # by more than that rounding
+        assume(len(dm) > 0)
+        dm = DesignMatrix(dm.space, dm.indptr, dm.indices,
+                          np.sign(dm.data) * np.clip(np.abs(dm.data), 1e-3, 300.0), dm.labels)
+        cfg = TrainConfig(d=d, epochs=8, l2=l2, seed=1)
+        log: list = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant labels
+            train_map_logit(dm, cfg, epoch_log=log)
+        objectives = [map_objective(init_params(cfg, dm.space.width), dm, l2)]
+        objectives += [row["objective"] for row in log]
+        assert all(b <= a + 1e-12 * abs(a) for a, b in zip(objectives, objectives[1:]))
 
 
 class TestTruncatedSampling:
@@ -372,37 +433,6 @@ class TestGibbsTrainer:
         assert TrainConfig(epochs=500, burn_in=42).effective_burn_in == 42
 
 
-def reference_sgd(data, config):
-    """The per-row SGD epochs as written before the loop was made lean: a
-    numpy logistic per row, and w[idx] and V[idx] each gathered twice."""
-    start = init_params(config, data.space.width)
-    bias, w = start.bias, start.w.copy()
-    V = None if start.V is None else start.V.copy()
-    lr, l2 = config.learning_rate, config.l2
-    y = data.labels.astype(np.float64)
-    X = data.csr
-    indptr, cols, vals = X.indptr, X.indices, X.data
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
-    for _ in range(config.epochs):
-        for r in shuffle_rng.permutation(len(data)):
-            lo, hi = indptr[r], indptr[r + 1]
-            idx, xv = cols[lo:hi], vals[lo:hi]
-            z = bias + w[idx] @ xv
-            if V is not None:
-                Vk = V[idx]
-                vx = Vk * xv[:, None]
-                qf = vx.sum(axis=0)
-                z += 0.5 * (qf @ qf - (vx * vx).sum())
-            g = float(Link.LOGIT.inverse(z)) - y[r]
-            bias -= lr * g
-            w[idx] -= lr * (g * xv + l2 * w[idx])
-            if V is not None:
-                gV = g * (xv[:, None] * qf[None, :] - (xv * xv)[:, None] * Vk)
-                Vk = V[idx]
-                V[idx] = Vk - lr * (gV + l2 * Vk)
-    return FMParams(bias, w, V)
-
-
 def reference_gibbs(train, test, config):
     """The Gibbs sampler as written before its sweep was blocked: one column
     at a time in column order, one scalar normal per column, and e[rows] and
@@ -473,43 +503,10 @@ def reference_gibbs(train, test, config):
     return mean, np.clip(test_sum / kept, 1e-15, 1.0 - 1e-15)
 
 
-def assert_same_bits(params: FMParams, reference: FMParams):
-    assert np.float64(params.bias).tobytes() == np.float64(reference.bias).tobytes()
-    assert params.w.tobytes() == reference.w.tobytes()
-    assert (params.V is None) == (reference.V is None)
-    if params.V is not None:
-        assert params.V.tobytes() == reference.V.tobytes()
-
-
-class TestLeanLoopsAreBitExact:
-    """The SGD loop against the reference loop above: equal bits, not closeness."""
-
-    @pytest.mark.parametrize("l2", [0.0, 0.05])
-    @pytest.mark.parametrize("d", [0, 3])
-    def test_sgd_matches_reference_epochs(self, d, l2):
-        rng = np.random.default_rng(60 + d)
-        data = make_matrix(rng, n_rows=80, width=12, untouched=2)
-        cfg = TrainConfig(d=d, epochs=4, learning_rate=0.05, l2=l2, seed=3)
-        assert_same_bits(train_map_logit(data, cfg), reference_sgd(data, cfg))
-
-    def test_scalar_logistic_equals_the_link(self):
-        # 0 and -0, the clip edges near |z| = 34.5, exp's overflow near
-        # -709.8 and the float64 underflow of expit near -745, then random z
-        rng = np.random.default_rng(17)
-        edges = np.linspace(34.0, 37.0, 3001)
-        tails = np.linspace(708.0, 746.0, 3801)
-        z = np.concatenate(
-            [[0.0, -0.0], edges, -edges, tails, -tails, rng.normal(scale=30.0, size=5000),
-             rng.uniform(-800.0, 800.0, size=5000)]
-        )
-        expected = Link.LOGIT.inverse(z).tobytes()
-        assert np.array([_logistic(v) for v in z.tolist()]).tobytes() == expected
-        assert np.array([_logistic(v) for v in z]).tobytes() == expected  # numpy scalars
-
-
-def column_loop(Xc, values, qf, e, group, noise):
+def column_loop(data, values, qf, e, group, noise):
     """One half-sweep drawn one column at a time, in the colouring's class order."""
-    blocks, empty = _colour_blocks(Xc)
+    blocks, empty = _colour_blocks(data)
+    Xc = data.csr.tocsc()
     prec, mean = group.precision, group.mean
     for k in np.concatenate([cols for cols, *_ in blocks]).tolist():
         rows, xv = Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]], Xc.data[Xc.indptr[k] : Xc.indptr[k + 1]]
@@ -528,9 +525,9 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("d", [0, 3])
     def test_half_sweeps_equal_a_column_loop_in_class_order(self, d):
         rng = np.random.default_rng(70 + d)
-        X = make_matrix(rng, n_rows=60, width=12, untouched=2).csr
-        Xc = X.tocsc()
-        blocks, empty = _colour_blocks(Xc)
+        data = make_matrix(rng, n_rows=60, width=12, untouched=2)
+        X = data.csr
+        blocks, empty = _colour_blocks(data)
         assert len(blocks) > 1 and empty.tolist() == [10, 11]
         group = _GroupState("g")
         group.mean, group.precision = 0.3, 2.5
@@ -543,7 +540,7 @@ class TestBlockedSweep:
 
         w_blocked, e_blocked, w_loop, e_loop = w.copy(), e.copy(), w.copy(), e.copy()
         _sweep(w_blocked, blocks, empty, None, e_blocked, group, np.random.default_rng(5))
-        column_loop(Xc, w_loop, None, e_loop, group, np.random.default_rng(5).standard_normal(12))
+        column_loop(data, w_loop, None, e_loop, group, np.random.default_rng(5).standard_normal(12))
         same(w_blocked, w_loop)
         same(e_blocked, e_loop)
         assert not np.allclose(w_blocked, w)
@@ -553,7 +550,7 @@ class TestBlockedSweep:
             V_blocked, e_blocked, V_loop, e_loop = V.copy(), e.copy(), V.copy(), e.copy()
             qf_blocked, qf_loop = X @ V[:, f], X @ V[:, f]
             _sweep(V_blocked[:, f], blocks, empty, qf_blocked, e_blocked, group, np.random.default_rng(f))
-            column_loop(Xc, V_loop[:, f], qf_loop, e_loop, group, np.random.default_rng(f).standard_normal(12))
+            column_loop(data, V_loop[:, f], qf_loop, e_loop, group, np.random.default_rng(f).standard_normal(12))
             same(V_blocked, V_loop)
             same(e_blocked, e_loop)
             same(qf_blocked, qf_loop)
@@ -565,7 +562,7 @@ class TestBlockedSweep:
     @given(dm=design_matrices())
     def test_colouring_splits_touched_columns_into_row_disjoint_classes(self, dm):
         Xc = dm.csr.tocsc()
-        blocks, empty = _colour_blocks(Xc)
+        blocks, empty = _colour_blocks(dm)
         counts = np.diff(Xc.indptr)
         touches = Xc.toarray() != 0
         coloured = [k for cols, *_ in blocks for k in cols.tolist()]
@@ -581,16 +578,36 @@ class TestBlockedSweep:
                 # first fit: every lower class holds an earlier column sharing a row with k
                 for lower in blocks[:c]:
                     assert any((touches[:, i] & touches[:, k]).any() for i in lower[0].tolist() if i < k)
-        again, again_empty = _colour_blocks(Xc)
+        assert all(a.dtype == np.intp for _, rows, _, seg in blocks for a in (rows, seg))  # fast indexing
+        again, again_empty = _colour_blocks(dm)
         assert again_empty.tobytes() == empty.tobytes()
         assert len(again) == len(blocks)
         for ours, theirs in zip(blocks, again):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
 
+    def test_colouring_reads_columns_past_16_bits(self):
+        # the column sort runs in two 16-bit passes, so columns that agree in
+        # their low 16 bits must still come apart, in column order
+        rng = np.random.default_rng(9)
+        picks = np.array([3, 3 + 2**16, 5 + 2**16, 3 + 2**17, 2**17 + 2**16 + 1])
+        rows = [
+            [(int(c), float(v)) for c, v in zip(np.sort(rng.choice(picks, 3, replace=False)), rng.integers(1, 9, 3))]
+            for _ in range(30)
+        ]
+        dm = matrix_from_rows(2**18, rows, rng.integers(0, 2, 30))
+        Xc = dm.csr.tocsc()
+        blocks, empty = _colour_blocks(dm)
+        assert sorted(k for cols, *_ in blocks for k in cols.tolist()) == picks.tolist()
+        assert empty.size == 2**18 - picks.size
+        for cols, rows, vals, seg in blocks:
+            for j, k in enumerate(cols.tolist()):
+                lo, hi = Xc.indptr[k], Xc.indptr[k + 1]
+                assert rows[seg == j].tolist() == Xc.indices[lo:hi].tolist()
+                assert vals[seg == j].tobytes() == Xc.data[lo:hi].tobytes()
+
     def test_non_finite_conditional_variance_raises(self):
         # zero factors make h vanish, so a zero prior precision leaves a zero conditional one
-        X = matrix_from_rows(2, [[(0, 1.0), (1, 2.0)], [(1, 1.0)]]).csr
-        blocks, empty = _colour_blocks(X.tocsc())
+        blocks, empty = _colour_blocks(matrix_from_rows(2, [[(0, 1.0), (1, 2.0)], [(1, 1.0)]]))
         group = _GroupState("V[:, 0]")
         group.precision = 0.0
         with np.errstate(divide="ignore"), pytest.raises(TrainingDivergedError, match="variance"):
