@@ -34,7 +34,6 @@ from .model import (
     export_embeddings,
     predict_proba_matrix,
     raw_scores,
-    read_embeddings,
 )
 from .datasets import (
     Dataset,
@@ -102,7 +101,6 @@ __all__ = [
     "predict_proba_matrix",
     "preset_encoding",
     "raw_scores",
-    "read_embeddings",
     "run_cv",
     "save_model",
     "train_gibbs_probit",

@@ -172,9 +172,12 @@ def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: boo
 
     When every raw item id is an integer, q-matrix rows follow those ids (0-
     or 1-based, detected from the id range), whatever ``vocab_order`` says,
-    so a log aligns the same way with or without a vocabulary file. Only for
-    non-integer ids do the rows follow the vocabulary's dense indexing, which
-    ``vocab_order`` declares and which needs an explicit vocabulary file.
+    so a log aligns the same way with or without a vocabulary file. Ids that
+    fit both bases (all >= 1 and below the row count) are taken as 0-based,
+    with a warning: such a log cannot tell whether row 0 or the last row is
+    the one no item uses. Only for non-integer ids do the rows follow the
+    vocabulary's dense indexing, which ``vocab_order`` declares and which
+    needs an explicit vocabulary file.
     """
     n_dense = len(item_vocab)
     if n_dense == 0:
@@ -192,14 +195,20 @@ def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: boo
                 f"q-matrix has {q.n_items} rows but vocabulary names {n_dense} items"
             ) from None
         return q  # trailing rows are simply items never attempted
-    values = raw_ids.values()
-    if min(values) >= 1 and max(values) == q.n_items:
+    low, high = min(raw_ids.values()), max(raw_ids.values())
+    if low >= 1 and high == q.n_items:
         base = 1
-    elif min(values) >= 0 and max(values) < q.n_items:
+    elif low >= 0 and high < q.n_items:
         base = 0
+        if low >= 1:
+            warnings.warn(
+                f"item ids span [{low}, {high}], which index a {q.n_items}-row q-matrix "
+                f"0- or 1-based; reading them as 0-based, so q-matrix row 0 goes unused",
+                stacklevel=2,
+            )
     else:
         raise EncodingError(
-            f"item ids span [{min(values)}, {max(values)}] which does not index "
+            f"item ids span [{low}, {high}] which does not index "
             f"a {q.n_items}-row q-matrix"
         )
     order = np.zeros(n_dense, dtype=np.int64)

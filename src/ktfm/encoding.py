@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,10 +39,8 @@ class Triplet(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class QMatrix:
-    """Binary item-by-skill incidence matrix.
-
-    ``kc(j)`` is the (possibly empty) tuple of skills item ``j`` exercises.
-    """
+    """Binary item-by-skill incidence matrix: ``matrix[j, k]`` is 1 when
+    item ``j`` exercises skill ``k``."""
 
     matrix: np.ndarray
 
@@ -62,17 +59,6 @@ class QMatrix:
     @property
     def n_skills(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def _kc(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(int(k) for k in np.nonzero(row)[0]) for row in self.matrix
-        )
-
-    def kc(self, item: int) -> tuple[int, ...]:
-        if not 0 <= item < self.n_items:
-            raise EncodingError(f"item {item} outside [0, {self.n_items})")
-        return self._kc[item]
 
     def reordered(self, item_order: Sequence[int]) -> "QMatrix":
         """Rows permuted so that row ``j`` describes ``item_order[j]``."""

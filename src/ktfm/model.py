@@ -35,12 +35,13 @@ class Link(str, enum.Enum):
 
     def inverse(self, z):
         """Probability for score ``z``, clipped into the open unit interval."""
-        from scipy.special import erfc, expit  # here, so that commands that never score skip its import
-
         z = np.asarray(z, dtype=np.float64)
         if self is Link.LOGIT:
-            p = expit(z)
+            with np.errstate(over="ignore"):  # exp(-z) = inf gives p = 0
+                p = 1.0 / (1.0 + np.exp(-z))
         else:
+            from scipy.special import erfc  # here, so that only probit commands import scipy
+
             p = 0.5 * erfc(-z / _SQRT2)
         return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
@@ -92,8 +93,8 @@ class FMParams:
 def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     """Model score of every row of ``data`` on the link scale.
 
-    This is the one FM score: prediction, Gibbs residuals and the trainers'
-    per-epoch train NLL all call it.
+    This is the one FM score: prediction, Gibbs test averages and the check
+    of the Gibbs sampler's carried train scores all call it.
     """
     if data.space.width != params.n_features:
         raise IndexError(
@@ -134,26 +135,3 @@ def export_embeddings(params: FMParams, space: FeatureSpace, stream: TextIO) -> 
         if params.V is not None:
             row.extend(_fmt(v) for v in params.V[col])
         writer.writerow(row)
-
-
-def read_embeddings(path) -> tuple[FeatureSpace, np.ndarray, np.ndarray | None]:
-    """Inverse of :func:`export_embeddings` (global bias is not part of it)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - len(EMBEDDING_HEADER)
-        blocks: list[tuple[str, int]] = []
-        w: list[float] = []
-        V: list[list[float]] = []
-        for record in reader:
-            block, local = record[0], int(record[1])
-            if not blocks or blocks[-1][0] != block:
-                blocks.append((block, 0))
-            if local != blocks[-1][1]:
-                raise ValueError(f"non-contiguous local ids in block {block!r}")
-            blocks[-1] = (block, local + 1)
-            w.append(float(record[2]))
-            if d:
-                V.append([float(v) for v in record[3:]])
-    space = FeatureSpace(tuple(blocks))
-    return space, np.array(w), (np.array(V) if d else None)

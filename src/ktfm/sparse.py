@@ -3,9 +3,10 @@
 Everything downstream (encoder, model, trainers) shares these types. A
 ``DesignMatrix`` holds its rows as read-only CSR arrays (``indptr``,
 ``indices``, ``data``) plus one label per row; its ``csr`` view wraps those
-arrays without copying them, and all bulk math goes through it. The view is
-built, and scipy loaded, on the first bulk math, so encoding a log and
-writing it out never import scipy.
+arrays without copying them, and all bulk math goes through it. The view's
+products are numpy ``bincount`` sums over each row's entries in entry order,
+the order (and so the bits) of scipy's CSR products, so no command needs
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -107,8 +108,45 @@ def _format_value(v: float) -> str:
 
 
 def _index_dtype(*bounds: int) -> type:
-    # the index type scipy would pick, so that ``csr`` can share the arrays
+    # int32 where it fits: half the memory of int64 for the largest arrays
     return np.int32 if max(bounds, default=0) <= np.iinfo(np.int32).max else np.int64
+
+
+class CSRView:
+    """Read-only CSR rows with the one operation the package needs: ``rows @ x``.
+
+    Row r of ``rows @ x`` sums ``data[j] * x[indices[j]]`` over the row's
+    entries in order, starting from zero, with one ``np.bincount`` (per
+    column of a matrix ``x``). That is the order of scipy's ``csr_matvec``
+    and ``csr_matvecs``, so the sums are the same to the bit.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape", "_row_of_entry")
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int], row_of_entry=None):
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        if row_of_entry is None:
+            row_of_entry = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        self._row_of_entry = row_of_entry
+
+    def with_data(self, data: np.ndarray) -> "CSRView":
+        """The same sparsity pattern holding ``data``."""
+        return CSRView(self.indptr, self.indices, data, self.shape, self._row_of_entry)
+
+    def _sum(self, x: np.ndarray) -> np.ndarray:
+        out = np.bincount(self._row_of_entry, self.data * x[self.indices], self.shape[0])
+        return np.asarray(out, dtype=np.float64)  # bincount of no entries counts in ints
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        if x.ndim == 1:
+            return self._sum(x)
+        out = np.empty((self.shape[0], x.shape[1]))
+        for f, column in enumerate(np.ascontiguousarray(x.T)):
+            out[:, f] = self._sum(column)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,28 +210,23 @@ class DesignMatrix:
         return int(self.labels.size)
 
     @cached_property
-    def csr(self) -> "scipy.sparse.csr_matrix":
+    def csr(self) -> CSRView:
         """CSR view of the stored arrays (no copy), for all batch math."""
-        import scipy.sparse as sp  # here, not at the top: its import costs more than encoding a log
-
-        return sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(len(self), self.space.width)
-        )
+        return CSRView(self.indptr, self.indices, self.data, (len(self), self.space.width))
 
     @cached_property
-    def csr_squared(self) -> "scipy.sparse.csr_matrix":
+    def csr_squared(self) -> CSRView:
         """Same sparsity pattern as :attr:`csr` with squared values."""
-        sq = self.csr.copy()
-        sq.data = sq.data**2
-        return sq
+        return self.csr.with_data(self.data**2)
 
     def subset(self, row_indices: Sequence[int]) -> "DesignMatrix":
         idx = np.asarray(row_indices, dtype=np.int64)
-        rows = self.csr[idx]
-        return DesignMatrix(self.space, rows.indptr, rows.indices, rows.data, self.labels[idx])
-
-    def densify(self) -> np.ndarray:
-        return self.csr.toarray()
+        starts = self.indptr[:-1][idx]
+        sizes = self.indptr[1:][idx] - starts
+        indptr = np.r_[0, np.cumsum(sizes)]
+        # the picked rows' entries, row after row
+        entries = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+        return DesignMatrix(self.space, indptr, self.indices[entries], self.data[entries], self.labels[idx])
 
     def dump(self, stream: TextIO) -> None:
         stream.write(f"#N {self.space.width}\n")

@@ -5,7 +5,9 @@ is linear in each single parameter, and columns that share no training row
 touch disjoint scores, so the columns are coloured once per fit, first-fit in
 column order, into classes of row-disjoint columns, and one numpy step moves a
 whole class (``_class_steps``); a half-sweep (w, or one column of V) takes the
-classes in class order. The trainers differ only in the step.
+classes in class order. The trainers differ only in the step. Each carries its
+train scores and Q[f] = X @ V[:, f] from step to step, so no sweep re-scores
+the train set.
 
 The MAP fit minimizes mean NLL + (l2 / 2) * (|w|^2 + |V|^2) under the logit
 link, the global bias unpenalized. A sweep steps the bias, then w, then each
@@ -24,7 +26,8 @@ and draws every parameter from its Gaussian conditional. Biases share one
 resampled under fixed Normal(0, 1) and Gamma(1, 1) hyperpriors as in libFM's
 MCMC. Given the residuals, the columns of a class have independent
 conditionals, so a class is drawn in one step (Freudenthaler et al., 2011).
-Test predictions are averaged over the post-burn-in iterations.
+Test predictions are averaged over the post-burn-in iterations. At the end of
+a fit the carried scores are checked against one fresh score of the train set.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .sparse import DesignMatrix
 NLL_EPS = 1e-12
 _INIT_SCALE = 0.01  # standard deviation of the initial factor entries
 _MAP_TOL = 1e-6  # a MAP fit stops once a sweep lowers its objective by less than this share
+# the largest gap between a Gibbs fit's carried train scores and a fresh
+# score, relative to the largest score magnitude (or 1, if larger)
+_DRIFT_TOL = 1e-6
 _TINY = np.finfo(np.float64).tiny
 # Hyperpriors of every Gibbs group: mean ~ Normal(0, 1 / _MEAN_PRIOR_PRECISION),
 # precision ~ Gamma(_PRECISION_SHAPE, _PRECISION_RATE)
@@ -134,9 +140,9 @@ def _finite(bias: float, w: np.ndarray, V: np.ndarray | None, epoch: int) -> FMP
     return FMParams(bias, w, V)
 
 
-def _epoch_row(epoch: int, params: FMParams, data: DesignMatrix, link: Link) -> dict:
-    """One row of the epoch log: the epoch and its train NLL."""
-    return {"epoch": epoch, "train_nll": nll(link.inverse(raw_scores(params, data)), data.labels)}
+def _epoch_row(epoch: int, scores: np.ndarray, labels: np.ndarray, link: Link) -> dict:
+    """One row of the epoch log: the epoch and the train NLL of the carried scores."""
+    return {"epoch": epoch, "train_nll": nll(link.inverse(scores), labels)}
 
 
 def _probability(z: np.ndarray) -> np.ndarray:
@@ -158,16 +164,9 @@ def train_map_logit(
     def residual(rows, old, h):
         return _probability(scores[rows]) - y[rows]
 
-    scores, Q = np.zeros(len(data)), None  # the bias and w start at zero
-    if V is not None:
-        # V steps from zero to its start, which fills in the scores and
-        # Q[f] = X @ V[:, f]; the penalty alone pulls a column no row touches to zero
-        start, V[:] = V.copy(), 0.0
-        Q = np.zeros((config.d, len(data)))
-        for f in range(config.d):
-            _class_steps(V[:, f], blocks, Q[f], scores, residual, lambda cols, old, hh, hr: start[cols, f])
-        if not lam:
-            V[empty] = start[empty]
+    scores, Q = _factor_scores(V, blocks, len(data))
+    if V is not None and lam:
+        V[empty] = 0.0  # the penalty alone pulls a column no row touches to zero
 
     def objective():  # mean logit NLL + (l2 / 2) * (|w|^2 + |V|^2)
         penalty = float(w @ w) + (0.0 if V is None else float((V * V).sum()))
@@ -189,7 +188,7 @@ def train_map_logit(
         params = _finite(bias, w, V, epoch)
         previous, current = current, objective()
         if epoch_log is not None:
-            epoch_log.append({**_epoch_row(epoch, params, data, Link.LOGIT), "objective": current})
+            epoch_log.append({**_epoch_row(epoch, scores, y, Link.LOGIT), "objective": current})
         if previous - current < _MAP_TOL * abs(current):
             break
     return params
@@ -258,28 +257,64 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     columns in column order, the concatenation of their rows (ascending per
     column) and values, and each entry's segment (the position of its column
     within the class); and, apart, the columns no row touches.
+
+    In a feature block where no row has two columns (a one-hot block, such as
+    items or users), the columns share no row, so each one's class depends
+    only on the blocks before it, and the whole block is coloured in one numpy
+    step; any other block is coloured a column at a time. The classes of each
+    row are kept as bits of uint64 words, one bit per class.
     """
     # CSC order without scipy: stable radix sorts (numpy's take 16-bit keys) by the low, then the high
     # half of the column; rows and segments are intp, as int32 indices gather at half speed or less
     by_column = np.argsort(data.indices.astype(np.uint16), kind="stable")
     by_column = by_column[np.argsort((data.indices[by_column] >> 16).astype(np.uint16), kind="stable")]
-    col_rows = np.repeat(np.arange(len(data)), np.diff(data.indptr))[by_column]
+    row_of_entry = np.repeat(np.arange(len(data)), np.diff(data.indptr))
+    col_rows = row_of_entry[by_column]
+    widths = [width for _, width in data.space.blocks]
+    block = np.repeat(np.arange(len(widths), dtype=np.int32), widths)[data.indices]
+    # the blocks in which some row has two columns: neighbouring entries of one row in one block
+    pairs = (row_of_entry[1:] == row_of_entry[:-1]) & (block[1:] == block[:-1])
+    shared = np.bincount(block[1:][pairs], minlength=len(widths)) > 0
+    del row_of_entry, block, pairs
     counts = np.bincount(data.indices, minlength=data.space.width)
     col_ptr = np.r_[0, np.cumsum(counts)]
-    touched = np.flatnonzero(counts)
     colour = np.full(counts.size, -1)
-    used = np.zeros((len(data), 8), dtype=bool)  # used[r, c]: a column of class c has row r
-    for k in touched.tolist():
-        rows = col_rows[col_ptr[k] : col_ptr[k + 1]]
-        free = np.flatnonzero(~used[rows].any(axis=0))
-        if free.size:
-            c = free[0]
+    # bit c % 64 of used[r, c // 64]: class c holds row r; little-endian, so that
+    # a row of words read as one Python int has bit c for class c
+    used = np.zeros((len(data), 1), dtype="<u8")
+
+    def make_room(top):  # for class ``top``; classes grow one at a time
+        nonlocal used
+        if top >= 64 * used.shape[1]:
+            used = np.hstack([used, np.zeros((len(used), 1), dtype=used.dtype)])
+
+    bounds = np.cumsum([0] + widths)
+    for b, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        cols = start + np.flatnonzero(counts[start:stop])
+        if not cols.size:
+            continue
+        if shared[b]:
+            for k in cols.tolist():
+                rows = col_rows[col_ptr[k] : col_ptr[k + 1]]
+                taken = int.from_bytes(np.bitwise_or.reduce(used[rows], axis=0).tobytes(), "little")
+                c = colour[k] = (~taken & (taken + 1)).bit_length() - 1  # the lowest clear bit
+                make_room(c)
+                used[rows, c // 64] |= np.uint64(1 << c % 64)
         else:
-            c = used.shape[1]
-            used = np.hstack([used, np.zeros_like(used)])
-        colour[k] = c
-        used[rows, c] = True
+            # no two columns share a row, so all take their classes at once: OR each
+            # column's rows' words, take each word's lowest clear bit (as a power of
+            # two, 0 for a full word), then the first word that has one
+            lo = col_ptr[cols[0]]
+            rows = col_rows[lo : col_ptr[cols[-1] + 1]]
+            words = np.bitwise_or.reduceat(used[rows], col_ptr[cols] - lo, axis=0)
+            bit = np.frexp((~words & (words + np.uint64(1))).astype(np.float64))[1] - 1
+            n_words = used.shape[1]
+            colour[cols] = np.where(bit < 0, 64 * n_words, 64 * np.arange(n_words) + bit).min(axis=1)
+            make_room(colour[cols].max())
+            classes = np.repeat(colour[cols], counts[cols])  # no row twice
+            used[rows, classes // 64] |= np.left_shift(np.uint64(1), (classes % 64).astype(np.uint64))
     del used
+    touched = np.flatnonzero(counts)
     edges = np.arange(colour.max(initial=-1) + 2)  # class c spans [edges[c], edges[c + 1])
     cols = touched[np.argsort(colour[touched], kind="stable")]
     col_cut = np.searchsorted(colour[cols], edges)
@@ -288,9 +323,10 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     ends = np.cumsum(sizes)
     order = np.repeat(col_ptr[cols] + sizes - ends, sizes)
     order += np.arange(order.size)
+    rows, vals = col_rows[order], data.data[by_column[order]]
+    del col_rows, by_column, order  # before the segments, to lower the peak
     cut = np.r_[0, ends][col_cut]
     seg = np.repeat(np.arange(cols.size) - col_cut[colour[cols]], sizes)
-    rows, vals = col_rows[order], data.data[by_column[order]]
     blocks = [
         (cols[a:b], rows[c:d], vals[c:d], seg[c:d])
         for a, b, c, d in zip(col_cut, col_cut[1:], cut, cut[1:])
@@ -319,6 +355,19 @@ def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.n
         if qf is not None:
             qf[rows] += delta * xv
         values[cols] = new
+
+
+def _factor_scores(V: np.ndarray | None, blocks, n_rows: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The train scores and Q[f] = X @ V[:, f] of zero bias and w and factors ``V``,
+    built by stepping each column of V from zero to its value with ``_class_steps``."""
+    scores = np.zeros(n_rows)
+    if V is None:
+        return scores, None
+    Q = np.zeros((V.shape[1], n_rows))
+    for f in range(V.shape[1]):
+        _class_steps(np.zeros(len(V)), blocks, Q[f], scores, lambda rows, old, h: 0.0,
+                     lambda cols, old, hh, hr: V[cols, f])
+    return scores, Q
 
 
 def _sweep(
@@ -352,10 +401,14 @@ def train_gibbs_probit(
     label dictates, (2) draws the bias, then w, then each column of V from
     their Gaussian conditionals, one class of row-disjoint columns at a time
     (the classes are coloured once per fit), while keeping the score
-    residuals in sync, and (3) resamples the per-group prior means and
-    precisions; a drawn precision that is zero or not finite raises
-    TrainingDivergedError. After burn-in, parameters are accumulated into a
-    posterior mean and test probabilities into a running average.
+    residuals and each Q[f] = X @ V[:, f] in sync, and (3) resamples the
+    per-group prior means and precisions; a drawn precision that is zero or
+    not finite raises TrainingDivergedError. The next iteration starts from
+    the scores the residuals carry (latent utility plus residual). After
+    burn-in, parameters are accumulated into a posterior mean and test
+    probabilities into a running average. A fit whose carried scores end up
+    further than ``_DRIFT_TOL`` from a fresh score raises
+    TrainingDivergedError.
     """
     bias, w, V = _start(train, config)
     d = config.d
@@ -364,9 +417,9 @@ def train_gibbs_probit(
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
 
-    X = train.csr
     blocks, empty = _colour_blocks(train)
     positive = train.labels.astype(bool)
+    scores, Q = _factor_scores(V, blocks, len(train))  # the bias and w start at zero
 
     bias_group = _GroupState("bias and w")
     dim_groups = [_GroupState(f"V[:, {f}]") for f in range(d)]
@@ -377,9 +430,7 @@ def train_gibbs_probit(
     V_sum = None if V is None else np.zeros_like(V)
     test_sum = None if test is None else np.zeros(len(test))
 
-    params = FMParams(bias, w, V)
     for it in range(iters):
-        scores = raw_scores(params, train)
         z = sample_truncated_normal(scores, positive, rng)
         e = scores - z  # running residual, kept in sync below
 
@@ -392,7 +443,8 @@ def train_gibbs_probit(
         _sweep(w, blocks, empty, None, e, bias_group, rng)
         if V is not None:
             for f in range(d):
-                _sweep(V[:, f], blocks, empty, X @ V[:, f], e, dim_groups[f], rng)
+                _sweep(V[:, f], blocks, empty, Q[f], e, dim_groups[f], rng)
+        scores = z + e
 
         bias_group.resample(np.concatenate(([bias], w)), rng, it)
         if V is not None:
@@ -410,7 +462,12 @@ def train_gibbs_probit(
                 test_sum += Link.PROBIT.inverse(raw_scores(params, test))
 
         if epoch_log is not None:
-            epoch_log.append(_epoch_row(it, params, train, Link.PROBIT))
+            epoch_log.append(_epoch_row(it, scores, train.labels, Link.PROBIT))
+
+    fresh = raw_scores(params, train)
+    drift = float(np.abs(scores - fresh).max())
+    if not drift <= _DRIFT_TOL * max(1.0, float(np.abs(fresh).max())):
+        raise TrainingDivergedError(f"carried train scores drifted {drift:.3g} from a fresh score")
 
     mean_params = FMParams(
         bias_sum / kept,

@@ -59,6 +59,20 @@ def matrix_from_rows(width_or_space, rows, labels=None) -> DesignMatrix:
     return DesignMatrix(space, indptr, indices, data, labels)
 
 
+def to_dense(dm: DesignMatrix) -> np.ndarray:
+    """The rows of ``dm`` as a dense 2-d array."""
+    dense = np.zeros((len(dm), dm.space.width))
+    dense[np.repeat(np.arange(len(dm)), np.diff(dm.indptr)), dm.indices] = dm.data
+    return dense
+
+
+def scipy_csr(dm: DesignMatrix):
+    """A ``scipy.sparse.csr_matrix`` built from the stored arrays of ``dm``."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((dm.data, dm.indices, dm.indptr), shape=(len(dm), dm.space.width))
+
+
 def matrix_from_dense(width_or_space, dense, labels=None) -> DesignMatrix:
     """Design matrix storing the nonzero cells of the 2-d array ``dense``."""
     dense = np.asarray(dense, dtype=np.float64)

@@ -33,7 +33,7 @@ from ktfm import (
     train_map_logit,
 )
 from ktfm.cli import main as cli_main
-from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, EXAMPLE_TRIPLETS, FULL_CONFIG, matrix_from_rows
+from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, EXAMPLE_TRIPLETS, FULL_CONFIG, matrix_from_rows, to_dense
 from tests.test_evaluation import all_pairs_auc
 from tests.test_model import brute_force_score, random_instance
 from tests.test_training import (
@@ -57,7 +57,7 @@ def criterion(label):
 def test_criterion_1_worked_example_encoding(example_qmatrix):
     with criterion("C1 encoding fidelity: 7x14 worked example reproduced exactly"):
         dm = encode_dataset(EXAMPLE_TRIPLETS, example_qmatrix, FULL_CONFIG, n_students=2)
-        dense = dm.densify()
+        dense = to_dense(dm)
         assert dense.shape == (7, 14)
         assert np.array_equal(dense, EXAMPLE_ENCODED)
         assert dm.labels.tolist() == EXAMPLE_LABELS

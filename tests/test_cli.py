@@ -14,7 +14,7 @@ from ktfm.encoding import encode_dataset
 from ktfm.model import predict_proba_matrix
 from ktfm.persistence import load_model
 from ktfm.sparse import load_design_matrix
-from tests.conftest import EXAMPLE_ENCODED
+from tests.conftest import EXAMPLE_ENCODED, to_dense
 
 
 @pytest.fixture
@@ -67,7 +67,7 @@ class TestEncodeCommand:
             ],
         )
         dm = load_design_matrix(out)
-        got = dm.densify()
+        got = to_dense(dm)
         # dense ids follow first appearance (student "2" first, item "2"
         # first), so reorder the hand-computed table's rows accordingly
         expected = np.hstack(
@@ -472,13 +472,14 @@ class TestErrors:
 
 
 # Runs CLI commands in one fresh interpreter and prints, after the import and
-# after each command, whether any scipy module and whether scipy.special is loaded.
+# after each command, whether any scipy module, scipy.special and scipy.sparse are loaded.
 _SCIPY_PROBE = """
 import json, sys
 import ktfm.cli
 
 def loaded():
-    return [any(m.startswith("scipy") for m in sys.modules), "scipy.special" in sys.modules]
+    return [any(m.startswith("scipy") for m in sys.modules), "scipy.special" in sys.modules,
+            "scipy.sparse" in sys.modules]
 
 seen = [loaded()]
 for args in json.loads(sys.argv[1]):
@@ -498,20 +499,28 @@ def scipy_after_each(commands):
     return [tuple(flags) for flags in json.loads(result.stdout.splitlines()[-1])]
 
 
-def test_scipy_loads_only_in_commands_that_score_or_draw(tmp_path, example_log_csv):
-    # importing scipy costs more than half of a bare command's start-up
+def test_scipy_loads_only_in_probit_commands(tmp_path, example_log_csv):
+    # importing scipy costs more than a third of a logit cv: the logit link and
+    # the sparse products are numpy, and only the probit kernels need scipy.special
     data, qfile = example_log_csv
     log = ["--data", str(data), "--qmatrix", str(qfile)]
-    model, vocab = str(tmp_path / "m.json"), str(tmp_path / "v.json")
-    without_scipy = scipy_after_each([
+    fit = ["--preset", "ktm-iswf", "--d", "2", "--epochs", "2"]
+
+    def commands(link):
+        model, vocab = str(tmp_path / f"{link}.json"), str(tmp_path / f"{link}-vocab.json")
+        scored = ["--model", model, *log, "--vocab", vocab]
+        return [
+            ["train", *log, "--link", link, *fit, "--out", model, "--vocab-out", vocab],
+            ["predict", *scored, "--out", str(tmp_path / f"{link}-p.csv")],
+            ["evaluate", *scored, "--out", str(tmp_path / f"{link}-eval.csv")],
+            ["cv", *log, "--link", link, *fit, "--folds", "2", "--out-dir", str(tmp_path / f"{link}-cv")],
+        ]
+
+    logit = [
         ["encode", *log, "--preset", "pfa", "--out", str(tmp_path / "dm.txt")],
-        ["train", *log, "--preset", "ktm-iswf", "--d", "2", "--epochs", "2",
-         "--out", model, "--vocab-out", vocab],
-        ["export-embeddings", "--model", model, "--out", str(tmp_path / "emb.csv")],
-        ["train", *log, "--link", "probit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "2",
-         "--out", str(tmp_path / "probit.json")],
-    ])
-    # import, encode, logit train and export-embeddings; then probit train
-    assert without_scipy == [(False, False)] * 4 + [(True, True)]
-    predict = ["predict", "--model", model, *log, "--vocab", vocab, "--out", str(tmp_path / "p.csv")]
-    assert scipy_after_each([predict]) == [(False, False), (True, True)]
+        *commands("logit"),
+        ["export-embeddings", "--model", str(tmp_path / "logit.json"), "--out", str(tmp_path / "emb.csv")],
+    ]
+    assert scipy_after_each(logit) == [(False, False, False)] * 7
+    # import, then probit train, predict, evaluate and cv
+    assert scipy_after_each(commands("probit")) == [(False, False, False)] + [(True, True, False)] * 4

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,20 +131,26 @@ class TestQMatrixAlignment:
         q = QMatrix(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8))
         vocab_items = {"2": 0, "3": 1, "1": 2}  # first-appearance order
         aligned = align_qmatrix(q, vocab_items)
-        assert aligned.kc(0) == (1,)  # raw item 2
-        assert aligned.kc(1) == (0, 1)  # raw item 3
-        assert aligned.kc(2) == (0,)  # raw item 1
+        assert aligned.matrix.tolist() == [[0, 1], [1, 1], [1, 0]]  # raw items 2, 3, 1
 
     def test_zero_based_ids(self):
         q = QMatrix(np.array([[1, 0], [0, 1]], dtype=np.int8))
-        aligned = align_qmatrix(q, {"1": 0, "0": 1})
-        assert aligned.kc(0) == (1,)  # raw item 1 is q row 1
-        assert aligned.kc(1) == (0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # ids that reach 0 are not ambiguous
+            aligned = align_qmatrix(q, {"1": 0, "0": 1})
+        assert aligned.matrix.tolist() == [[0, 1], [1, 0]]  # raw item 1 is q row 1
+
+    def test_ids_that_fit_both_bases_warn(self):
+        # ids 1..4 against 5 rows: 0-based leaves row 0 unused, 1-based row 4
+        q = QMatrix(np.eye(5, dtype=np.int8))
+        with pytest.warns(UserWarning, match=r"\[1, 4\].*5-row.*0-based.*row 0 goes unused"):
+            aligned = align_qmatrix(q, {"1": 0, "2": 1, "3": 2, "4": 3})
+        assert aligned.matrix.tolist() == np.eye(5, dtype=int)[1:].tolist()
 
     def test_vocab_order_passthrough(self):
         q = QMatrix(np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8))
         aligned = align_qmatrix(q, {"anything": 0, "goes": 1}, vocab_order=True)
-        assert aligned.kc(0) == (0,)
+        assert tuple(np.flatnonzero(aligned.matrix[0])) == (0,)
 
     def test_non_integer_ids_need_vocab_order(self):
         q = QMatrix(np.array([[1]], dtype=np.int8))
@@ -163,7 +170,7 @@ class TestLoadDataset:
         assert dataset.n_students == 2
         assert dataset.n_items == 3
         # raw item "2" (dense 0) exercises the first two skills
-        assert dataset.qmatrix.kc(0) == (0, 1)
+        assert tuple(np.flatnonzero(dataset.qmatrix.matrix[0])) == (0, 1)
 
     def test_extra_columns_property(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -363,7 +370,7 @@ def reference_synthetic(spec: SynthSpec):
         for _ in range(spec.attempts):
             for item in rng.permutation(m):
                 item = int(item)
-                kc = np.array(q.kc(item), dtype=np.int64)
+                kc = np.flatnonzero(q.matrix[item])
                 outcome = draw(score(student, item, kc))
                 triplets.append(Triplet(student, item, outcome))
                 (wins if outcome else fails)[student, kc] += 1

@@ -15,7 +15,7 @@ from ktfm import (
     preset_encoding,
 )
 from ktfm.encoding import PRESET_NAMES
-from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, FULL_CONFIG
+from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, FULL_CONFIG, to_dense
 
 
 def replay_encode(triplets, q, config, n_students, extras=None, n_items=None):
@@ -26,7 +26,7 @@ def replay_encode(triplets, q, config, n_students, extras=None, n_items=None):
     dense = np.zeros((len(triplets), space.width))
     wins, fails = {}, {}
     for r, (student, item, outcome) in enumerate(triplets):
-        kc = q.kc(item) if item >= 0 else ()
+        kc = np.flatnonzero(q.matrix[item]) if item >= 0 else ()
         if "users" in blocks and student >= 0:
             dense[r, space.column("users", student)] = 1
         if "items" in blocks and item >= 0:
@@ -50,13 +50,13 @@ def replay_encode(triplets, q, config, n_students, extras=None, n_items=None):
 
 
 def _counter(dm, block, row, skill):
-    return dm.densify()[row, dm.space.column(block, skill)]
+    return to_dense(dm)[row, dm.space.column(block, skill)]
 
 
 class TestWorkedExample:
     def test_full_encoding_is_exact(self, example_triplets, example_qmatrix):
         dm = encode_dataset(example_triplets, example_qmatrix, FULL_CONFIG, n_students=2)
-        assert np.array_equal(dm.densify(), EXAMPLE_ENCODED)
+        assert np.array_equal(to_dense(dm), EXAMPLE_ENCODED)
         assert dm.labels.tolist() == EXAMPLE_LABELS
 
     def test_block_layout_order(self, example_triplets, example_qmatrix):
@@ -68,14 +68,14 @@ class TestWorkedExample:
         # before the 4th attempt student 1 has two wins on skill 0, but item 2
         # exercises skills {1, 2}, so the wins block must not mention skill 0
         dm = encode_dataset(example_triplets, example_qmatrix, FULL_CONFIG, n_students=2)
-        wins_block = dm.densify()[3, 8:11]
+        wins_block = to_dense(dm)[3, 8:11]
         assert wins_block.tolist() == [0.0, 2.0, 0.0]
 
 
 class TestEncodeDataset:
     def test_single_triplet_has_no_history(self, example_qmatrix):
         dm = encode_dataset([Triplet(0, 1, 1)], example_qmatrix, FULL_CONFIG, n_students=2)
-        dense = dm.densify()[0]
+        dense = to_dense(dm)[0]
         assert dense[8:14].tolist() == [0.0] * 6
 
     def test_one_hot_blocks_have_exactly_one_entry(self, example_qmatrix):
@@ -85,14 +85,14 @@ class TestEncodeDataset:
             for _ in range(80)
         ]
         dm = encode_dataset(triplets, example_qmatrix, FULL_CONFIG, n_students=4)
-        dense = dm.densify()
+        dense = to_dense(dm)
         assert (dense[:, :4].sum(axis=1) == 1).all()
         assert (dense[:, 4:7].sum(axis=1) == 1).all()
 
     def test_skills_block_matches_item_skills(self, example_qmatrix):
         triplets = [Triplet(0, 2, 1), Triplet(0, 0, 0)]
         dm = encode_dataset(triplets, example_qmatrix, FULL_CONFIG, n_students=1)
-        dense = dm.densify()
+        dense = to_dense(dm)
         assert dense[0, 4:7].tolist() == [0.0, 1.0, 1.0]
         assert dense[1, 4:7].tolist() == [0.0, 0.0, 0.0]
 
@@ -108,16 +108,16 @@ class TestEncodeDataset:
             for _ in range(200)
         ]
         dm = encode_dataset(triplets, example_qmatrix, FULL_CONFIG, n_students=n_students)
-        dense = dm.densify()
+        dense = to_dense(dm)
         wins_off = dm.space.offset("wins")
         fails_off = dm.space.offset("fails")
 
         tally: dict[tuple[int, int, int], int] = {}
         for r, t in enumerate(triplets):
-            for k in example_qmatrix.kc(t.item):
+            for k in np.flatnonzero(example_qmatrix.matrix[t.item]):
                 assert dense[r, wins_off + k] == tally.get((t.student, k, 1), 0)
                 assert dense[r, fails_off + k] == tally.get((t.student, k, 0), 0)
-            for k in example_qmatrix.kc(t.item):
+            for k in np.flatnonzero(example_qmatrix.matrix[t.item]):
                 key = (t.student, k, t.outcome)
                 tally[key] = tally.get(key, 0) + 1
 
@@ -131,8 +131,8 @@ class TestEncodeDataset:
         pfa = EncodingConfig(("skills", "wins", "fails"))
         dm_afm = encode_dataset(triplets, example_qmatrix, afm, n_students=3)
         dm_pfa = encode_dataset(triplets, example_qmatrix, pfa, n_students=3)
-        attempts = dm_afm.densify()[:, 3:6]
-        wins_plus_fails = dm_pfa.densify()[:, 3:6] + dm_pfa.densify()[:, 6:9]
+        attempts = to_dense(dm_afm)[:, 3:6]
+        wins_plus_fails = to_dense(dm_pfa)[:, 3:6] + to_dense(dm_pfa)[:, 6:9]
         assert np.array_equal(attempts, wins_plus_fails)
 
     def test_deterministic_serialization(self, example_triplets, example_qmatrix, tmp_path):
@@ -151,7 +151,7 @@ class TestEncodeDataset:
 
     def test_unknown_ids_drop_their_one_hots(self, example_qmatrix):
         dm = encode_dataset([Triplet(-1, 1, 1)], example_qmatrix, FULL_CONFIG, n_students=2)
-        dense = dm.densify()[0]
+        dense = to_dense(dm)[0]
         assert dense[:2].tolist() == [0.0, 0.0]
         assert dense[3] == 1.0  # the item one-hot survives
 
@@ -177,7 +177,7 @@ class TestUpdateCounters:
     def test_correct_answer_increments_wins(self, example_qmatrix):
         log = [Triplet(1, 1, 1), Triplet(1, 1, 0)]
         dm = encode_dataset(log, example_qmatrix, FULL_CONFIG, n_students=2)
-        dense = dm.densify()
+        dense = to_dense(dm)
         assert dense[1, 8:11].tolist() == [1, 1, 0]  # wins of student 1
         assert dense[:, 11:14].sum() == 0  # no fails yet
         assert dense[0, 8:14].sum() == 0  # the first row saw no history
@@ -185,7 +185,7 @@ class TestUpdateCounters:
     def test_empty_skill_set_changes_nothing(self, example_qmatrix):
         log = [Triplet(0, 0, 1), Triplet(0, 0, 0), Triplet(0, 1, 1)]
         dm = encode_dataset(log, example_qmatrix, FULL_CONFIG, n_students=2)
-        assert dm.densify()[:, 8:14].sum() == 0
+        assert to_dense(dm)[:, 8:14].sum() == 0
 
     def test_attempts_identity_over_random_updates(self, example_qmatrix):
         rng = np.random.default_rng(13)
@@ -197,7 +197,7 @@ class TestUpdateCounters:
         dm = encode_dataset(log + [Triplet(s, 1, 0) for s in range(4)], example_qmatrix, afm, 4)
         touches = np.zeros((4, 3), dtype=int)
         for t in log:
-            for k in example_qmatrix.kc(t.item):
+            for k in np.flatnonzero(example_qmatrix.matrix[t.item]):
                 touches[t.student, k] += 1
         for s in range(4):  # item 1 exercises skills 0 and 1
             for k in (0, 1):
@@ -212,7 +212,7 @@ class TestUpdateCounters:
         dm = encode_dataset(log, example_qmatrix, FULL_CONFIG, n_students=2)
         seen: dict = {}
         for r, t in enumerate(log):
-            for k in example_qmatrix.kc(t.item):
+            for k in np.flatnonzero(example_qmatrix.matrix[t.item]):
                 now = np.array([_counter(dm, "wins", r, k), _counter(dm, "fails", r, k)])
                 assert (now >= seen.get((t.student, k), 0)).all()
                 seen[(t.student, k)] = now
@@ -223,14 +223,14 @@ class TestLoadQMatrix:
         _, qfile = example_log_csv
         q = load_qmatrix(qfile)
         assert q.n_items == 3 and q.n_skills == 3
-        assert q.kc(1) == (0, 1)  # second item exercises the first two skills
-        assert q.kc(0) == ()
+        assert tuple(np.flatnonzero(q.matrix[1])) == (0, 1)  # second item exercises the first two skills
+        assert not q.matrix[0].any()
 
     def test_all_zero_matrix_is_valid(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("0,0\n0,0\n")
         q = load_qmatrix(path)
-        assert q.kc(0) == () and q.kc(1) == ()
+        assert not q.matrix.any()
 
     def test_non_binary_cell_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
@@ -265,7 +265,7 @@ class TestEncodeExtra:
     def test_two_columns_two_nonzeros(self):
         config = EncodingConfig(("users",), extra_columns=(("a", 3), ("b", 5)))
         dm = self._encode(config, {"a": [1], "b": [4]})
-        extra = dm.densify()[0, dm.space.offset("a") :]
+        extra = to_dense(dm)[0, dm.space.offset("a") :]
         assert np.flatnonzero(extra).size == 2
         assert (extra[extra != 0] == 1.0).all()
 
@@ -331,7 +331,7 @@ def test_skill_lookup_corner_cases_match_the_replay(preset, case):
     q = QMatrix(np.array(matrix))
     config, _ = preset_encoding(preset)
     dm = encode_dataset(triplets, q, config, n_students=2)
-    assert np.array_equal(dm.densify(), replay_encode(triplets, q, config, 2))
+    assert np.array_equal(to_dense(dm), replay_encode(triplets, q, config, 2))
 
 
 @st.composite
@@ -362,5 +362,5 @@ def encoding_cases(draw):
 def test_encoding_matches_the_row_by_row_replay(case):
     triplets, q, config, n_students, extras = case
     dm = encode_dataset(triplets, q, config, n_students, extras=extras)
-    assert np.array_equal(dm.densify(), replay_encode(triplets, q, config, n_students, extras))
+    assert np.array_equal(to_dense(dm), replay_encode(triplets, q, config, n_students, extras))
     assert dm.labels.tolist() == [t.outcome for t in triplets]

@@ -1,6 +1,8 @@
 import ast
+import csv
 import io
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -17,16 +19,16 @@ from ktfm import (
     predict_proba_matrix,
     preset_encoding,
     raw_scores,
-    read_embeddings,
 )
 from ktfm.encoding import DimensionRule
-from tests.conftest import matrix_from_rows
+from ktfm.model import PROB_EPS
+from tests.conftest import matrix_from_rows, to_dense
 from tests.test_sparse import design_matrices
 
 
 def brute_force_score(params: FMParams, row) -> float:
     """Explicit double loop over all ordered pairs k < l of a one-row matrix."""
-    dense = row.densify()[0]
+    dense = to_dense(row)[0]
     z = params.bias + float(dense @ params.w)
     if params.V is not None:
         n = params.n_features
@@ -103,7 +105,7 @@ class TestRawScore:
         params = FMParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, d)) if d else None)
         fast = raw_scores(params, dm)
         V = np.zeros((n, 0)) if params.V is None else params.V
-        for r, x in enumerate(dm.densify()):
+        for r, x in enumerate(to_dense(dm)):
             slow = params.bias + float(x @ params.w)
             # bounds the rounding of both forms: the factor term is formed
             # from (sum_k x_k V_kf)^2 in one and from x_k x_l V_k.V_l in the other
@@ -125,6 +127,18 @@ class TestRawScore:
 class TestLinks:
     def test_zero_score_is_even_odds_logit(self):
         assert predict_proba_matrix(FMParams.zeros(2), matrix_from_rows(2, [[]]), Link.LOGIT)[0] == 0.5
+
+    def test_logit_is_expit_to_within_its_last_bit(self):
+        # 1 / (1 + exp(-z)) in numpy, without scipy: numpy's exp may differ
+        # from libm's in the last bit, which moves p by at most about 1e-16
+        from scipy.special import expit
+
+        z = np.linspace(-800.0, 800.0, 320_001)
+        z = np.r_[z, np.geomspace(1e-300, 800.0, 20_001), -np.geomspace(1e-300, 800.0, 20_001)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # exp(800) overflows quietly
+            ours = Link.LOGIT.inverse(z)
+        assert np.abs(ours - np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)).max() <= 2.3e-16
 
     def test_zero_score_is_even_odds_probit(self):
         assert predict_proba_matrix(FMParams.zeros(2), matrix_from_rows(2, [[]]), Link.PROBIT)[0] == 0.5
@@ -231,10 +245,15 @@ class TestEmbeddingExport:
         path = tmp_path / "emb.csv"
         with open(path, "w", newline="\n") as fh:
             export_embeddings(params, space, fh)
-        got_space, w, V = read_embeddings(path)
-        assert got_space == space
-        assert np.array_equal(w, params.w)
-        assert np.array_equal(V, params.V)
+        with open(path, newline="") as fh:
+            header, *records = list(csv.reader(fh))
+        assert header == ["block", "local_id", "bias", "v0", "v1", "v2"]
+        assert [(block, int(local)) for block, local, *_ in records] == [
+            space.owner(col) for col in range(space.width)
+        ]
+        values = np.array([[float(v) for v in record[2:]] for record in records])
+        assert np.array_equal(values[:, 0], params.w)
+        assert np.array_equal(values[:, 1:], params.V)
 
 
 class TestFMParams:
@@ -295,9 +314,23 @@ def import_time_imports(path: Path) -> set[str]:
     return found
 
 
+def all_imports(path: Path) -> set[str]:
+    """Every absolute import of one source file, function bodies included;
+    ``from a import b`` counts as both ``a`` and ``a.b``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
 def test_no_module_imports_scipy_at_import_time():
     # scipy is imported inside the functions that call its kernels, so that
-    # commands that never score or draw start without it
+    # commands that never draw start without it; scipy.sparse is not
+    # imported at all, as numpy sums the rows
     src = Path(__file__).resolve().parents[1] / "src" / "ktfm"
     at_import = {
         path.name: sorted(name for name in import_time_imports(path) if name.split(".")[0] == "scipy")
@@ -305,3 +338,9 @@ def test_no_module_imports_scipy_at_import_time():
     }
     assert at_import == {name: [] for name in at_import}
     assert "numpy" in import_time_imports(src / "model.py")  # the walk does see the top
+    sparse = {
+        path.name: sorted(name for name in all_imports(path) if name.startswith("scipy.sparse"))
+        for path in src.glob("*.py")
+    }
+    assert sparse == {name: [] for name in sparse}
+    assert "scipy.special" in all_imports(src / "training.py")  # the walk does see function bodies

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ktfm import DesignMatrix, FeatureSpace, LayoutError
 from ktfm.sparse import RowFormatError, load_design_matrix
-from tests.conftest import matrix_from_dense, matrix_from_rows
+from tests.conftest import matrix_from_dense, matrix_from_rows, scipy_csr, to_dense
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestSparseRow:
 
     def test_decrease_across_rows_is_allowed(self, space):
         dm = DesignMatrix(space, [0, 1, 1, 2], [5, 2], [1.0, 1.0], [1, 0, 1])
-        assert dm.densify()[:, [2, 5]].tolist() == [[0, 1], [0, 0], [1, 0]]
+        assert to_dense(dm)[:, [2, 5]].tolist() == [[0, 1], [0, 0], [1, 0]]
 
     def test_from_dense_round_trip(self):
         rng = np.random.default_rng(11)
@@ -91,10 +91,10 @@ class TestSparseRow:
                 nz = rng.choice(20, size=rng.integers(0, 8), replace=False)
                 row[nz] = rng.integers(1, 5, size=nz.size)
             dm = matrix_from_dense(20, dense)
-            again = matrix_from_dense(20, dm.densify())
+            again = matrix_from_dense(20, to_dense(dm))
             assert np.array_equal(again.indices, dm.indices)
             assert np.array_equal(again.data, dm.data)
-            assert np.array_equal(dm.densify(), dense)
+            assert np.array_equal(to_dense(dm), dense)
 
     def test_rows_are_immutable(self):
         dm = matrix_from_rows(2, [[(0, 1.0)]])
@@ -145,6 +145,8 @@ class TestSparseDot:
         dm = matrix_from_rows(8, [[(7, 1.0)]])
         with pytest.raises(ValueError):
             dm.csr @ np.ones(5)
+        with pytest.raises(ValueError):
+            dm.csr @ np.ones((5, 2))
 
 
 class TestDesignMatrix:
@@ -173,14 +175,14 @@ class TestDesignMatrix:
 
     def test_csr_agrees_with_densify(self, space):
         dm = self._matrix(space)
-        assert np.array_equal(dm.csr.toarray(), dm.densify())
+        assert np.array_equal(dm.csr @ np.eye(space.width), to_dense(dm))
 
     def test_subset(self, space):
         dm = self._matrix(space)
         sub = dm.subset([1])
         assert len(sub) == 1
         assert sub.labels.tolist() == [0]
-        assert np.array_equal(sub.densify(), dm.densify()[[1]])
+        assert np.array_equal(to_dense(sub), to_dense(dm)[[1]])
 
     def test_serialization_header_and_layout(self, space, tmp_path):
         dm = self._matrix(space)
@@ -272,5 +274,25 @@ class TestDesignMatrixProperties:
     def test_subset_equals_the_dense_rows(self, dm, picks):
         idx = [p % len(dm) for p in picks] if len(dm) else []
         sub = dm.subset(idx)
-        assert np.array_equal(sub.densify(), dm.densify()[idx])
+        assert np.array_equal(to_dense(sub), to_dense(dm)[idx])
         assert sub.labels.tolist() == dm.labels[idx].tolist()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # products that overflow float64
+    @settings(max_examples=80, deadline=None)
+    @given(dm=design_matrices(), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 10**6), max_size=20))
+    def test_products_and_subset_equal_scipy(self, dm, d, seed, picks):
+        # the numpy row sums run in scipy's order, so they agree to the bit
+        rng = np.random.default_rng(seed)
+        w, V = rng.normal(size=dm.space.width), rng.normal(size=(dm.space.width, d))
+        reference = scipy_csr(dm)
+        squared = reference.copy()
+        squared.data = squared.data**2
+        for ours, theirs in ((dm.csr @ w, reference @ w), (dm.csr @ V, reference @ V),
+                             (dm.csr_squared @ V**2, squared @ V**2)):
+            assert ours.dtype == np.float64 and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs, equal_nan=True)
+        idx = np.array([p % len(dm) for p in picks] if len(dm) else [], dtype=np.int64)
+        sub, rows = dm.subset(idx), reference[idx]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sub, name), getattr(rows, name))

@@ -9,6 +9,7 @@ from scipy.special import expit
 
 from ktfm import (
     DesignMatrix,
+    FeatureSpace,
     FMParams,
     Link,
     TrainConfig,
@@ -31,7 +32,7 @@ from ktfm.training import (
     _sweep,
     sample_truncated_normal,
 )
-from tests.conftest import matrix_from_rows
+from tests.conftest import matrix_from_rows, scipy_csr, to_dense
 from tests.test_model import random_instance
 from tests.test_sparse import design_matrices
 
@@ -210,7 +211,7 @@ def map_sweep_loop(data, config):
     start = init_params(config, data.space.width)
     bias, w = start.bias, start.w.copy()
     V = None if start.V is None else start.V.copy()
-    X, y = data.csr.toarray(), data.labels.astype(np.float64)
+    X, y = to_dense(data), data.labels.astype(np.float64)
     lam = config.l2 * len(data)
     blocks, empty = _colour_blocks(data)
     order = np.concatenate([cols for cols, *_ in blocks]).tolist()
@@ -295,7 +296,7 @@ class TestMapTrainer:
         assert len(log) < 2000
         assert log[-1]["objective"] == pytest.approx(map_objective(params, data, l2), rel=1e-12)
 
-        X = data.csr.toarray()
+        X = to_dense(data)
         y = data.labels.astype(np.float64)
 
         def objective(theta):
@@ -330,6 +331,24 @@ class TestMapTrainer:
         objectives = [map_objective(init_params(cfg, dm.space.width), dm, l2)]
         objectives += [row["objective"] for row in log]
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(objectives, objectives[1:]))
+
+
+def test_epoch_logs_read_the_carried_scores(monkeypatch):
+    # logging a fit re-scores no train set: the MAP fit never calls raw_scores,
+    # and Gibbs calls it once, to check its carried scores at the end
+    import ktfm.training as training
+
+    calls = []
+    monkeypatch.setattr(training, "raw_scores", lambda *args: calls.append(1) or raw_scores(*args))
+    data = make_matrix(np.random.default_rng(8), n_rows=50, width=10)
+    log: list = []
+    params = train_map_logit(data, TrainConfig(d=2, epochs=5, seed=1), epoch_log=log)
+    assert len(calls) == 0 and len(log) == 5
+    assert log[-1]["train_nll"] == pytest.approx(nll(Link.LOGIT.inverse(raw_scores(params, data)), data.labels),
+                                                 rel=1e-12)
+    log.clear()
+    train_gibbs_probit(data, None, TrainConfig(d=2, epochs=5, seed=1), epoch_log=log)
+    assert len(calls) == 1 and len(log) == 5
 
 
 class TestTruncatedSampling:
@@ -428,6 +447,23 @@ class TestGibbsTrainer:
         gibbs_auc = auc(out.test_predictions, dm.labels[test_idx])
         assert abs(gibbs_auc - oracle_auc) <= 0.05
 
+    def test_drifting_carried_scores_raise(self, monkeypatch):
+        # a sweep that knocks the carried residuals off the scores its draws imply
+        import ktfm.training as training
+
+        sweep = training._sweep
+
+        def drifting(values, blocks, empty, qf, e, group, rng):
+            sweep(values, blocks, empty, qf, e, group, rng)
+            e += 1e-5
+
+        data = make_matrix(np.random.default_rng(3), n_rows=40, width=8)
+        config = TrainConfig(d=1, epochs=3, seed=0)
+        train_gibbs_probit(data, None, config)
+        monkeypatch.setattr(training, "_sweep", drifting)
+        with pytest.raises(TrainingDivergedError, match="drifted"):
+            train_gibbs_probit(data, None, config)
+
     def test_burn_in_default_is_fifth(self):
         assert TrainConfig(epochs=500).effective_burn_in == 100
         assert TrainConfig(epochs=500, burn_in=42).effective_burn_in == 42
@@ -443,7 +479,7 @@ def reference_gibbs(train, test, config):
     bias, w = start.bias, start.w.copy()
     V = None if start.V is None else start.V.copy()
     X = train.csr
-    Xc = X.tocsc()
+    Xc = scipy_csr(train).tocsc()
     col_rows = [Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
     col_vals = [Xc.data[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
     col_sq = [float(v @ v) for v in col_vals]
@@ -506,7 +542,7 @@ def reference_gibbs(train, test, config):
 def column_loop(data, values, qf, e, group, noise):
     """One half-sweep drawn one column at a time, in the colouring's class order."""
     blocks, empty = _colour_blocks(data)
-    Xc = data.csr.tocsc()
+    Xc = scipy_csr(data).tocsc()
     prec, mean = group.precision, group.mean
     for k in np.concatenate([cols for cols, *_ in blocks]).tolist():
         rows, xv = Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]], Xc.data[Xc.indptr[k] : Xc.indptr[k + 1]]
@@ -519,6 +555,89 @@ def column_loop(data, values, qf, e, group, noise):
             qf[rows] += (new - old) * xv
         values[k] = new
     values[empty] = mean + noise[empty] / math.sqrt(prec)
+
+
+def reference_colours(data):
+    """First-fit classes of the columns of ``data`` (-1 for a column no row
+    touches), by the loop ``_colour_blocks`` ran before it coloured one-hot
+    blocks in one step: every touched column, in column order, takes the
+    smallest class none of its rows is in yet, read from a rows x classes
+    bool table that doubles when all its classes are taken."""
+    Xc = scipy_csr(data).tocsc()
+    colour = np.full(data.space.width, -1)
+    used = np.zeros((len(data), 8), dtype=bool)
+    for k in range(data.space.width):
+        rows = Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]]
+        if not rows.size:
+            continue
+        free = np.flatnonzero(~used[rows].any(axis=0))
+        if free.size:
+            c = free[0]
+        else:
+            c = used.shape[1]
+            used = np.hstack([used, np.zeros_like(used)])
+        colour[k] = c
+        used[rows, c] = True
+    return colour
+
+
+def colours(data):
+    """The class of every column in ``_colour_blocks(data)``, -1 for the untouched."""
+    blocks, empty = _colour_blocks(data)
+    colour = np.full(data.space.width, -1)
+    for c, (cols, *_) in enumerate(blocks):
+        colour[cols] = c
+    assert (colour[empty] == -1).all()
+    return colour
+
+
+@st.composite
+def blocked_matrices(draw):
+    """Matrices over several blocks, some one-hot (at most one column per row)
+    and some not, so that both ways of colouring a block run."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=5))
+    space = FeatureSpace(tuple((f"b{i}", width) for i, (width, _) in enumerate(blocks)))
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        row, offset = [], 0
+        for width, one_hot in blocks:
+            cols = draw(st.sets(st.integers(0, width - 1), max_size=1 if one_hot else width))
+            row += [(offset + c, draw(st.sampled_from([1.0, 2.0, 7.0]))) for c in sorted(cols)]
+            offset += width
+        rows.append(row)
+    return matrix_from_rows(space, rows, np.zeros(len(rows), dtype=np.int8))
+
+
+class TestColouringOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(dm=design_matrices())
+    def test_single_block_matrices(self, dm):
+        assert colours(dm).tolist() == reference_colours(dm).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dm=blocked_matrices())
+    def test_one_hot_and_shared_blocks(self, dm):
+        assert colours(dm).tolist() == reference_colours(dm).tolist()
+
+    def test_more_than_64_classes(self):
+        # an item block, then 140 skills that some rows hold all of, then
+        # users whose rows already sit in 64 or more classes: three words
+        rng = np.random.default_rng(23)
+        space = FeatureSpace((("items", 30), ("skills", 140), ("users", 40)))
+        rows = []
+        for r in range(300):
+            skills = np.arange(140) if r % 50 == 0 else np.sort(rng.choice(140, rng.integers(0, 70), replace=False))
+            rows.append([(int(rng.integers(30)), 1.0)] + [(30 + int(k), 1.0) for k in skills]
+                        + [(170 + int(rng.integers(40)), 1.0)])
+        dm = matrix_from_rows(space, rows, rng.integers(0, 2, 300))
+        expected = reference_colours(dm)
+        assert expected[170:].max() >= 64 and expected.max() >= 128
+        assert colours(dm).tolist() == expected.tolist()
+
+    def test_zero_rows(self):
+        dm = matrix_from_rows(FeatureSpace((("items", 3), ("skills", 2))), [], np.array([], dtype=np.int8))
+        blocks, empty = _colour_blocks(dm)
+        assert blocks == [] and empty.tolist() == [0, 1, 2, 3, 4]
 
 
 class TestBlockedSweep:
@@ -561,7 +680,7 @@ class TestBlockedSweep:
     @settings(max_examples=100, deadline=None)
     @given(dm=design_matrices())
     def test_colouring_splits_touched_columns_into_row_disjoint_classes(self, dm):
-        Xc = dm.csr.tocsc()
+        Xc = scipy_csr(dm).tocsc()
         blocks, empty = _colour_blocks(dm)
         counts = np.diff(Xc.indptr)
         touches = Xc.toarray() != 0
@@ -595,7 +714,7 @@ class TestBlockedSweep:
             for _ in range(30)
         ]
         dm = matrix_from_rows(2**18, rows, rng.integers(0, 2, 30))
-        Xc = dm.csr.tocsc()
+        Xc = scipy_csr(dm).tocsc()
         blocks, empty = _colour_blocks(dm)
         assert sorted(k for cols, *_ in blocks for k in cols.tolist()) == picks.tolist()
         assert empty.size == 2**18 - picks.size
