@@ -14,7 +14,6 @@ from .encoding import (
     EncodingConfig,
     EncodingError,
     QMatrix,
-    Triplet,
     encode_dataset,
     load_qmatrix,
     preset_encoding,
@@ -82,7 +81,6 @@ __all__ = [
     "SynthSpec",
     "TrainConfig",
     "TrainingDivergedError",
-    "Triplet",
     "Vocabulary",
     "accuracy",
     "auc",

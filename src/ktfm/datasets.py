@@ -18,12 +18,22 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .encoding import EncodingConfig, EncodingError, QMatrix, Triplet, encode_dataset, load_qmatrix
+from .encoding import (
+    _BITS,
+    EncodingConfig,
+    EncodingError,
+    QMatrix,
+    _csv_chunks,
+    _lookup,
+    encode_dataset,
+    load_qmatrix,
+)
 from .model import FMParams, Link, raw_scores
+from .sparse import _readonly
 
 
 class DataFormatError(ValueError):
@@ -66,34 +76,25 @@ class Vocabulary:
             return cls.from_dict(json.load(fh))
 
 
-def _assign(mapping: dict[str, int], raw: str, extend: bool) -> int:
-    if raw in mapping:
-        return mapping[raw]
-    if not extend:
-        return -1
-    mapping[raw] = len(mapping)
-    return mapping[raw]
-
-
 def load_triplets(
     path,
     vocab: Vocabulary | None = None,
     *,
     allow_unknown: bool = False,
-) -> tuple[list[Triplet], dict[str, np.ndarray], Vocabulary]:
-    """Read `user_id,item_id,correct[,extra...]` rows in chronological order.
+) -> tuple[np.ndarray, dict[str, np.ndarray], Vocabulary]:
+    """Read `user_id,item_id,correct[,extra...]` rows in chronological order
+    into a read-only ``(N, 3)`` int64 array of (student, item, outcome).
 
     Without a vocabulary, dense ids are assigned by first appearance. A
     provided vocabulary is frozen: unknown users/items raise, unless
     ``allow_unknown`` maps them to id -1 (their one-hot drops out at encode
     time). Unseen values in a frozen extra column always raise; extra columns
-    a frozen vocabulary does not know are ignored entirely.
+    a frozen vocabulary does not know are ignored entirely. A faulty file
+    raises for its first faulty line.
     """
     fresh = vocab is None
     vocab = Vocabulary() if fresh else vocab
-    triplets: list[Triplet] = []
-    extras: dict[str, list[int]] = {}
-    unknown = 0
+    parts: list[np.ndarray] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -105,66 +106,62 @@ def load_triplets(
             raise DataFormatError(
                 f"{path}: header must start with user_id,item_id,correct, got {header[:3]}"
             )
-        tracked = [
-            (pos, name)
-            for pos, name in enumerate(header[3:], start=3)
-            if fresh or name in vocab.extras
+        names = [name for name in header[3:] if fresh or name in vocab.extras]
+        if len(set(names)) < len(names):
+            raise DataFormatError(f"{path}: header repeats an extra column name: {names}")
+        # (position, mapping, extend, fault) of each column read, in header order
+        columns = [
+            (0, vocab.users, fresh, lambda value: "id not in the provided vocabulary"),
+            (1, vocab.items, fresh, lambda value: "id not in the provided vocabulary"),
+            (2, _BITS, False, lambda value: f"correct must be 0 or 1, got {value!r}"),
+            *(
+                (header.index(name, 3), vocab.extras.setdefault(name, {}), fresh,
+                 lambda value, name=name: f"unseen value {value!r} for extra column {name!r}")
+                for name in names
+            ),
         ]
-        for _, name in tracked:
-            extras[name] = []
-            vocab.extras.setdefault(name, {})
-        for lineno, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != len(header):
+        # the order in which a row's columns are checked
+        order = [2, *(() if allow_unknown else (0, 1)), *range(3, len(columns))]
+        for lines, rows, lengths in _csv_chunks(reader, first_line=2):
+            wrong = lengths != len(header)
+            end = int(np.argmax(wrong)) if wrong.any() else len(rows)  # the first malformed row
+            fields = list(zip(*rows[:end])) or [()] * len(header)
+            codes = np.array([
+                _lookup(mapping, list(map(str.strip, fields[pos])), extend)
+                for pos, mapping, extend, _ in columns
+            ])
+            broken = codes[order] < 0
+            hit = broken.any(axis=0)
+            if hit.any():
+                r = int(np.argmax(hit))
+                pos, _, _, fault = columns[order[int(np.argmax(broken[:, r]))]]
+                raise DataFormatError(f"{path}: line {lines[r]}: {fault(rows[r][pos].strip())}")
+            if end < len(rows):
                 raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(record)}"
+                    f"{path}: line {lines[end]}: expected {len(header)} fields, got {len(rows[end])}"
                 )
-            raw_user, raw_item, raw_correct = (f.strip() for f in record[:3])
-            if raw_correct not in ("0", "1"):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: correct must be 0 or 1, got {raw_correct!r}"
-                )
-            user = _assign(vocab.users, raw_user, fresh)
-            item = _assign(vocab.items, raw_item, fresh)
-            if user < 0 or item < 0:
-                if not allow_unknown:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: id not in the provided vocabulary"
-                    )
-                unknown += 1
-            triplets.append(Triplet(user, item, int(raw_correct)))
-            for pos, name in tracked:
-                raw_value = record[pos].strip()
-                column = vocab.extras[name]
-                if raw_value not in column:
-                    if not fresh:
-                        raise DataFormatError(
-                            f"{path}: line {lineno}: unseen value {raw_value!r} "
-                            f"for extra column {name!r}"
-                        )
-                    column[raw_value] = len(column)
-                extras[name].append(column[raw_value])
-    if not triplets:
+            parts.append(codes)
+            del rows, fields  # free this batch before the next is read
+    if not parts:
         raise DataFormatError(f"{path}: no data rows")
+    codes = np.concatenate(parts, axis=1)
+    unknown = int(np.count_nonzero((codes[0] < 0) | (codes[1] < 0)))
     if unknown:
         warnings.warn(f"{path}: {unknown} rows reference ids outside the vocabulary")
-    return triplets, {k: np.array(v) for k, v in extras.items()}, vocab
+    return _readonly(codes[:3].T), {name: codes[k] for k, name in enumerate(names, start=3)}, vocab
 
 
-def write_triplets(path, triplets: Sequence[Triplet], vocab: Vocabulary | None = None) -> None:
-    """Inverse of :func:`load_triplets`; dense ids map back through the vocab."""
-    inv_users = inv_items = None
+def write_triplets(path, triplets, vocab: Vocabulary | None = None) -> None:
+    """Inverse of :func:`load_triplets` for an ``(N, 3)`` int array-like;
+    dense ids map back through the vocab."""
+    student, item, outcome = np.asarray(triplets).reshape(-1, 3).T.tolist()
     if vocab is not None:
-        inv_users = {v: k for k, v in vocab.users.items()}
-        inv_items = {v: k for k, v in vocab.items.items()}
+        student = list(map({v: k for k, v in vocab.users.items()}.__getitem__, student))
+        item = list(map({v: k for k, v in vocab.items.items()}.__getitem__, item))
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "item_id", "correct"])
-        for t in triplets:
-            user = inv_users[t.student] if inv_users else str(t.student)
-            item = inv_items[t.item] if inv_items else str(t.item)
-            writer.writerow([user, item, str(t.outcome)])
+        writer.writerows(zip(student, item, outcome))
 
 
 def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: bool = False) -> QMatrix:
@@ -219,12 +216,16 @@ def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: boo
 
 @dataclass
 class Dataset:
-    """A loaded log plus everything needed to encode it."""
+    """A loaded log plus everything needed to encode it; ``triplets`` is
+    stored as a read-only ``(N, 3)`` int64 array of (student, item, outcome)."""
 
-    triplets: list[Triplet]
+    triplets: np.ndarray
     qmatrix: QMatrix | None
     vocab: Vocabulary
     extras: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.triplets = _readonly(np.asarray(self.triplets, dtype=np.int64).reshape(-1, 3))
 
     @property
     def n_students(self) -> int:
@@ -297,7 +298,7 @@ class SynthSpec:
 
 @dataclass
 class SyntheticData:
-    triplets: list[Triplet]
+    triplets: np.ndarray  # read-only (N, 3) int64: student, item, outcome
     qmatrix: QMatrix | None
     truth: dict
 
@@ -375,22 +376,23 @@ def _truth_model(truth: Mapping) -> tuple[EncodingConfig, QMatrix | None, FMPara
     return config, q, FMParams(0.0, truth["w"], truth["V"])
 
 
-def oracle_probabilities(truth: Mapping, triplets: Sequence[Triplet]) -> np.ndarray:
-    """True success probabilities under the generating parameters.
+def oracle_probabilities(truth: Mapping, triplets) -> np.ndarray:
+    """True success probabilities under the generating parameters of every
+    row of the ``(N, 3)`` int array-like ``triplets``.
 
     Every generator is an FM, so this is its score on the encoded log. The
     encoder replays the observed outcomes into the counter blocks, so the
     returned probability is the one each attempt was actually drawn from.
-    ``triplets`` may also be an ``(N, 3)`` int array.
     """
     config, q, params = _truth_model(truth)
     data = encode_dataset(triplets, q, config, int(truth["n_students"]), n_items=int(truth["n_items"]))
     return Link(truth["link"]).inverse(raw_scores(params, data))
 
 
-def settle_outcomes(truth: Mapping, students, items, uniforms) -> list[Triplet]:
-    """The log whose outcome ``r`` is ``uniforms[r] < p_r``, with ``p_r`` the
-    oracle probability given the log's own earlier outcomes.
+def settle_outcomes(truth: Mapping, students, items, uniforms) -> np.ndarray:
+    """The log, as a read-only ``(N, 3)`` int64 array, whose outcome ``r`` is
+    ``uniforms[r] < p_r``, with ``p_r`` the oracle probability given the log's
+    own earlier outcomes.
 
     An outcome depends only on its student's earlier ones, so re-scoring until
     nothing changes settles at least one more attempt of every student per
@@ -400,7 +402,7 @@ def settle_outcomes(truth: Mapping, students, items, uniforms) -> list[Triplet]:
     while True:
         outcome = uniforms < oracle_probabilities(truth, log)
         if np.array_equal(outcome, log[:, 2]):
-            return list(map(Triplet._make, log.tolist()))
+            return _readonly(log)
         log[:, 2] = outcome
 
 
@@ -412,9 +414,7 @@ def write_synthetic(data: SyntheticData, outdir) -> dict[str, str]:
     write_triplets(paths["triplets"], data.triplets)
     if data.qmatrix is not None:
         paths["qmatrix"] = str(outdir / "qmatrix.csv")
-        with open(paths["qmatrix"], "w", newline="\n") as fh:
-            for row in data.qmatrix.matrix:
-                fh.write(",".join(str(int(c)) for c in row) + "\n")
+        np.savetxt(paths["qmatrix"], data.qmatrix.matrix, fmt="%d", delimiter=",")
     with open(paths["truth"], "w", newline="\n") as fh:
         json.dump(data.truth, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -436,7 +436,7 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
     all its skills in the q-matrix. Rows without a skill tag keep an empty
     skill set.
     """
-    by_order: dict[int, dict] = {}
+    by_order: dict[int, list[str]] = {}  # the output row of each order id
     problem_skills: dict[str, set[str]] = {}
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
@@ -456,34 +456,23 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
             correct = record["correct"].strip()
             if correct not in ("0", "1"):
                 continue  # scaffolding rows carry partial credit; skip them
-            entry = {
-                "user_id": record["user_id"].strip(),
-                "item_id": problem,
-                "correct": correct,
-            }
-            for name in ASSISTMENTS_EXTRAS:
-                entry[name] = (record.get(name) or "unknown").strip() or "unknown"
-            by_order[order] = entry
+            by_order[order] = [
+                record["user_id"].strip(),
+                problem,
+                correct,
+                *((record.get(name) or "unknown").strip() or "unknown" for name in ASSISTMENTS_EXTRAS),
+            ]
 
     skills = sorted({s for group in problem_skills.values() for s in group})
     skill_col = {s: k for k, s in enumerate(skills)}
-    problems: dict[str, int] = {}
     rows = [by_order[order] for order in sorted(by_order)]
-    for entry in rows:
-        problems.setdefault(entry["item_id"], len(problems))
-
+    problems = {problem: str(dense) for dense, problem in enumerate(dict.fromkeys(row[1] for row in rows))}
     with open(out_triplets, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "item_id", "correct", *ASSISTMENTS_EXTRAS])
-        for entry in rows:
-            writer.writerow(
-                [entry["user_id"], str(problems[entry["item_id"]]), entry["correct"]]
-                + [entry[name] for name in ASSISTMENTS_EXTRAS]
-            )
+        writer.writerows([user, problems[problem], *rest] for user, problem, *rest in rows)
     matrix = np.zeros((len(problems), max(len(skills), 1)), dtype=np.int8)
-    for problem, dense in problems.items():
+    for dense, problem in enumerate(problems):
         for skill in problem_skills.get(problem, ()):
             matrix[dense, skill_col[skill]] = 1
-    with open(out_qmatrix, "w", newline="\n") as fh:
-        for row in matrix:
-            fh.write(",".join(str(int(c)) for c in row) + "\n")
+    np.savetxt(out_qmatrix, matrix, fmt="%d", delimiter=",")

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,14 +28,6 @@ from .sparse import DesignMatrix, FeatureSpace, _readonly
 
 class EncodingError(ValueError):
     """Inconsistent encoding inputs (bad ids, misaligned extras, ...)."""
-
-
-class Triplet(NamedTuple):
-    """One observed attempt: dense student id, dense item id, outcome 0/1."""
-
-    student: int
-    item: int
-    outcome: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +41,7 @@ class QMatrix:
         m = np.array(self.matrix, dtype=np.int8, copy=True)
         if m.ndim != 2:
             raise EncodingError("q-matrix must be 2-d")
-        if m.size and not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise EncodingError("q-matrix entries must be 0 or 1")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -68,29 +61,66 @@ class QMatrix:
         return QMatrix(self.matrix[order])
 
 
+# rows a loader parses at once: enough to vectorize, few enough to bound memory
+CHUNK_ROWS = 4_096
+_BITS = {"0": 0, "1": 1}
+
+
+def _csv_chunks(reader, first_line: int):
+    """The reader's non-blank records, at most ``CHUNK_ROWS`` at a time: each
+    batch as (line numbers counted from ``first_line`` with blank records
+    included, records, field counts)."""
+    for start in itertools.count(first_line, CHUNK_ROWS):
+        records = list(itertools.islice(reader, CHUNK_ROWS))
+        if not records:
+            return
+        lengths = np.fromiter(map(len, records), np.int64, len(records))
+        kept = lengths > 1
+        single = np.flatnonzero(lengths == 1)  # a lone field is blank unless it holds text
+        kept[single] = [bool(records[i][0].strip()) for i in single]
+        if kept.all():
+            yield start + np.arange(len(records)), records, lengths
+        elif kept.any():
+            kept = np.flatnonzero(kept)
+            yield start + kept, [records[i] for i in kept], lengths[kept]
+        del records  # before the next batch is read
+
+
+def _lookup(mapping: dict[str, int], values: Sequence[str], extend: bool = False) -> np.ndarray:
+    """``mapping[v]`` for every value, -1 where it has none; with ``extend``,
+    values new to ``mapping`` first take the next dense ids by first appearance."""
+    if extend:
+        new = [v for v in dict.fromkeys(values) if v not in mapping]
+        mapping.update(zip(new, range(len(mapping), len(mapping) + len(new))))
+    return np.fromiter(map(mapping.get, values, itertools.repeat(-1)), np.int64, len(values))
+
+
 def load_qmatrix(path) -> QMatrix:
-    """Read a headerless CSV of 0/1 cells, one row per item."""
-    rows: list[list[int]] = []
+    """Read a headerless CSV of 0/1 cells, one row per item; cells may be
+    quoted or padded with spaces."""
+    parts, width = [], 0
     with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            cells = []
-            for cell in record:
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise EncodingError(
-                        f"{path}: line {lineno}: cell {cell!r} is not 0/1"
-                    )
-                cells.append(int(cell))
-            if rows and len(cells) != len(rows[0]):
+        for lines, rows, lengths in _csv_chunks(csv.reader(fh), first_line=1):
+            width = width or len(rows[0])
+            ragged = lengths != width
+            end = int(np.argmax(ragged)) if ragged.any() else len(rows)
+            cells = map(str.strip, itertools.chain.from_iterable(rows[: end + 1]))
+            bits = np.fromiter(map(_BITS.get, cells, itertools.repeat(-1)), np.int8)
+            bad = bits < 0
+            if bad.any():  # the first bad cell, which may lie in the ragged row
+                flat = int(np.argmax(bad))
+                r = min(flat // width, end)
+                cell = rows[r][flat - r * width].strip()
+                raise EncodingError(f"{path}: line {lines[r]}: cell {cell!r} is not 0/1")
+            if end < len(rows):
                 raise EncodingError(
-                    f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(cells)}"
+                    f"{path}: line {lines[end]}: expected {width} columns, got {len(rows[end])}"
                 )
-            rows.append(cells)
-    if not rows:
+            parts.append(bits.reshape(-1, width))
+            del rows  # free this batch before the next is read
+    if not parts:
         raise EncodingError(f"{path}: empty q-matrix")
-    return QMatrix(np.array(rows, dtype=np.int8))
+    return QMatrix(np.concatenate(parts))
 
 
 # canonical block order; presets pick subsets, extras append in declared order
@@ -238,14 +268,15 @@ def _prior_counts(
 
 
 def encode_dataset(
-    triplets: Sequence[Triplet],
+    triplets,
     q: QMatrix | None,
     config: EncodingConfig,
     n_students: int,
     extras: Mapping[str, Sequence[int]] | None = None,
     n_items: int | None = None,
 ) -> DesignMatrix:
-    """One sparse row per triplet, in order, labels = outcomes.
+    """One sparse row per (student, item, outcome) row of the ``(N, 3)`` int
+    array-like ``triplets``, in order, labels = outcomes.
 
     Counter blocks reflect the state *before* each attempt and cover only the
     skills of the attempted item. A negative student or item id means "unknown

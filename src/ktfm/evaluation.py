@@ -230,8 +230,7 @@ def run_cv(
         configs[preset] = config
     if not cells:
         raise ValueError("no valid (preset, d) grid cells")
-    students = [t.student for t in dataset.triplets]
-    folds = make_folds(len(dataset.triplets), fold_spec, students)
+    folds = make_folds(len(dataset.triplets), fold_spec, dataset.triplets[:, 0])
     reports = []
     for preset, run in groupby(cells, key=lambda cell: cell[0]):
         encoded = _encode(dataset, configs[preset])

@@ -84,11 +84,6 @@ class FMParams:
     def d(self) -> int:
         return 0 if self.V is None else int(self.V.shape[1])
 
-    @classmethod
-    def zeros(cls, n_features: int, d: int = 0) -> "FMParams":
-        V = np.zeros((n_features, d)) if d > 0 else None
-        return cls(0.0, np.zeros(n_features), V)
-
 
 def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     """Model score of every row of ``data`` on the link scale.

@@ -77,21 +77,8 @@ class FeatureSpace:
         except KeyError:
             raise LayoutError(f"unknown block {block!r}; have {self.block_names}") from None
 
-    def block_width(self, block: str) -> int:
-        self.offset(block)  # raises on unknown name
-        return dict(self.blocks)[block]
-
-    def column(self, block: str, local_id: int) -> int:
-        off = self.offset(block)
-        w = self.block_width(block)
-        if not 0 <= local_id < w:
-            raise LayoutError(
-                f"local id {local_id} out of range for block {block!r} of width {w}"
-            )
-        return off + local_id
-
     def owner(self, column: int) -> tuple[str, int]:
-        """Inverse of :meth:`column`: map a global column to (block, local id)."""
+        """(block, local id) of a global column: the inverse of ``offset(block) + local``."""
         if not 0 <= column < self.width:
             raise LayoutError(f"column {column} outside [0, {self.width})")
         for name, width in self.blocks:

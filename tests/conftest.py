@@ -1,9 +1,11 @@
 """Shared fixtures: a small two-student log whose encoding is known by hand."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from ktfm import DesignMatrix, EncodingConfig, FeatureSpace, QMatrix, Triplet
+from ktfm import DesignMatrix, EncodingConfig, FeatureSpace, QMatrix
 
 # Item 0 exercises no skill, item 1 exercises skills {0, 1}, item 2 skills
 # {1, 2}. Student 1 answers item 1 (right, wrong, right) then item 2 (wrong,
@@ -17,14 +19,24 @@ EXAMPLE_QMATRIX = np.array(
     dtype=np.int8,
 )
 
+
+class Attempt(NamedTuple):
+    """A row of the worked example; ``perfbench/test_checkers.py`` reads its
+    fields by name, while ``ktfm`` takes the rows as plain (N, 3) int data."""
+
+    student: int
+    item: int
+    outcome: int
+
+
 EXAMPLE_TRIPLETS = [
-    Triplet(1, 1, 1),
-    Triplet(1, 1, 0),
-    Triplet(1, 1, 1),
-    Triplet(1, 2, 0),
-    Triplet(1, 2, 1),
-    Triplet(0, 1, 1),
-    Triplet(0, 0, 0),
+    Attempt(1, 1, 1),
+    Attempt(1, 1, 0),
+    Attempt(1, 1, 1),
+    Attempt(1, 2, 0),
+    Attempt(1, 2, 1),
+    Attempt(0, 1, 1),
+    Attempt(0, 0, 0),
 ]
 
 # users(2) | items(3) | skills(3) | wins(3) | fails(3), counters as they
@@ -98,7 +110,7 @@ def example_log_csv(tmp_path):
     """The same log as a raw CSV with 1-based ids, plus its q-matrix file."""
     data = tmp_path / "triplets.csv"
     lines = ["user_id,item_id,correct"]
-    lines += [f"{t.student + 1},{t.item + 1},{t.outcome}" for t in EXAMPLE_TRIPLETS]
+    lines += [f"{student + 1},{item + 1},{outcome}" for student, item, outcome in EXAMPLE_TRIPLETS]
     data.write_text("\n".join(lines) + "\n")
     qfile = tmp_path / "qmatrix.csv"
     qfile.write_text("\n".join(",".join(str(c) for c in row) for row in EXAMPLE_QMATRIX) + "\n")

@@ -21,7 +21,6 @@ from ktfm import (
     Link,
     SynthSpec,
     TrainConfig,
-    Triplet,
     auc,
     encode_dataset,
     generate_synthetic,
@@ -118,7 +117,7 @@ def test_criterion_4_auc_oracle():
 
 
 def _irt_row(space, user, item):
-    return [(space.column("users", user), 1.0), (space.column("items", item), 1.0)]
+    return [(space.offset("users") + user, 1.0), (space.offset("items") + item, 1.0)]
 
 
 def test_criterion_5_model_reductions():
@@ -155,13 +154,13 @@ def test_criterion_5_model_reductions():
             kc = np.sort(rng.choice(s, size=int(rng.integers(1, 4)), replace=False))
             wins = rng.integers(0, 6, size=kc.size)
             fails = rng.integers(0, 6, size=kc.size)
-            pairs = [(space.column("skills", int(k)), 1.0) for k in kc]
+            pairs = [(space.offset("skills") + int(k), 1.0) for k in kc]
             pairs += [
-                (space.column("wins", int(k)), float(wc))
+                (space.offset("wins") + int(k), float(wc))
                 for k, wc in zip(kc, wins) if wc
             ]
             pairs += [
-                (space.column("fails", int(k)), float(fc))
+                (space.offset("fails") + int(k), float(fc))
                 for k, fc in zip(kc, fails) if fc
             ]
             rows.append(pairs)
@@ -175,7 +174,7 @@ def test_criterion_5_model_reductions():
     with criterion("C5c attempt-preset equals counter-preset when gains coincide at 1e-12"):
         q = ktfm.QMatrix((rng.random((5, 4)) < 0.5).astype(np.int8))
         triplets = [
-            Triplet(int(rng.integers(3)), int(rng.integers(5)), int(rng.integers(2)))
+            (int(rng.integers(3)), int(rng.integers(5)), int(rng.integers(2)))
             for _ in range(150)
         ]
         afm_cfg, _ = preset_encoding("afm")

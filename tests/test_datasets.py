@@ -1,14 +1,16 @@
+import csv
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ktfm import (
     Link,
     QMatrix,
     SynthSpec,
-    Triplet,
     Vocabulary,
     generate_synthetic,
     load_dataset,
@@ -25,6 +27,7 @@ from ktfm.datasets import (
     convert_assistments,
     settle_outcomes,
 )
+from ktfm import encoding
 from ktfm.encoding import EncodingConfig, EncodingError
 from ktfm.model import FMParams, raw_scores
 from ktfm.sparse import DesignMatrix
@@ -45,7 +48,7 @@ class TestLoadTriplets:
         # student "2" and item "2" appear first, so they get dense id 0
         assert vocab.users == {"2": 0, "1": 1}
         assert vocab.items == {"2": 0, "3": 1, "1": 2}
-        assert triplets[0] == Triplet(0, 0, 1)
+        assert triplets[0].tolist() == [0, 0, 1]
 
     def test_bad_outcome_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -96,8 +99,7 @@ class TestLoadTriplets:
         vocab = Vocabulary(users={"a": 0}, items={"1": 0})
         with pytest.warns(UserWarning, match="outside the vocabulary"):
             triplets, _, _ = load_triplets(path, vocab, allow_unknown=True)
-        assert triplets[0].student == -1
-        assert triplets[1].student == 0
+        assert triplets[:, 0].tolist() == [-1, 0]
 
     def test_frozen_vocab_rejects_unseen_extra_value(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -122,8 +124,201 @@ class TestLoadTriplets:
         write_triplets(out, triplets, vocab)
         assert out.read_bytes() == path.read_bytes()
         again, _, vocab2 = load_triplets(out)
-        assert again == triplets
+        assert np.array_equal(again, triplets)
         assert vocab2.users == vocab.users and vocab2.items == vocab.items
+
+    @pytest.mark.parametrize(
+        "body, vocab, message",
+        [
+            ("1,1\n", None, "expected 3 fields, got 2"),
+            ("1,1,2\n", None, "correct must be 0 or 1, got '2'"),
+            ("zz,1,1\n", Vocabulary(users={"1": 0}, items={"1": 0}), "id not in the provided vocabulary"),
+        ],
+        ids=["field-count", "correct", "unknown-id"],
+    )
+    def test_errors_name_the_line(self, tmp_path, body, vocab, message):
+        # line 3 is blank, so the faulty row is line 4 of the file
+        path = tmp_path / "data.csv"
+        path.write_text("user_id,item_id,correct\n1,1,1\n\n" + body)
+        with pytest.raises(DataFormatError) as caught:
+            load_triplets(path, vocab)
+        assert str(caught.value) == f"{path}: line 4: {message}"
+
+    def test_unseen_extra_value_names_the_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("user_id,item_id,correct,mode\na,1,1,tutor\n\na,1,1,strange\n")
+        vocab = Vocabulary(users={"a": 0}, items={"1": 0}, extras={"mode": {"tutor": 0}})
+        with pytest.raises(DataFormatError) as caught:
+            load_triplets(path, vocab, allow_unknown=True)
+        assert str(caught.value) == f"{path}: line 4: unseen value 'strange' for extra column 'mode'"
+
+    @pytest.mark.parametrize(
+        "body, allow_unknown, message",
+        [
+            ("zz,1,2,strange\n", False, "line 2: correct must be 0 or 1, got '2'"),
+            ("zz,1,1,strange\n", False, "line 2: id not in the provided vocabulary"),
+            ("zz,1,1,strange\n", True, "line 2: unseen value 'strange' for extra column 'mode'"),
+            ("a,1,2,tutor\na,1\n", False, "line 2: correct must be 0 or 1, got '2'"),
+        ],
+        ids=["correct-first", "id-before-extra", "extra", "fault-before-malformed-row"],
+    )
+    def test_first_check_to_fail_names_the_fault(self, tmp_path, body, allow_unknown, message):
+        path = tmp_path / "data.csv"
+        path.write_text("user_id,item_id,correct,mode\n" + body)
+        vocab = Vocabulary(users={"a": 0}, items={"1": 0}, extras={"mode": {"tutor": 0}})
+        with pytest.raises(DataFormatError) as caught:
+            load_triplets(path, vocab, allow_unknown=allow_unknown)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_loaded_log_is_a_read_only_int64_array(self, example_log_csv):
+        triplets, _, _ = load_triplets(example_log_csv[0])
+        assert triplets.dtype == np.int64 and triplets.shape == (7, 3)
+        assert not triplets.flags.writeable
+
+    def test_repeated_extra_column_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("user_id,item_id,correct,mode,mode\na,1,1,x,y\n")
+        with pytest.raises(DataFormatError, match="repeats an extra column"):
+            load_triplets(path)
+
+
+def reference_load_triplets(path, vocab=None, *, allow_unknown=False):
+    """The row-by-row loader that the columnar one replaced: the same ids,
+    extras, vocabulary, warnings and errors, with the log as a list of rows."""
+
+    def assign(mapping, raw, extend):
+        if raw in mapping:
+            return mapping[raw]
+        if not extend:
+            return -1
+        mapping[raw] = len(mapping)
+        return mapping[raw]
+
+    fresh = vocab is None
+    vocab = Vocabulary() if fresh else vocab
+    triplets, extras, unknown = [], {}, 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if header[:3] != ["user_id", "item_id", "correct"]:
+            raise DataFormatError(
+                f"{path}: header must start with user_id,item_id,correct, got {header[:3]}"
+            )
+        tracked = [
+            (pos, name) for pos, name in enumerate(header[3:], start=3) if fresh or name in vocab.extras
+        ]
+        for _, name in tracked:
+            extras[name] = []
+            vocab.extras.setdefault(name, {})
+        for lineno, record in enumerate(reader, start=2):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) != len(header):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(record)}"
+                )
+            raw_user, raw_item, raw_correct = (f.strip() for f in record[:3])
+            if raw_correct not in ("0", "1"):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: correct must be 0 or 1, got {raw_correct!r}"
+                )
+            user = assign(vocab.users, raw_user, fresh)
+            item = assign(vocab.items, raw_item, fresh)
+            if user < 0 or item < 0:
+                if not allow_unknown:
+                    raise DataFormatError(f"{path}: line {lineno}: id not in the provided vocabulary")
+                unknown += 1
+            triplets.append([user, item, int(raw_correct)])
+            for pos, name in tracked:
+                raw_value = record[pos].strip()
+                column = vocab.extras[name]
+                if raw_value not in column:
+                    if not fresh:
+                        raise DataFormatError(
+                            f"{path}: line {lineno}: unseen value {raw_value!r} "
+                            f"for extra column {name!r}"
+                        )
+                    column[raw_value] = len(column)
+                extras[name].append(column[raw_value])
+    if not triplets:
+        raise DataFormatError(f"{path}: no data rows")
+    if unknown:
+        warnings.warn(f"{path}: {unknown} rows reference ids outside the vocabulary")
+    return triplets, {k: np.array(v) for k, v in extras.items()}, vocab
+
+
+# cells as they may appear in a file: padded and quoted
+_IDS = st.sampled_from(["1", "2", " 2", "10 ", '"3"', "u1", "u2", " u1 ", "x", "y"])
+_CORRECT = st.sampled_from(["0", "1", " 1", "0 ", '"1"'])
+_EXTRA = st.sampled_from(["a", "b", " a", "c ", '"b"', "d", ""])
+
+
+@st.composite
+def triplet_logs(draw):
+    """CSV text of a log with 0-2 extra columns, plus up to four inserted
+    lines that are blank or faulty (a wrong field count or a bad ``correct``)."""
+    names = draw(st.lists(st.sampled_from(["mode", "school", "tutor"]), max_size=2, unique=True))
+    lines = [
+        ",".join([draw(_IDS), draw(_IDS), draw(_CORRECT), *(draw(_EXTRA) for _ in names)])
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    inserts = st.tuples(st.integers(0, 30), st.sampled_from(["", "  ", "short", "long", "correct"]))
+    for at, kind in draw(st.lists(inserts, max_size=4)):
+        # "new" is in no vocabulary, so one row can hold several faults
+        ids = st.sampled_from(["1", "u1", "new"])
+        cells = [draw(ids), draw(ids), draw(st.sampled_from(["2", "", "yes", "01"])), *("a" for _ in names)]
+        if kind == "short":
+            cells = cells[:2] + cells[3:]
+        elif kind == "long":
+            cells.append("z")
+        lines.insert(min(at, len(lines)), ",".join(cells) if kind in ("short", "long", "correct") else kind)
+    header = ",".join(["user_id", " item_id", "correct", *names])
+    return "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(load, path, vocab, allow_unknown):
+    """What a loader returns or raises, with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            triplets, extras, vocab = load(path, vocab, allow_unknown=allow_unknown)
+        except DataFormatError as exc:
+            result = ("error", str(exc))
+        else:
+            log = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+            result = (log.tolist(), {k: v.tolist() for k, v in extras.items()}, vocab.to_json())
+    return result, [str(w.message) for w in caught]
+
+
+class TestLoaderDifferential:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        train=triplet_logs(),
+        test=triplet_logs(),
+        chunk=st.integers(1, 4),
+        forget=st.booleans(),
+    )
+    def test_matches_the_row_by_row_loader(self, tmp_path, monkeypatch, train, test, chunk, forget):
+        monkeypatch.setattr(encoding, "CHUNK_ROWS", chunk)  # several batches per log
+        paths = []
+        for name, text in (("train", train), ("test", test)):
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text(text)
+        fresh = _outcome(load_triplets, paths[0], None, False)
+        assert fresh == _outcome(reference_load_triplets, paths[0], None, False)
+        if fresh[0][0] == "error":
+            return
+        frozen = Vocabulary.from_dict(json.loads(fresh[0][2]))
+        if forget and frozen.extras:  # a column the vocabulary does not know is ignored
+            frozen.extras.pop(sorted(frozen.extras)[0])
+        for allow_unknown in (False, True):
+            got = _outcome(load_triplets, paths[1], Vocabulary.from_dict(frozen.to_dict()), allow_unknown)
+            want = _outcome(reference_load_triplets, paths[1], Vocabulary.from_dict(frozen.to_dict()), allow_unknown)
+            assert got == want
 
 
 class TestQMatrixAlignment:
@@ -205,10 +400,8 @@ class TestGenerators:
             ability = data.truth["ability"]
             if not (ability[0] > 3 and ability[1] < -3):
                 continue
-            rates = [
-                np.mean([t.outcome for t in data.triplets if t.student == s])
-                for s in (0, 1)
-            ]
+            student, _, outcome = data.triplets.T
+            rates = [outcome[student == s].mean() for s in (0, 1)]
             assert rates[0] > 0.9
             assert rates[1] < 0.1
             return
@@ -233,11 +426,11 @@ class TestGenerators:
         assert len(triplets) == 10_000
         wins = {}
         by_count: dict[int, list[int]] = {}
-        for t in triplets:
-            count = wins.get(t.student, 0)
-            by_count.setdefault(min(count, 8), []).append(t.outcome)
-            if t.outcome:
-                wins[t.student] = count + 1
+        for student, _, outcome in triplets.tolist():
+            count = wins.get(student, 0)
+            by_count.setdefault(min(count, 8), []).append(outcome)
+            if outcome:
+                wins[student] = count + 1
         rates = [np.mean(by_count[c]) for c in sorted(by_count) if len(by_count[c]) > 50]
         assert all(b >= a - 0.05 for a, b in zip(rates, rates[1:]))
         assert rates[-1] > rates[0]
@@ -257,8 +450,8 @@ class TestGenerators:
         probs = oracle_probabilities(data.truth, data.triplets)
         ability = np.array(data.truth["ability"])
         difficulty = np.array(data.truth["difficulty"])
-        for t, p in zip(data.triplets, probs):
-            z = ability[t.student] - difficulty[t.item]
+        for (student, item, _), p in zip(data.triplets, probs):
+            z = ability[student] - difficulty[item]
             assert p == pytest.approx(1 / (1 + np.exp(-z)), rel=1e-12)
 
     def test_ktm_generator_runs(self):
@@ -325,7 +518,7 @@ def reference_synthetic(spec: SynthSpec):
             z = ability[i] - difficulty[j]
             if spec.generator == "mirt":
                 z += float(user_vecs[i] @ item_vecs[j])
-            triplets.append(Triplet(i, j, draw(z)))
+            triplets.append([i, j, draw(z)])
         return triplets, None, truth
 
     q = _random_qmatrix(m, spec.n_skills, rng)
@@ -358,7 +551,7 @@ def reference_synthetic(spec: SynthSpec):
 
         def score(student, item, kc):
             x = np.zeros(space.width)
-            x[[space.column("users", student), space.column("items", item)]] = 1.0
+            x[[space.offset("users") + student, space.offset("items") + item]] = 1.0
             x[space.offset("skills") + kc] = 1.0
             x[space.offset("wins") + kc] = wins[student, kc]
             x[space.offset("fails") + kc] = fails[student, kc]
@@ -372,7 +565,7 @@ def reference_synthetic(spec: SynthSpec):
                 item = int(item)
                 kc = np.flatnonzero(q.matrix[item])
                 outcome = draw(score(student, item, kc))
-                triplets.append(Triplet(student, item, outcome))
+                triplets.append([student, item, outcome])
                 (wins if outcome else fails)[student, kc] += 1
     return triplets, q, truth
 
@@ -400,7 +593,7 @@ class TestSettledGenerators:
             )
             data = generate_synthetic(spec)
             triplets, q, truth = reference_synthetic(spec)
-            assert data.triplets == triplets
+            assert data.triplets.tolist() == triplets
             assert data.truth == truth
             assert (q is None) == (data.qmatrix is None)
             if q is not None:
@@ -415,15 +608,15 @@ class TestSettledGenerators:
         wins = np.zeros((n, n_skills))
         fails = np.zeros((n, n_skills))
         expected = []
-        for t in data.triplets:
-            kc = q[t.item]
+        for student, item, outcome in data.triplets:
+            kc = q[item]
             x = np.concatenate(
-                [np.eye(n)[t.student], np.eye(m)[t.item], kc, kc * wins[t.student], kc * fails[t.student]]
+                [np.eye(n)[student], np.eye(m)[item], kc, kc * wins[student], kc * fails[student]]
             )
             z = sum(w[a] * x[a] for a in range(x.size))
             z += sum(V[a] @ V[b] * x[a] * x[b] for a in range(x.size) for b in range(a + 1, x.size))
             expected.append(1 / (1 + np.exp(-z)))
-            (wins if t.outcome else fails)[t.student] += kc
+            (wins if outcome else fails)[student] += kc
         probs = oracle_probabilities(data.truth, data.triplets)
         np.testing.assert_allclose(probs, expected, rtol=1e-12)
 

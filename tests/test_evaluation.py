@@ -234,13 +234,11 @@ class TestRunCv:
     def test_degenerate_fold_reports_missing_auc(self):
         # one student answers everything right; splitting by student makes
         # that fold's test labels single-class
-        from ktfm import Triplet
-
         triplets = []
         for s in range(3):
             for j in range(6):
                 outcome = 1 if s == 0 else (j % 2)
-                triplets.append(Triplet(s, j, outcome))
+                triplets.append((s, j, outcome))
         vocab = Vocabulary(
             users={str(i): i for i in range(3)}, items={str(j): j for j in range(6)}
         )

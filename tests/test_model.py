@@ -56,7 +56,7 @@ def score(params: FMParams, pairs) -> float:
 
 class TestRawScore:
     def test_zero_model_scores_zero(self):
-        assert score(FMParams.zeros(10, d=2), [(0, 1.0), (4, 2.0)]) == 0.0
+        assert score(FMParams(0.0, np.zeros(10), np.zeros((10, 2))), [(0, 1.0), (4, 2.0)]) == 0.0
 
     def test_additive_form_at_d0(self):
         # one-hot user + one-hot item reduces to bias + two weights
@@ -119,14 +119,14 @@ class TestRawScore:
                 assert abs(fast[r] - slow) <= 1e-10 * scale
 
     def test_out_of_range_column(self):
-        params = FMParams.zeros(3)
+        params = FMParams(0.0, np.zeros(3))
         with pytest.raises(IndexError):
             raw_scores(params, matrix_from_rows(4, [[(3, 1.0)]]))
 
 
 class TestLinks:
     def test_zero_score_is_even_odds_logit(self):
-        assert predict_proba_matrix(FMParams.zeros(2), matrix_from_rows(2, [[]]), Link.LOGIT)[0] == 0.5
+        assert predict_proba_matrix(FMParams(0.0, np.zeros(2)), matrix_from_rows(2, [[]]), Link.LOGIT)[0] == 0.5
 
     def test_logit_is_expit_to_within_its_last_bit(self):
         # 1 / (1 + exp(-z)) in numpy, without scipy: numpy's exp may differ
@@ -141,7 +141,7 @@ class TestLinks:
         assert np.abs(ours - np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)).max() <= 2.3e-16
 
     def test_zero_score_is_even_odds_probit(self):
-        assert predict_proba_matrix(FMParams.zeros(2), matrix_from_rows(2, [[]]), Link.PROBIT)[0] == 0.5
+        assert predict_proba_matrix(FMParams(0.0, np.zeros(2)), matrix_from_rows(2, [[]]), Link.PROBIT)[0] == 0.5
 
     @pytest.mark.parametrize("z", [-10.0, -1.0, 0.0, 1.0, 10.0])
     def test_logit_matches_high_precision(self, z):
@@ -258,8 +258,8 @@ class TestEmbeddingExport:
 
 class TestFMParams:
     def test_v_none_iff_d_zero(self):
-        assert FMParams.zeros(3).d == 0
-        assert FMParams.zeros(3, d=2).d == 2
+        assert FMParams(0.0, np.zeros(3)).d == 0
+        assert FMParams(0.0, np.zeros(3), np.zeros((3, 2))).d == 2
         with pytest.raises(ValueError):
             FMParams(0.0, np.zeros(3), np.zeros((3, 0)))
 

@@ -132,7 +132,7 @@ class TestModelRoundTrip:
     def test_encoding_is_stored_as_six_flags(self, tmp_path, preset):
         config, _ = preset_encoding(preset, [("tutor_mode", 3)])
         space = config.feature_space(2, 3, 4)
-        bundle = ModelBundle(FMParams.zeros(space.width), space, Link.LOGIT, config, "0" * 64, 2, 3)
+        bundle = ModelBundle(FMParams(0.0, np.zeros(space.width)), space, Link.LOGIT, config, "0" * 64, 2, 3)
         path = tmp_path / "m.json"
         save_model(path, bundle)
         payload = json.loads(path.read_text())

