@@ -160,7 +160,7 @@ class DesignMatrix:
         width = self.space.width
         if labels.ndim != 1 or indptr.shape != (labels.size + 1,):
             raise RowFormatError(f"{indptr.size - 1} rows but {labels.size} labels")
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise RowFormatError("labels must be 0 or 1")
         if indices.ndim != 1 or indices.shape != data.shape:
             raise RowFormatError("indices and data must be 1-d and same length")

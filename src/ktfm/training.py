@@ -21,13 +21,16 @@ coordinate descent (Rendle, 2012) with the bound in place of the curvature.
 
 The Gibbs sampler treats each binary outcome through a latent utility
 z_i ~ Normal(score_i, 1), truncated to the side of zero its label dictates,
-and draws every parameter from its Gaussian conditional. Biases share one
-(mean, precision) prior group and each factor dimension has its own, each
-resampled under fixed Normal(0, 1) and Gamma(1, 1) hyperpriors as in libFM's
-MCMC. Given the residuals, the columns of a class have independent
-conditionals, so a class is drawn in one step (Freudenthaler et al., 2011).
-Test predictions are averaged over the post-burn-in iterations. At the end of
-a fit the carried scores are checked against one fresh score of the train set.
+and draws every parameter from its Gaussian conditional. The utilities are
+drawn by exact rejection (plain normals, or Robert's (1995) exponential
+proposal where the score lies on the wrong side), so no draw needs a special
+function. Biases share one (mean, precision) prior group and each factor
+dimension has its own, each resampled under fixed Normal(0, 1) and Gamma(1, 1)
+hyperpriors as in libFM's MCMC. Given the residuals, the columns of a class
+have independent conditionals, so a class is drawn in one step (Freudenthaler
+et al., 2011). Test predictions are averaged over the post-burn-in
+iterations. At the end of a fit the carried scores are checked against one
+fresh score of the train set.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def _epoch_row(epoch: int, scores: np.ndarray, labels: np.ndarray, link: Link) -
 
 
 def _probability(z: np.ndarray) -> np.ndarray:
-    """The logistic function, by tanh so that no exp overflows (scipy is not imported)."""
+    """The logistic function, by tanh so that no exp overflows."""
     return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
@@ -199,20 +202,44 @@ def sample_truncated_normal(
 ) -> np.ndarray:
     """Unit-variance normal draws constrained to the sign given by ``positive``.
 
-    Uses the inverse upper-tail CDF, which stays accurate when the mean sits
-    many standard deviations on the wrong side of zero.
+    Exact rejection sampling, repeated over the rows still rejected; as every
+    kept proposal is an exact draw, a row may switch proposals between rounds.
+    Every row first proposes a plain normal, kept if it lands on the allowed
+    side of zero. After that, a row whose mean lies on the allowed side keeps
+    proposing plain normals (acceptance above 1/2); a row whose mean lies a
+    distance a > 0 on the other side proposes its distance past zero from an
+    exponential of rate r = (a + sqrt(a^2 + 4)) / 2, kept with probability
+    exp(-(a + x - r)^2 / 2) (Robert, 1995, *Simulation of truncated normal
+    variables*; acceptance above 0.76), which stays exact however far the mean
+    sits from zero. A NaN mean gives a NaN draw.
     """
-    from scipy.special import ndtr, ndtri  # here, so that a logit fit never imports scipy
-
-    means = np.asarray(means, dtype=np.float64)
-    positive = np.asarray(positive, dtype=bool)
-    signed = np.where(positive, means, -means)
-    u = rng.uniform(size=means.shape)
-    tail = ndtr(signed)  # P(z > 0) for a unit normal centered at `signed`
-    v = np.clip(u * tail, _TINY, 1.0)
-    z = signed - ndtri(v)
-    z = np.maximum(z, _TINY)  # guard the exact-zero corner
-    return np.where(positive, z, -z)
+    sign = np.asarray(positive, dtype=bool) * 2.0 - 1.0
+    signed = np.asarray(means, dtype=np.float64) * sign  # draw from Normal(signed, 1) above zero
+    out = signed + rng.standard_normal(signed.shape)
+    todo = np.flatnonzero(out <= 0)
+    far = signed[todo] < 0
+    near = todo[~far]
+    while near.size:
+        draw = signed[near]
+        draw += rng.standard_normal(near.size)
+        out[near] = draw
+        near = near[draw <= 0]
+    todo = todo[far]
+    a = -signed[todo]
+    with np.errstate(over="ignore"):  # a^2 = inf gives r = inf and a draw of 0
+        rate = a + np.sqrt(a * a + 4.0)
+    gap = 2.0 / rate  # r - a, without the cancellation
+    rate *= 0.5
+    while todo.size:
+        e = rng.standard_exponential((2, todo.size))
+        draw = e[0] / rate
+        out[todo] = draw
+        draw -= gap  # a + x - r
+        keep = 2.0 * e[1] < draw * draw  # rejected: -log(uniform) < (a + x - r)^2 / 2
+        todo, rate, gap = todo[keep], rate[keep], gap[keep]
+    np.maximum(out, _TINY, out=out)  # guard the exact-zero corner
+    out *= sign
+    return out
 
 
 class _GroupState:

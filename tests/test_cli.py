@@ -472,14 +472,13 @@ class TestErrors:
 
 
 # Runs CLI commands in one fresh interpreter and prints, after the import and
-# after each command, whether any scipy module, scipy.special and scipy.sparse are loaded.
+# after each command, whether any scipy module is loaded.
 _SCIPY_PROBE = """
 import json, sys
 import ktfm.cli
 
 def loaded():
-    return [any(m.startswith("scipy") for m in sys.modules), "scipy.special" in sys.modules,
-            "scipy.sparse" in sys.modules]
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
 seen = [loaded()]
 for args in json.loads(sys.argv[1]):
@@ -496,12 +495,12 @@ def scipy_after_each(commands):
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, check=True,
     )
-    return [tuple(flags) for flags in json.loads(result.stdout.splitlines()[-1])]
+    return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_scipy_loads_only_in_probit_commands(tmp_path, example_log_csv):
-    # importing scipy costs more than a third of a logit cv: the logit link and
-    # the sparse products are numpy, and only the probit kernels need scipy.special
+def test_no_command_loads_scipy(tmp_path, example_log_csv):
+    # importing scipy costs more than a third of a logit cv: the sparse
+    # products, both links and the truncated-normal draws are numpy
     data, qfile = example_log_csv
     log = ["--data", str(data), "--qmatrix", str(qfile)]
     fit = ["--preset", "ktm-iswf", "--d", "2", "--epochs", "2"]
@@ -514,13 +513,14 @@ def test_scipy_loads_only_in_probit_commands(tmp_path, example_log_csv):
             ["predict", *scored, "--out", str(tmp_path / f"{link}-p.csv")],
             ["evaluate", *scored, "--out", str(tmp_path / f"{link}-eval.csv")],
             ["cv", *log, "--link", link, *fit, "--folds", "2", "--out-dir", str(tmp_path / f"{link}-cv")],
+            ["export-embeddings", "--model", model, "--out", str(tmp_path / f"{link}-emb.csv")],
         ]
 
-    logit = [
+    everything = [
         ["encode", *log, "--preset", "pfa", "--out", str(tmp_path / "dm.txt")],
+        ["synth", "--generator", "ktm", "--skills", "3", "--d", "2", "--link", "probit",
+         "--out-dir", str(tmp_path / "synth")],
         *commands("logit"),
-        ["export-embeddings", "--model", str(tmp_path / "logit.json"), "--out", str(tmp_path / "emb.csv")],
+        *commands("probit"),
     ]
-    assert scipy_after_each(logit) == [(False, False, False)] * 7
-    # import, then probit train, predict, evaluate and cv
-    assert scipy_after_each(commands("probit")) == [(False, False, False)] + [(True, True, False)] * 4
+    assert scipy_after_each(everything) == [False] * (1 + len(everything))

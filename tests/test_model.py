@@ -21,7 +21,7 @@ from ktfm import (
     raw_scores,
 )
 from ktfm.encoding import DimensionRule
-from ktfm.model import PROB_EPS
+from ktfm.model import PROB_EPS, normal_cdf
 from tests.conftest import matrix_from_rows, to_dense
 from tests.test_sparse import design_matrices
 
@@ -156,6 +156,29 @@ class TestLinks:
             expected = float(mpmath.ncdf(mpmath.mpf(z)))
         got = float(Link.PROBIT.inverse(z))
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_normal_cdf_matches_high_precision(self):
+        z = np.r_[np.linspace(-8.0, 8.0, 4001), -np.geomspace(1e-300, 8.0, 301), np.geomspace(1e-300, 8.0, 301)]
+        with mpmath.workdps(60):
+            expected = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in z])
+        assert np.abs(normal_cdf(z) / expected - 1.0).max() <= 2e-14
+
+    def test_normal_cdf_matches_ndtr_into_the_far_tail(self):
+        from scipy.special import ndtr
+
+        z = np.linspace(-38.0, 38.0, 200_001)
+        expected = ndtr(z)
+        kept = expected > 1e-300
+        assert kept.sum() > 190_000
+        assert np.abs(normal_cdf(z)[kept] / expected[kept] - 1.0).max() <= 1e-12
+        assert (normal_cdf(np.array([-39.0, -np.inf])) == 0.0).all()
+        assert (normal_cdf(np.array([39.0, np.inf])) == 1.0).all()
+
+    def test_normal_cdf_passes_nan_and_keeps_shape(self):
+        got = normal_cdf(np.array([[np.nan, 0.0], [-40.0, np.nan]]))
+        assert got.shape == (2, 2)
+        assert np.isnan(got[0, 0]) and np.isnan(got[1, 1]) and got[0, 1] == 0.5 and got[1, 0] == 0.0
+        assert normal_cdf(0.0).shape == () and float(normal_cdf(0.0)) == 0.5
 
     @pytest.mark.parametrize(
         "link,span",
@@ -298,27 +321,11 @@ def test_score_and_matrix_layers_import_only_sparse():
     assert imports["sparse"] <= {"ktfm.sparse"}
 
 
-def import_time_imports(path: Path) -> set[str]:
-    """The absolute imports one source file runs when it is imported: all of
-    them except those inside a function body."""
-    found, todo = set(), [ast.parse(path.read_text())]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            found.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            found.add(node.module)
-        todo.extend(ast.iter_child_nodes(node))
-    return found
-
-
-def all_imports(path: Path) -> set[str]:
-    """Every absolute import of one source file, function bodies included;
+def all_imports(source: str) -> set[str]:
+    """Every absolute import of one module's source, function bodies included;
     ``from a import b`` counts as both ``a`` and ``a.b``."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -327,20 +334,15 @@ def all_imports(path: Path) -> set[str]:
     return found
 
 
-def test_no_module_imports_scipy_at_import_time():
-    # scipy is imported inside the functions that call its kernels, so that
-    # commands that never draw start without it; scipy.sparse is not
-    # imported at all, as numpy sums the rows
+def test_no_module_imports_scipy():
+    # the sparse products, both links and the truncated-normal draws are
+    # numpy, so no command imports scipy, not even inside a function body
     src = Path(__file__).resolve().parents[1] / "src" / "ktfm"
-    at_import = {
-        path.name: sorted(name for name in import_time_imports(path) if name.split(".")[0] == "scipy")
+    scipy = {
+        path.name: sorted(name for name in all_imports(path.read_text()) if name.split(".")[0] == "scipy")
         for path in src.glob("*.py")
     }
-    assert at_import == {name: [] for name in at_import}
-    assert "numpy" in import_time_imports(src / "model.py")  # the walk does see the top
-    sparse = {
-        path.name: sorted(name for name in all_imports(path) if name.startswith("scipy.sparse"))
-        for path in src.glob("*.py")
-    }
-    assert sparse == {name: [] for name in sparse}
-    assert "scipy.special" in all_imports(src / "training.py")  # the walk does see function bodies
+    assert scipy == {name: [] for name in scipy}
+    assert "numpy" in all_imports((src / "model.py").read_text())  # the walk does see the top
+    nested = "def f():\n    from scipy.special import ndtr\n\n    def g():\n        import scipy.sparse\n"
+    assert {"scipy.special.ndtr", "scipy.sparse"} <= all_imports(nested)  # and function bodies

@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, log_ndtr
+from scipy.stats import kstest
 
 from ktfm import (
     DesignMatrix,
@@ -372,6 +373,31 @@ class TestTruncatedSampling:
         rng = np.random.default_rng(7)
         z = sample_truncated_normal(np.zeros(200_000), np.ones(200_000, dtype=bool), rng)
         assert z.mean() == pytest.approx(math.sqrt(2 / math.pi), abs=5e-3)
+
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("mean", [-40.0, -8.0, -2.0, -1e-3, 0.0, 0.5, 3.0, 12.0])
+    def test_matches_the_exact_truncated_cdf(self, mean, positive):
+        # both proposals (plain normals above zero, Robert's exponential
+        # below) against the exact CDF of Normal(mean, 1) given the sign
+        n = 4000
+        rng = np.random.default_rng(int(abs(mean) * 1000) + positive)
+        z = sample_truncated_normal(np.full(n, mean), np.full(n, positive), rng)
+        m, t = (mean, z) if positive else (-mean, -z)  # as a draw above zero
+        assert (t > 0).all()
+        # P(T <= t) = 1 - P(Normal(m, 1) > t) / P(Normal(m, 1) > 0)
+        assert kstest(t, lambda x: -np.expm1(log_ndtr(m - x) - log_ndtr(m))).pvalue > 0.01
+
+    def test_same_seed_same_bytes(self):
+        means = np.random.default_rng(8).normal(scale=5.0, size=5000)
+        positive = np.random.default_rng(9).random(5000) < 0.5
+        draws = [sample_truncated_normal(means, positive, np.random.default_rng(10)).tobytes() for _ in range(2)]
+        assert draws[0] == draws[1]
+        assert draws[0] != sample_truncated_normal(means, positive, np.random.default_rng(11)).tobytes()
+
+    def test_nan_mean_gives_nan(self):
+        z = sample_truncated_normal(np.array([np.nan, -1.0, np.nan]), np.array([True, True, False]),
+                                    np.random.default_rng(12))
+        assert np.isnan(z[[0, 2]]).all() and z[1] > 0
 
 
 class TestGibbsTrainer:
