@@ -81,32 +81,27 @@ def make_folds(
     model never saw.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
-    folds = []
     if spec.mode == "by_row":
-        order = rng.permutation(n_rows)
-        parts = np.array_split(order, spec.k)
+        order, student_pos = rng.permutation(n_rows), None
     else:
         if student_of_row is None:
             raise ValueError("by_student mode needs the row-to-student map")
         students = np.asarray(student_of_row)
         if students.size != n_rows:
             raise ValueError("row-to-student map length mismatch")
-        unique = np.unique(students)
+        unique, student_pos = np.unique(students, return_inverse=True)
         if unique.size < spec.k:
             raise ValueError(
                 f"cannot make {spec.k} student folds from {unique.size} students"
             )
-        order = rng.permutation(unique)
-        parts = [
-            np.flatnonzero(np.isin(students, chunk))
-            for chunk in np.array_split(order, spec.k)
-        ]
-    all_rows = np.arange(n_rows)
-    for part in parts:
-        test = np.sort(part)
-        train = np.setdiff1d(all_rows, test, assume_unique=False)
-        folds.append((train, test))
-    return folds
+        order = np.searchsorted(unique, rng.permutation(unique))
+    # the fold of each row (by_row) or student (by_student), then of each row
+    part = np.empty(order.size, dtype=np.intp)
+    for i, chunk in enumerate(np.array_split(order, spec.k)):
+        part[chunk] = i
+    if student_pos is not None:
+        part = part[student_pos]
+    return [(np.flatnonzero(part != i), np.flatnonzero(part == i)) for i in range(spec.k)]
 
 
 @dataclass(frozen=True)
@@ -141,19 +136,6 @@ class CVReport:
         return float(np.mean([f.nll for f in self.folds]))
 
 
-def _fit_and_predict(
-    train: DesignMatrix,
-    test: DesignMatrix,
-    config: TrainConfig,
-    link: Link,
-) -> np.ndarray:
-    if link is Link.PROBIT:
-        out = train_gibbs_probit(train, test, config)
-        return out.test_predictions
-    params = train_map_logit(train, config)
-    return link.inverse(raw_scores(params, test))
-
-
 def evaluate_predictions(predictions, labels, fold: int) -> FoldMetrics:
     try:
         fold_auc = auc(predictions, labels)
@@ -168,24 +150,6 @@ def evaluate_predictions(predictions, labels, fold: int) -> FoldMetrics:
         auc=fold_auc,
         nll=nll(predictions, labels),
     )
-
-
-def cross_validate_encoded(
-    data: DesignMatrix,
-    preset: str,
-    d: int,
-    folds: Sequence[tuple[np.ndarray, np.ndarray]],
-    config: TrainConfig,
-    link: Link,
-) -> CVReport:
-    """Train/evaluate one already-encoded grid cell over the given folds."""
-    metrics = []
-    for fold, (train_idx, test_idx) in enumerate(folds):
-        predictions = _fit_and_predict(
-            data.subset(train_idx), data.subset(test_idx), config, link
-        )
-        metrics.append(evaluate_predictions(predictions, data.labels[test_idx], fold))
-    return CVReport(preset=preset, d=d, folds=tuple(metrics))
 
 
 def _encode(ds, config: EncodingConfig) -> DesignMatrix:
@@ -235,11 +199,16 @@ def run_cv(
     for preset, run in groupby(cells, key=lambda cell: cell[0]):
         encoded = _encode(dataset, configs[preset])
         for _, d in run:
-            reports.append(
-                cross_validate_encoded(
-                    encoded, preset, d, folds, replace(train_config, d=d), link
-                )
-            )
+            config = replace(train_config, d=d)
+            metrics = []
+            for fold, (train_idx, test_idx) in enumerate(folds):
+                train, test = encoded.subset(train_idx), encoded.subset(test_idx)
+                if link is Link.PROBIT:
+                    predictions = train_gibbs_probit(train, test, config).test_predictions
+                else:
+                    predictions = link.inverse(raw_scores(train_map_logit(train, config), test))
+                metrics.append(evaluate_predictions(predictions, encoded.labels[test_idx], fold))
+            reports.append(CVReport(preset=preset, d=d, folds=tuple(metrics)))
         del encoded  # one encoded matrix alive at a time
     reports.sort(key=lambda r: -1.0 if r.mean_auc is None else r.mean_auc, reverse=True)
     return reports

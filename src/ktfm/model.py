@@ -161,8 +161,8 @@ def export_embeddings(params: FMParams, space: FeatureSpace, stream: TextIO) -> 
         )
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(list(EMBEDDING_HEADER) + [f"v{f}" for f in range(params.d)])
-    for col in range(space.width):
-        block, local = space.owner(col)
+    labels = ((block, local) for block, width in space.blocks for local in range(width))
+    for col, (block, local) in enumerate(labels):
         row = [block, str(local), _fmt(params.w[col])]
         if params.V is not None:
             row.extend(_fmt(v) for v in params.V[col])

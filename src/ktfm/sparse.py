@@ -77,16 +77,6 @@ class FeatureSpace:
         except KeyError:
             raise LayoutError(f"unknown block {block!r}; have {self.block_names}") from None
 
-    def owner(self, column: int) -> tuple[str, int]:
-        """(block, local id) of a global column: the inverse of ``offset(block) + local``."""
-        if not 0 <= column < self.width:
-            raise LayoutError(f"column {column} outside [0, {self.width})")
-        for name, width in self.blocks:
-            if column < width:
-                return name, column
-            column -= width
-        raise AssertionError("unreachable")
-
 
 def _format_value(v: float) -> str:
     # integers round-trip as bare ints; anything else uses shortest repr,

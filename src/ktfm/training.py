@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FMParams, Link, raw_scores
+from .model import PROB_EPS, FMParams, Link, raw_scores
 from .sparse import DesignMatrix
 
 NLL_EPS = 1e-12
@@ -121,9 +121,12 @@ def init_params(config: TrainConfig, n_features: int) -> FMParams:
     return FMParams(0.0, np.zeros(n_features), V)
 
 
-def _start(data: DesignMatrix, config: TrainConfig) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _setup(data: DesignMatrix, config: TrainConfig):
     """Both trainers' opening: reject empty data, warn on constant labels, and
-    return writable copies of the bias, w and V of ``init_params``."""
+    colour the columns (``_colour_blocks``). Returns writable copies of the bias,
+    w and V of ``init_params``, the classes, the untouched columns, and the
+    train scores and Q = [X @ V[:, f] per f] of those parameters, written a
+    class at a time (the bias and w are zero, so only the pairwise term adds)."""
     if len(data) == 0:
         raise ValueError("cannot train on an empty design matrix")
     labels = data.labels
@@ -133,7 +136,17 @@ def _start(data: DesignMatrix, config: TrainConfig) -> tuple[float, np.ndarray, 
             stacklevel=3,
         )
     start = init_params(config, data.space.width)
-    return start.bias, start.w.copy(), None if start.V is None else start.V.copy()
+    w = start.w.copy()
+    V = None if start.V is None else start.V.copy()
+    blocks, empty = _colour_blocks(data)
+    scores = np.zeros(len(data))
+    Q = None if V is None else np.zeros((config.d, len(data)))
+    for f in range(config.d):
+        for cols, rows, xv, seg in blocks:
+            delta = V[cols, f][seg]
+            scores[rows] += delta * (xv * Q[f][rows])
+            Q[f][rows] += delta * xv
+    return start.bias, w, V, blocks, empty, scores, Q
 
 
 def _finite(bias: float, w: np.ndarray, V: np.ndarray | None, epoch: int) -> FMParams:
@@ -159,15 +172,13 @@ def train_map_logit(
     """MAP fit under the logit link by colour-blocked coordinate descent: one sweep per
     epoch, until a sweep lowers the objective by less than ``_MAP_TOL`` of its value
     or ``config.epochs`` sweeps have run. Epoch-log rows also carry the objective."""
-    bias, w, V = _start(data, config)
+    bias, w, V, blocks, empty, scores, Q = _setup(data, config)
     y = data.labels.astype(np.float64)
     lam = config.l2 * len(data)
-    blocks, empty = _colour_blocks(data)
 
     def residual(rows, old, h):
         return _probability(scores[rows]) - y[rows]
 
-    scores, Q = _factor_scores(V, blocks, len(data))
     if V is not None and lam:
         V[empty] = 0.0  # the penalty alone pulls a column no row touches to zero
 
@@ -242,6 +253,16 @@ def sample_truncated_normal(
     return out
 
 
+def _conditional(prec, mean, hh, hr, noise):
+    """A draw from the Gaussian conditional of parameters under a Normal(mean, 1 / prec)
+    prior, given hh = sum h^2 and hr = sum h * residual over their rows and unit
+    normal ``noise``: scalars for the bias, arrays for a class of columns."""
+    var = 1.0 / (prec + hh)
+    if not np.isfinite(var).all():
+        raise TrainingDivergedError("non-finite conditional variance in Gibbs sweep")
+    return (prec * mean + hr) * var + noise * np.sqrt(var)
+
+
 class _GroupState:
     """Prior mean and precision of one parameter group."""
 
@@ -265,15 +286,6 @@ class _GroupState:
         post_prec = _MEAN_PRIOR_PRECISION + n * self.precision
         post_mean = self.precision * float(values.sum()) / post_prec
         self.mean = float(post_mean + rng.standard_normal() / np.sqrt(post_prec))
-
-
-def _draw(prior: float, prior_prec: float, h_dot_r: float, h_dot_h: float, noise: float) -> float:
-    """Gaussian conditional draw given unit normal ``noise``; ``prior`` = prior precision * mean."""
-    prec = prior_prec + h_dot_h
-    var = 1.0 / prec
-    if not math.isfinite(var):
-        raise TrainingDivergedError("non-finite conditional variance in Gibbs sweep")
-    return (prior + h_dot_r) * var + noise * math.sqrt(var)
 
 
 def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
@@ -384,19 +396,6 @@ def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.n
         values[cols] = new
 
 
-def _factor_scores(V: np.ndarray | None, blocks, n_rows: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The train scores and Q[f] = X @ V[:, f] of zero bias and w and factors ``V``,
-    built by stepping each column of V from zero to its value with ``_class_steps``."""
-    scores = np.zeros(n_rows)
-    if V is None:
-        return scores, None
-    Q = np.zeros((V.shape[1], n_rows))
-    for f in range(V.shape[1]):
-        _class_steps(np.zeros(len(V)), blocks, Q[f], scores, lambda rows, old, h: 0.0,
-                     lambda cols, old, hh, hr: V[cols, f])
-    return scores, Q
-
-
 def _sweep(
     values: np.ndarray, blocks, empty: np.ndarray, qf: np.ndarray | None, e: np.ndarray, group, rng
 ) -> None:
@@ -405,14 +404,8 @@ def _sweep(
     mean, prec = group.mean, group.precision
     noise = rng.standard_normal(len(values))
     values[empty] = mean + noise[empty] / math.sqrt(prec)
-
-    def draw(cols, old, hh, hr):
-        var = 1.0 / (prec + hh)
-        if not np.isfinite(var).all():
-            raise TrainingDivergedError("non-finite conditional variance in Gibbs sweep")
-        return (prec * mean + hr) * var + noise[cols] * np.sqrt(var)
-
-    _class_steps(values, blocks, qf, e, lambda rows, old, h: old * h - e[rows], draw)
+    _class_steps(values, blocks, qf, e, lambda rows, old, h: old * h - e[rows],
+                 lambda cols, old, hh, hr: _conditional(prec, mean, hh, hr, noise[cols]))
 
 
 def train_gibbs_probit(
@@ -437,16 +430,14 @@ def train_gibbs_probit(
     further than ``_DRIFT_TOL`` from a fresh score raises
     TrainingDivergedError.
     """
-    bias, w, V = _start(train, config)
+    bias, w, V, blocks, empty, scores, Q = _setup(train, config)
     d = config.d
     iters = config.epochs
     burn_in = config.effective_burn_in
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
 
-    blocks, empty = _colour_blocks(train)
     positive = train.labels.astype(bool)
-    scores, Q = _factor_scores(V, blocks, len(train))  # the bias and w start at zero
 
     bias_group = _GroupState("bias and w")
     dim_groups = [_GroupState(f"V[:, {f}]") for f in range(d)]
@@ -462,8 +453,8 @@ def train_gibbs_probit(
         e = scores - z  # running residual, kept in sync below
 
         # global bias: d score / d bias = 1 for every row
-        prec, h_dot_r = bias_group.precision, float((bias - e).sum())
-        new_bias = _draw(prec * bias_group.mean, prec, h_dot_r, float(len(train)), rng.standard_normal())
+        new_bias = _conditional(bias_group.precision, bias_group.mean, float(len(train)),
+                                float((bias - e).sum()), rng.standard_normal())
         e += new_bias - bias
         bias = new_bias
 
@@ -501,5 +492,5 @@ def train_gibbs_probit(
         w_sum / kept,
         None if V_sum is None else V_sum / kept,
     )
-    test_pred = None if test is None else np.clip(test_sum / kept, 1e-15, 1.0 - 1e-15)
+    test_pred = None if test is None else np.clip(test_sum / kept, PROB_EPS, 1.0 - PROB_EPS)
     return GibbsOutput(mean_params, test_pred)

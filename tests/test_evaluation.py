@@ -114,7 +114,49 @@ class TestAuc:
         assert auc(1 - p, 1 - y) == pytest.approx(base, abs=1e-12)
 
 
+def chunk_membership_folds(n_rows, spec, student_of_row=None):
+    """``make_folds`` as it was first written: each chunk of the permutation is
+    a test set (its students' rows, found by ``np.isin``, for by_student), and
+    its train set is ``np.setdiff1d`` of all rows and the test set."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
+    if spec.mode == "by_row":
+        parts = np.array_split(rng.permutation(n_rows), spec.k)
+    else:
+        students = np.asarray(student_of_row)
+        unique = np.unique(students)
+        if unique.size < spec.k:
+            raise ValueError("too few students")
+        order = rng.permutation(unique)
+        parts = [np.flatnonzero(np.isin(students, chunk)) for chunk in np.array_split(order, spec.k)]
+    folds = []
+    for part in parts:
+        test = np.sort(part)
+        folds.append((np.setdiff1d(np.arange(n_rows), test), test))
+    return folds
+
+
 class TestMakeFolds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        students=st.lists(st.integers(-(2**40), 2**40) | st.integers(0, 6), max_size=60),
+        k=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        by_student=st.booleans(),
+    )
+    def test_equals_the_chunk_membership_folds(self, students, k, seed, by_student):
+        spec = FoldSpec(k=k, seed=seed, mode="by_student" if by_student else "by_row")
+        if by_student and len(set(students)) < k:
+            with pytest.raises(ValueError):
+                make_folds(len(students), spec, students)
+            return
+        ours = make_folds(len(students), spec, students)
+        expected = chunk_membership_folds(len(students), spec, students)
+        assert len(ours) == len(expected) == k
+        for (train, test), (train_ref, test_ref) in zip(ours, expected):
+            assert np.array_equal(train, train_ref) and np.array_equal(test, test_ref)
+            assert train.dtype == train_ref.dtype and test.dtype == test_ref.dtype
+
+
     def test_row_partition(self):
         folds = make_folds(10, FoldSpec(k=5, seed=0))
         seen = np.concatenate([test for _, test in folds])
@@ -206,6 +248,38 @@ class TestRunCv:
         alone = [run_cv(dataset, [cell], *args)[0] for cell in [("mirtb", 1), ("mirtb", 2), ("irt", 0)]]
         key = lambda r: (r.preset, r.d)  # noqa: E731
         assert sorted(shared, key=key) == sorted(alone, key=key)
+
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    def test_one_fit_per_cell_and_fold(self, monkeypatch, link):
+        # each name is looked up as a module global, with the config where
+        # ``perfbench/trace_cli.py`` reads it: position 1 (MAP) or 2 (Gibbs)
+        import ktfm.evaluation as evaluation
+
+        calls = []
+
+        def counting(name, config_pos=None):
+            wrapped = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                if config_pos is None:
+                    calls.append((name, None))
+                else:
+                    config = args[config_pos] if len(args) > config_pos else kwargs["config"]
+                    calls.append((name, config.d))
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        counting("train_map_logit", 1)
+        counting("train_gibbs_probit", 2)
+        counting("raw_scores")
+        grid = [("irt", 0), ("mirtb", 1), ("mirtb", 2)]
+        run_cv(synthetic_dataset(seed=8, n_students=12, n_items=6), grid,
+               FoldSpec(k=3, seed=0), TrainConfig(epochs=2, seed=0), link=link)
+        per_fold = ["train_map_logit", "raw_scores"] if link is Link.LOGIT else ["train_gibbs_probit"]
+        assert calls == [
+            (name, None if name == "raw_scores" else d) for _, d in grid for _ in range(3) for name in per_fold
+        ]
 
     def test_every_cell_checked_before_encoding(self, monkeypatch):
         import ktfm.evaluation as evaluation

@@ -272,7 +272,7 @@ class TestEmbeddingExport:
             header, *records = list(csv.reader(fh))
         assert header == ["block", "local_id", "bias", "v0", "v1", "v2"]
         assert [(block, int(local)) for block, local, *_ in records] == [
-            space.owner(col) for col in range(space.width)
+            (b, l) for b, w in space.blocks for l in range(w)
         ]
         values = np.array([[float(v) for v in record[2:]] for record in records])
         assert np.array_equal(values[:, 0], params.w)

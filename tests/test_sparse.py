@@ -38,11 +38,6 @@ class TestFeatureSpace:
                 seen.add(space.offset(block) + local)
         assert seen == set(range(space.width))
 
-    def test_owner_inverts_column(self, space):
-        for block, width in space.blocks:
-            for local in range(width):
-                assert space.owner(space.offset(block) + local) == (block, local)
-
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(LayoutError):
             FeatureSpace((("a", 1), ("a", 2)))

@@ -30,6 +30,7 @@ from ktfm.training import (
     _finite,
     _GroupState,
     _probability,
+    _setup,
     _sweep,
     sample_truncated_normal,
 )
@@ -664,6 +665,50 @@ class TestColouringOracle:
         dm = matrix_from_rows(FeatureSpace((("items", 3), ("skills", 2))), [], np.array([], dtype=np.int8))
         blocks, empty = _colour_blocks(dm)
         assert blocks == [] and empty.tolist() == [0, 1, 2, 3, 4]
+
+
+def factor_scores_by_class_steps(V, blocks, n_rows):
+    """The start scores and Q as both trainers once built them: every column of
+    V stepped from zero to its value by ``_class_steps``, a class at a time."""
+    scores, Q = np.zeros(n_rows), np.zeros((V.shape[1], n_rows))
+    for f in range(V.shape[1]):
+        _class_steps(np.zeros(len(V)), blocks, Q[f], scores, lambda rows, old, h: 0.0,
+                     lambda cols, old, hh, hr: V[cols, f])
+    return scores, Q
+
+
+class TestSetup:
+    def assert_same_start(self, dm, d, seed):
+        assume(len(dm))
+        config = TrainConfig(d=d, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant labels
+            bias, w, V, blocks, empty, scores, Q = _setup(dm, config)
+        start = init_params(config, dm.space.width)
+        assert bias == 0.0 and w.tobytes() == start.w.tobytes() and V.tobytes() == start.V.tobytes()
+        expected_blocks, expected_empty = _colour_blocks(dm)
+        assert empty.tolist() == expected_empty.tolist() and len(blocks) == len(expected_blocks)
+        expected_scores, expected_Q = factor_scores_by_class_steps(V, expected_blocks, len(dm))
+        assert scores.tobytes() == expected_scores.tobytes()
+        assert Q.tobytes() == expected_Q.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # products that overflow float64
+    @pytest.mark.parametrize("d", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(dm=design_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_start_scores_equal_the_class_steps_on_one_block(self, d, dm, seed):
+        self.assert_same_start(dm, d, seed)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(dm=blocked_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_start_scores_equal_the_class_steps_on_blocks(self, d, dm, seed):
+        self.assert_same_start(dm, d, seed)
+
+    def test_d0_starts_from_zero_scores(self):
+        data = make_matrix(np.random.default_rng(3))
+        bias, w, V, blocks, empty, scores, Q = _setup(data, TrainConfig(d=0))
+        assert V is None and Q is None and not scores.any() and not w.any()
 
 
 class TestBlockedSweep:
