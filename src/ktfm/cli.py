@@ -87,6 +87,14 @@ def _check_trainer_options(link: str) -> None:
         click.echo("--lr is ignored: the MAP fit takes bound steps and has no step size", err=True)
 
 
+def _check_output_dirs(*paths) -> None:
+    """Fail before any loading or fitting when an output path (None if not
+    asked for) lies in a directory that does not exist."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {path}: its directory does not exist")
+
+
 class _Main(click.Group):
     """The one error boundary: a data, model or I/O error in any command
     becomes a one-line ``Error:`` message and a non-zero exit."""
@@ -136,6 +144,7 @@ l2_opt = click.option("--l2", default=1e-4, show_default=True, help="L2 penalty 
 @click.option("--vocab-out", type=click.Path(dir_okay=False))
 def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
     """Encode a triplet log into a sparse design-matrix text file."""
+    _check_output_dirs(out, vocab_out)
     dataset = load_dataset(data, qmatrix, vocab)
     _, dm = encode_preset(dataset, preset, dim)
     dm.save(out)
@@ -168,9 +177,7 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
     """Fit a model on a full log and save it as versioned JSON."""
     _check_trainer_options(link)
-    for path in filter(None, (out, vocab_out, log_path)):
-        if not Path(path).parent.is_dir():
-            raise OSError(f"cannot write {path}: its directory does not exist")
+    _check_output_dirs(out, vocab_out, log_path)
     dataset = load_dataset(data, qmatrix, vocab)
     config, dm = encode_preset(dataset, preset, dim)
     cfg = TrainConfig(d=dim, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
@@ -235,6 +242,7 @@ vocab_req_opt = click.option("--vocab", required=True, type=click.Path(exists=Tr
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def predict(model, data, qmatrix, vocab, out):
     """Score a triplet log with a saved model; one probability per row."""
+    _check_output_dirs(out)
     probabilities, _ = _score_with_model(model, data, qmatrix, vocab)
     _write_predictions(out, probabilities)
     write_manifest(
@@ -254,6 +262,7 @@ def predict(model, data, qmatrix, vocab, out):
 @click.option("--out", type=click.Path(dir_okay=False))
 def evaluate(model, data, qmatrix, vocab, out):
     """ACC/AUC/NLL of a saved model on a labeled triplet log."""
+    _check_output_dirs(out)
     probabilities, labels = _score_with_model(model, data, qmatrix, vocab)
     metrics = evaluate_predictions(probabilities, labels, fold=0)
     auc_txt = "" if metrics.auc is None else repr(metrics.auc)

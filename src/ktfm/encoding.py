@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .sparse import DesignMatrix, FeatureSpace, _readonly
+from .sparse import CHUNK_ROWS, DesignMatrix, FeatureSpace, _readonly
 
 
 class EncodingError(ValueError):
@@ -61,8 +61,6 @@ class QMatrix:
         return QMatrix(self.matrix[order])
 
 
-# rows a loader parses at once: enough to vectorize, few enough to bound memory
-CHUNK_ROWS = 4_096
 _BITS = {"0": 0, "1": 1}
 
 

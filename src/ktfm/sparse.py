@@ -84,6 +84,11 @@ def _format_value(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
+# rows a loader parses, or the text writer formats, at once: enough to
+# vectorize, few enough to bound memory
+CHUNK_ROWS = 4_096
+
+
 def _index_dtype(*bounds: int) -> type:
     # int32 where it fits: half the memory of int64 for the largest arrays
     return np.int32 if max(bounds, default=0) <= np.iinfo(np.int32).max else np.int64
@@ -206,12 +211,36 @@ class DesignMatrix:
         return DesignMatrix(self.space, indptr, self.indices[entries], self.data[entries], self.labels[idx])
 
     def dump(self, stream: TextIO) -> None:
-        stream.write(f"#N {self.space.width}\n")
-        indptr = self.indptr.tolist()
-        for r, label in enumerate(self.labels.tolist()):
-            lo, hi = indptr[r], indptr[r + 1]
-            entries = zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist())
-            stream.write(" ".join([str(label), *(f"{i}:{_format_value(v)}" for i, v in entries)]) + "\n")
+        """Write the rows as libFM-style sparse text.
+
+        The text is a ``#N <width>`` header line, then one line per row:
+        ``<label> <col>:<value> ...`` with the row's entries in stored order.
+        Integer values are written bare and any other value as its shortest
+        ``repr``, so every finite double reads back to the same bits.
+
+        Rows are written ``CHUNK_ROWS`` at a time. Within a chunk, each distinct
+        value is formatted once, each entry is its column's ``" <col>:"`` head
+        followed by its value's text, each row opens with ``"\\n<label>"``, and
+        the chunk goes out as one string, so the extra memory is bounded by the
+        chunk, not by the matrix.
+        """
+        stream.write(f"#N {self.space.width}")
+        heads = np.array([f" {col}:" for col in range(self.space.width)], dtype=object)
+        openers = np.array(["\n0", "\n1"], dtype=object)
+        indptr = self.indptr
+        for lo in range(0, len(self), CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, len(self))
+            first, last = int(indptr[lo]), int(indptr[hi])
+            values, inverse = np.unique(self.data[first:last], return_inverse=True)
+            tails = np.array([_format_value(v) for v in values.tolist()], dtype=object)
+            entries = np.empty((last - first, 2), dtype=object)  # each entry's head, then its value
+            entries[:, 0] = heads[self.indices[first:last]]
+            entries[:, 1] = tails[inverse]
+            # each row's opener goes before the pieces of its first entry (after
+            # the openers of earlier empty rows: np.insert keeps equal positions in order)
+            pieces = np.insert(entries.ravel(), 2 * (indptr[lo:hi] - first), openers[self.labels[lo:hi]])
+            stream.write("".join(pieces.tolist()))
+        stream.write("\n")
 
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -75,6 +76,18 @@ class TestEncodeCommand:
         )
         assert np.array_equal(got, expected)
         assert (tmp_path / "dm.manifest.json").exists()
+
+    def test_design_text_bytes_are_pinned(self, runner, tmp_path):
+        # 4,500 rows: the text writer's chunks end inside the log
+        synth = tmp_path / "synth"
+        invoke(runner, ["synth", "--generator", "ktm", "--students", "100", "--items", "15", "--skills", "4",
+                        "--d", "2", "--attempts", "3", "--seed", "7", "--out-dir", str(synth)])
+        out = tmp_path / "dm.txt"
+        invoke(runner, ["encode", "--data", str(synth / "triplets.csv"), "--qmatrix", str(synth / "qmatrix.csv"),
+                        "--preset", "ktm-iswf", "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "abc3c818a8d85a2716e1770f2f6b799a43b07f4c36e4eeffa093b6b1f8e6a735"
+        )
 
     def test_incompatible_preset_fails(self, runner, example_log_csv, tmp_path):
         data, _ = example_log_csv
@@ -450,6 +463,29 @@ class TestErrors:
         assert result.exit_code != 0
         assert result.output.startswith("Error:") and "o.txt" in result.output
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, option", [("encode", "--out"), ("encode", "--vocab-out"), ("predict", "--out"), ("evaluate", "--out")]
+    )
+    def test_commands_check_output_directories_before_loading(
+        self, runner, tmp_path, example_log_csv, monkeypatch, command, option
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{command} loaded its inputs before checking its outputs")
+
+        monkeypatch.setattr("ktfm.cli.load_dataset", unreachable)
+        monkeypatch.setattr("ktfm.cli._score_with_model", unreachable)
+        data, _ = example_log_csv
+        model = tmp_path / "model.json"
+        model.write_text("{}")  # never read
+        inputs = ["--data", data] if command == "encode" else ["--model", model, "--data", data, "--vocab", model]
+        paths = {"--out": tmp_path / "o.txt", option: tmp_path / "missing" / "o.txt"}
+        args = [command, *inputs] + [a for pair in paths.items() for a in pair]
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code != 0
+        assert result.output.startswith("Error:") and "missing" in result.output
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "o.txt").exists()
 
     def test_cv_checks_its_out_dir_before_loading(self, runner, tmp_path, example_log_csv, monkeypatch):
         def unreachable(*args, **kwargs):

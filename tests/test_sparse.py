@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktfm import DesignMatrix, FeatureSpace, LayoutError
-from ktfm.sparse import RowFormatError, load_design_matrix
+from ktfm import DesignMatrix, FeatureSpace, LayoutError, sparse
+from ktfm.sparse import RowFormatError, _format_value, load_design_matrix
 from tests.conftest import matrix_from_dense, matrix_from_rows, scipy_csr, to_dense
 
 
@@ -250,6 +252,17 @@ def design_matrices(draw):
     return matrix_from_rows(width, [sorted(row.items()) for row in rows], labels)
 
 
+def reference_dump(dm: DesignMatrix) -> str:
+    """The design-matrix text written one row and one entry at a time."""
+    lines = [f"#N {dm.space.width}\n"]
+    indptr = dm.indptr.tolist()
+    for r, label in enumerate(dm.labels.tolist()):
+        lo, hi = indptr[r], indptr[r + 1]
+        entries = zip(dm.indices[lo:hi].tolist(), dm.data[lo:hi].tolist())
+        lines.append(" ".join([str(label), *(f"{i}:{_format_value(v)}" for i, v in entries)]) + "\n")
+    return "".join(lines)
+
+
 class TestDesignMatrixProperties:
     @settings(max_examples=60, deadline=None)
     @given(dm=design_matrices())
@@ -259,6 +272,16 @@ class TestDesignMatrixProperties:
         loaded = load_design_matrix(path, dm.space)
         for name in ("indptr", "indices", "data", "labels"):
             assert getattr(loaded, name).tobytes() == getattr(dm, name).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dm=design_matrices(), chunk=st.integers(1, 6) | st.just(sparse.CHUNK_ROWS))
+    def test_dump_writes_the_row_by_row_bytes(self, dm, chunk):
+        # small chunks, so that rows (empty ones too) fall on either side of a boundary
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sparse, "CHUNK_ROWS", chunk)
+            out = io.StringIO()
+            dm.dump(out)
+        assert out.getvalue() == reference_dump(dm)
 
     @settings(max_examples=60, deadline=None)
     @given(dm=design_matrices(), picks=st.lists(st.integers(0, 10**6), max_size=20))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -419,6 +420,18 @@ class TestGibbsTrainer:
         assert np.array_equal(a.params.w, b.params.w)
         assert np.array_equal(a.params.V, b.params.V)
         assert np.array_equal(a.test_predictions, b.test_predictions)
+
+    def test_seeded_fit_is_pinned_to_the_byte(self):
+        # the sampler checks compare draws within a tolerance, so a change to the
+        # arithmetic of a draw (say, dividing by prec + hh instead of multiplying by
+        # its reciprocal) passes them; this digest of the posterior means does not.
+        # A change meant to move the probit outputs updates it and says so.
+        data = make_matrix(np.random.default_rng(11), n_rows=60, width=10)
+        params = train_gibbs_probit(data, None, TrainConfig(d=2, epochs=30, seed=21)).params
+        fitted = np.float64(params.bias).tobytes() + params.w.tobytes() + params.V.tobytes()
+        assert hashlib.sha256(fitted).hexdigest() == (
+            "5e3959d981a30621112fd18315f89c743fe761968bac7ce6634194674cdba305"
+        )
 
     def test_predictions_live_in_unit_interval(self):
         rng = np.random.default_rng(14)
