@@ -136,8 +136,16 @@ def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     z = params.bias + X @ params.w
     if params.V is not None:
         q = X @ params.V
-        s2 = data.csr_squared @ (params.V**2)
-        z = z + 0.5 * ((q * q).sum(axis=1) - s2.sum(axis=1))
+        s2 = (data.csr_squared @ (params.V**2)).sum(axis=1)
+        # x_k**2 overflows for |x_k| above about 1.3e154 even where every
+        # (x_k V[k,f])**2 is finite: those rows square one entry at a time
+        over = np.flatnonzero(~np.isfinite(s2))
+        if over.size:
+            rows = data.subset(over)
+            xv = rows.data[:, None] * params.V[rows.indices]
+            owner = np.repeat(np.arange(over.size), np.diff(rows.indptr))
+            s2[over] = np.bincount(owner, (xv * xv).sum(axis=1), over.size)
+        z = z + 0.5 * ((q * q).sum(axis=1) - s2)
     return np.asarray(z, dtype=np.float64)
 
 

@@ -221,8 +221,8 @@ class DesignMatrix:
         Rows are written ``CHUNK_ROWS`` at a time. Within a chunk, each distinct
         value is formatted once, each entry is its column's ``" <col>:"`` head
         followed by its value's text, each row opens with ``"\\n<label>"``, and
-        the chunk goes out as one string, so the extra memory is bounded by the
-        chunk, not by the matrix.
+        the chunk goes out as one string. The extra memory is one chunk's
+        pieces plus one head string per column.
         """
         stream.write(f"#N {self.space.width}")
         heads = np.array([f" {col}:" for col in range(self.space.width)], dtype=object)

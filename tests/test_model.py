@@ -115,10 +115,17 @@ class TestRawScore:
                 for l in range(k + 1, n):
                     slow += x[k] * x[l] * float(V[k] @ V[l])
                     scale += abs(x[k] * x[l]) * float(np.abs(V[k]) @ np.abs(V[l]))
-            # else the row overflows float64 in either form; the fast one also
-            # squares each value before weighting it by V**2
-            if math.isfinite(scale) and np.isfinite(x * x).all():
+            if math.isfinite(scale):  # else the row overflows float64 in either form
                 assert abs(fast[r] - slow) <= 1e-10 * scale
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the stored squares overflow
+    def test_value_whose_square_overflows(self):
+        # 1.5e154**2 overflows float64; each row's score is finite, and exact
+        # since a lone entry has no pairwise term
+        params = FMParams(0.5, np.array([2.0, -1.0]), np.array([[0.0], [0.25]]))
+        dm = matrix_from_rows(2, [[(0, 1.5e154)], [(1, -1.5e154)], [(1, 1.0)]])
+        expected = [0.5 + 1.5e154 * 2.0, 0.5 + -1.5e154 * -1.0, 0.5 - 1.0]
+        assert raw_scores(params, dm).tolist() == expected
 
     def test_out_of_range_column(self):
         params = FMParams(0.0, np.zeros(3))
