@@ -50,7 +50,6 @@ from .sparse import (
     DesignMatrix,
     FeatureSpace,
     LayoutError,
-    load_design_matrix,
 )
 from .training import (
     GibbsOutput,
@@ -89,7 +88,6 @@ __all__ = [
     "generate_synthetic",
     "init_params",
     "load_dataset",
-    "load_design_matrix",
     "load_model",
     "load_qmatrix",
     "load_triplets",

@@ -77,12 +77,20 @@ def _write_epoch_log(path, log_rows) -> None:
 
 
 def _check_trainer_options(link: str) -> None:
-    """Gibbs sampling reads no penalty, so ``--l2`` (or ``--lr``) with ``--link probit`` is
-    an error, not a silent no-op; the MAP fit has no step size, so ``--lr`` is ignored with a note."""
+    """An option that only the other trainer reads is an error, not a silent no-op: Gibbs
+    sampling (``--link probit``) reads no ``--l2`` or ``--lr``, and the MAP fit (``--link logit``)
+    no ``--burn-in``. The MAP fit has no step size either, so ``--lr`` is ignored with a note."""
     ctx = click.get_current_context()
-    given = [name for name in ("lr", "l2") if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
-    if Link(link) is Link.PROBIT and given:
-        raise click.ClickException(f"--{given[0]} applies only to --link logit; Gibbs sampling does not read it")
+    given = [name for name in ("lr", "l2", "burn_in")  # cv has no --burn-in: its source is None
+             if ctx.get_parameter_source(name) not in (None, ParameterSource.DEFAULT)]
+    if Link(link) is Link.PROBIT:
+        foreign, owner, reader = ("lr", "l2"), "logit", "Gibbs sampling"
+    else:
+        foreign, owner, reader = ("burn_in",), "probit", "the MAP fit"
+    wrong = [name for name in given if name in foreign]
+    if wrong:
+        flag = "--" + wrong[0].replace("_", "-")
+        raise click.ClickException(f"{flag} applies only to --link {owner}; {reader} does not read it")
     if "lr" in given:
         click.echo("--lr is ignored: the MAP fit takes bound steps and has no step size", err=True)
 
@@ -397,6 +405,7 @@ def synth(generator, students, items, skills, dim, attempts, link, scale, seed, 
 @click.option("--out-qmatrix", required=True, type=click.Path(dir_okay=False))
 def import_assistments(raw, out_data, out_qmatrix):
     """Convert the public 2009-2010 skill-builder CSV to the triplet format."""
+    _check_output_dirs(out_data, out_qmatrix)
     convert_assistments(raw, out_data, out_qmatrix)
     click.echo(f"wrote {out_data} and {out_qmatrix}")
 

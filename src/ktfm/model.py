@@ -5,7 +5,7 @@ The score of a row x is
     bias + sum_k w[k] x[k] + sum_{k<l} x[k] x[l] <V[k], V[l]>
 
 with the pairwise term evaluated per factor dimension f as
-``0.5 * ((sum_k x_k V[k,f])^2 - sum_k x_k^2 V[k,f]^2)``, which costs
+``0.5 * ((sum_k x_k V[k,f])^2 - sum_k (x_k V[k,f])^2)``, which costs
 O(nnz * d) instead of O(nnz^2 * d) and excludes self-interactions.
 """
 
@@ -126,7 +126,10 @@ def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     """Model score of every row of ``data`` on the link scale.
 
     This is the one FM score: prediction, Gibbs test averages and the check
-    of the Gibbs sampler's carried train scores all call it.
+    of the Gibbs sampler's carried train scores all call it. For each factor
+    f, each entry's product ``x_k V[k,f]`` is formed once: its row sums give
+    ``q_f``, and its square is added into one per-entry sum, so the factor
+    term takes d + 1 ``bincount``s. A square overflows only where the score does.
     """
     if data.space.width != params.n_features:
         raise IndexError(
@@ -135,17 +138,14 @@ def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
     X = data.csr
     z = params.bias + X @ params.w
     if params.V is not None:
-        q = X @ params.V
-        s2 = (data.csr_squared @ (params.V**2)).sum(axis=1)
-        # x_k**2 overflows for |x_k| above about 1.3e154 even where every
-        # (x_k V[k,f])**2 is finite: those rows square one entry at a time
-        over = np.flatnonzero(~np.isfinite(s2))
-        if over.size:
-            rows = data.subset(over)
-            xv = rows.data[:, None] * params.V[rows.indices]
-            owner = np.repeat(np.arange(over.size), np.diff(rows.indptr))
-            s2[over] = np.bincount(owner, (xv * xv).sum(axis=1), over.size)
-        z = z + 0.5 * ((q * q).sum(axis=1) - s2)
+        # sum over f of q_f^2 per row, and of (x_k V[k,f])^2 per entry
+        q2, xv2 = np.zeros(len(data)), np.zeros(X.data.size)
+        for column in np.ascontiguousarray(params.V.T):
+            xv = X.data * column[X.indices]
+            q = X.row_sums(xv)
+            q2 += q * q
+            xv2 += xv * xv
+        z = z + 0.5 * (q2 - X.row_sums(xv2))
     return np.asarray(z, dtype=np.float64)
 
 

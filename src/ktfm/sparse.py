@@ -4,9 +4,10 @@ Everything downstream (encoder, model, trainers) shares these types. A
 ``DesignMatrix`` holds its rows as read-only CSR arrays (``indptr``,
 ``indices``, ``data``) plus one label per row; its ``csr`` view wraps those
 arrays without copying them, and all bulk math goes through it. The view's
-products are numpy ``bincount`` sums over each row's entries in entry order,
-the order (and so the bits) of scipy's CSR products, so no command needs
-``scipy.sparse``.
+row sums are numpy ``bincount`` sums over each row's entries in entry order,
+the order (and so the bits) of scipy's CSR product with a vector, so no
+command needs ``scipy.sparse``. The rows are written out as design-matrix
+text; nothing in the package reads that text back.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class LayoutError(ValueError):
 
 
 class RowFormatError(ValueError):
-    """Malformed sparse row or design-matrix text."""
+    """Malformed sparse row."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -95,40 +96,29 @@ def _index_dtype(*bounds: int) -> type:
 
 
 class CSRView:
-    """Read-only CSR rows with the one operation the package needs: ``rows @ x``.
+    """Read-only CSR rows with the one product the package needs: ``rows @ x``.
 
     Row r of ``rows @ x`` sums ``data[j] * x[indices[j]]`` over the row's
-    entries in order, starting from zero, with one ``np.bincount`` (per
-    column of a matrix ``x``). That is the order of scipy's ``csr_matvec``
-    and ``csr_matvecs``, so the sums are the same to the bit.
+    entries in order, starting from zero, with one ``np.bincount``. That is
+    the order of scipy's ``csr_matvec``, so the sums are the same to the bit.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_row_of_entry")
 
-    def __init__(self, indptr, indices, data, shape: tuple[int, int], row_of_entry=None):
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
-        if row_of_entry is None:
-            row_of_entry = np.repeat(np.arange(shape[0]), np.diff(indptr))
-        self._row_of_entry = row_of_entry
+        self._row_of_entry = np.repeat(np.arange(shape[0]), np.diff(indptr))
 
-    def with_data(self, data: np.ndarray) -> "CSRView":
-        """The same sparsity pattern holding ``data``."""
-        return CSRView(self.indptr, self.indices, data, self.shape, self._row_of_entry)
-
-    def _sum(self, x: np.ndarray) -> np.ndarray:
-        out = np.bincount(self._row_of_entry, self.data * x[self.indices], self.shape[0])
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum of ``values[j]`` over its entries j, in entry order."""
+        out = np.bincount(self._row_of_entry, values, self.shape[0])
         return np.asarray(out, dtype=np.float64)  # bincount of no entries counts in ints
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+        if x.shape != (self.shape[1],):
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
-        if x.ndim == 1:
-            return self._sum(x)
-        out = np.empty((self.shape[0], x.shape[1]))
-        for f, column in enumerate(np.ascontiguousarray(x.T)):
-            out[:, f] = self._sum(column)
-        return out
+        return self.row_sums(self.data * x[self.indices])
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +186,6 @@ class DesignMatrix:
         """CSR view of the stored arrays (no copy), for all batch math."""
         return CSRView(self.indptr, self.indices, self.data, (len(self), self.space.width))
 
-    @cached_property
-    def csr_squared(self) -> CSRView:
-        """Same sparsity pattern as :attr:`csr` with squared values."""
-        return self.csr.with_data(self.data**2)
-
     def subset(self, row_indices: Sequence[int]) -> "DesignMatrix":
         idx = np.asarray(row_indices, dtype=np.int64)
         starts = self.indptr[:-1][idx]
@@ -245,43 +230,3 @@ class DesignMatrix:
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
             self.dump(fh)
-
-
-def load_design_matrix(path, space: FeatureSpace | None = None) -> DesignMatrix:
-    """Read the text format written by :meth:`DesignMatrix.save`.
-
-    When no ``space`` is given the columns are wrapped in a single anonymous
-    block, since the text format only carries the total width.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#N "):
-            raise RowFormatError(f"missing '#N <width>' header, got {header!r}")
-        try:
-            width = int(header[3:])
-        except ValueError:
-            raise RowFormatError(f"bad width in header {header!r}") from None
-        if space is None:
-            space = FeatureSpace((("features", width),))
-        elif space.width != width:
-            raise LayoutError(f"header width {width} != space width {space.width}")
-        indptr, indices, data, labels = [0], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if fields[0] not in ("0", "1"):
-                raise RowFormatError(f"line {lineno}: label must be 0 or 1")
-            labels.append(int(fields[0]))
-            for field in fields[1:]:
-                try:
-                    i, v = field.split(":")
-                    indices.append(int(i))
-                    data.append(float(v))
-                except ValueError:
-                    raise RowFormatError(
-                        f"line {lineno}: bad entry {field!r}"
-                    ) from None
-            indptr.append(len(indices))
-    return DesignMatrix(space, indptr, indices, data, labels)

@@ -14,8 +14,7 @@ from ktfm.datasets import load_dataset
 from ktfm.encoding import encode_dataset
 from ktfm.model import predict_proba_matrix
 from ktfm.persistence import load_model
-from ktfm.sparse import load_design_matrix
-from tests.conftest import EXAMPLE_ENCODED, to_dense
+from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS
 
 
 @pytest.fixture
@@ -67,14 +66,15 @@ class TestEncodeCommand:
                 "--preset", "pfa", "--out", str(out),
             ],
         )
-        dm = load_design_matrix(out)
-        got = to_dense(dm)
-        # dense ids follow first appearance (student "2" first, item "2"
-        # first), so reorder the hand-computed table's rows accordingly
+        # the pfa columns (skills, wins, fails) of the hand-computed table, one
+        # line per attempt in log order, counters written as bare integers
         expected = np.hstack(
             [EXAMPLE_ENCODED[:, 5:8], EXAMPLE_ENCODED[:, 8:11], EXAMPLE_ENCODED[:, 11:14]]
         )
-        assert np.array_equal(got, expected)
+        lines = [f"#N {expected.shape[1]}"]
+        for label, row in zip(EXAMPLE_LABELS, expected):
+            lines.append(" ".join([str(label), *(f"{c}:{int(row[c])}" for c in np.flatnonzero(row))]))
+        assert out.read_text() == "\n".join(lines) + "\n"
         assert (tmp_path / "dm.manifest.json").exists()
 
     def test_design_text_bytes_are_pinned(self, runner, tmp_path):
@@ -306,6 +306,22 @@ def test_probit_rejects_explicit_sgd_options(runner, tmp_path, example_log_csv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["qmatrix.csv", "triplets.csv"]
 
 
+def test_logit_rejects_burn_in(runner, tmp_path, example_log_csv, monkeypatch):
+    # the MAP fit reads no burn-in, so giving one is an error, not a manifest entry
+    def no_loading(*args, **kwargs):
+        raise AssertionError("data loaded before the options were checked")
+
+    monkeypatch.setattr("ktfm.cli.load_dataset", no_loading)
+    data, qfile = example_log_csv
+    result = runner.invoke(
+        main, ["train", "--data", str(data), "--qmatrix", str(qfile), "--link", "logit", "--burn-in", "3",
+               "--out", str(tmp_path / "m.json")]
+    )
+    assert result.exit_code != 0
+    assert result.output == "Error: --burn-in applies only to --link probit; the MAP fit does not read it\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["qmatrix.csv", "triplets.csv"]
+
+
 class TestCvCommand:
     def test_smoke_single_cell(self, runner, tmp_path):
         synth = tmp_path / "synth"
@@ -404,6 +420,61 @@ class TestCvCommand:
         assert all(nll < base_nll for nll in cells.values())
 
 
+@pytest.fixture(scope="module")
+def ktm_log(tmp_path_factory):
+    """The seed-3 ktm log of ``test_benchmark_invocation_beats_the_base_rate``: 1,200 rows."""
+    out = tmp_path_factory.mktemp("ktm")
+    invoke(CliRunner(), ["synth", "--generator", "ktm", "--students", "40", "--items", "15", "--skills", "4",
+                         "--d", "2", "--attempts", "2", "--seed", "3", "--out-dir", str(out)])
+    return ["--data", str(out / "triplets.csv"), "--qmatrix", str(out / "qmatrix.csv")]
+
+
+@pytest.fixture(scope="module")
+def ktm_report(ktm_log, tmp_path_factory):
+    """The lines of a logit ``cv`` report of ktm-iswf at d = 0 and d = 2 on that log, by d."""
+    out = tmp_path_factory.mktemp("cv")
+    invoke(CliRunner(), ["cv", *ktm_log, "--link", "logit", "--preset", "ktm-iswf", "--d", "0", "--d", "2",
+                         "--folds", "5", "--seed", "1", "--epochs", "20", "--out-dir", str(out)])
+    rows = {}
+    for line in (out / "report.csv").read_text().splitlines(keepends=True)[1:]:
+        rows.setdefault(line.split(",")[1], []).append(line)
+    return rows
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestOutputBytesArePinned:
+    """Seeded fits and their scores, pinned to the byte. A d = 0 score is the
+    linear term alone; a d > 0 score also carries the factor term's rounding,
+    so its last bits move whenever the FM score's sums are reordered."""
+
+    def test_cv_report_d0_rows(self, ktm_report):
+        assert len(ktm_report["0"]) == 5
+        assert sha256_text("".join(ktm_report["0"])) == (
+            "c99db3c717c28e125b5af224aa95a70dcb72635cf55d242324e1f2a1b46da763"
+        )
+
+    def test_cv_report_d2_rows(self, ktm_report):
+        assert len(ktm_report["2"]) == 5
+        assert sha256_text("".join(ktm_report["2"])) == (
+            "50cfc67f237dbd2217a208a9f8eb3b5398c72fc6cf8793bae1854523c673583c"
+        )
+
+    def test_probit_model_and_predictions(self, ktm_log, runner, tmp_path):
+        model, vocab, preds = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "p.csv"
+        invoke(runner, ["train", *ktm_log, "--link", "probit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "20",
+                        "--seed", "1", "--out", str(model), "--vocab-out", str(vocab)])
+        invoke(runner, ["predict", "--model", str(model), *ktm_log, "--vocab", str(vocab), "--out", str(preds)])
+        assert sha256_text(model.read_text()) == (
+            "dc7209e642d15dc89d050c54ff1e49928ff6d265c78c10cef3a24433829ff30b"
+        )
+        assert sha256_text(preds.read_text()) == (
+            "977f4cac9f09ce47f871dc4c7d461be24d714ee1dadca27a4aba51a362af182a"
+        )
+
+
 class TestExportEmbeddings:
     def test_export_after_training(self, runner, tmp_path):
         synth = tmp_path / "synth"
@@ -499,6 +570,19 @@ class TestErrors:
         assert result.exit_code != 0
         assert result.output.startswith("Error:") and "a_file" in result.output
         assert result.output.count("\n") == 1
+
+    def test_import_checks_both_outputs_before_writing(self, runner, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("order_id,user_id,problem_id,correct,skill_id\n1,u1,p1,1,s1\n")
+        out_data = tmp_path / "data.csv"
+        result = runner.invoke(
+            main,
+            ["import-assistments", "--raw", str(raw), "--out-data", str(out_data),
+             "--out-qmatrix", str(tmp_path / "nodir" / "q.csv")],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("Error:") and "q.csv" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
 
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(

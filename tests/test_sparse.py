@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktfm import DesignMatrix, FeatureSpace, LayoutError, sparse
-from ktfm.sparse import RowFormatError, _format_value, load_design_matrix
+from ktfm.sparse import RowFormatError, _format_value
 from tests.conftest import matrix_from_dense, matrix_from_rows, scipy_csr, to_dense
 
 
@@ -65,8 +65,9 @@ class TestSparseRow:
             DesignMatrix(space, [0, 1], [0], [0.0], [1])
 
     def test_nonfinite_values_rejected(self, space):
-        with pytest.raises(RowFormatError):
-            DesignMatrix(space, [0, 1], [0], [np.inf], [1])
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(RowFormatError):
+                DesignMatrix(space, [0, 1], [0], [value], [1])
 
     def test_negative_index_rejected(self, space):
         with pytest.raises(RowFormatError):
@@ -140,6 +141,8 @@ class TestSparseDot:
             dm.csr @ np.ones(5)
         with pytest.raises(ValueError):
             dm.csr @ np.ones((5, 2))
+        with pytest.raises(ValueError):  # a matrix is taken one column at a time
+            dm.csr @ np.ones((8, 2))
 
 
 class TestDesignMatrix:
@@ -168,7 +171,8 @@ class TestDesignMatrix:
 
     def test_csr_agrees_with_densify(self, space):
         dm = self._matrix(space)
-        assert np.array_equal(dm.csr @ np.eye(space.width), to_dense(dm))
+        columns = [dm.csr @ unit for unit in np.eye(space.width)]
+        assert np.array_equal(np.column_stack(columns), to_dense(dm))
 
     def test_subset(self, space):
         dm = self._matrix(space)
@@ -198,43 +202,15 @@ class TestDesignMatrix:
         dm = matrix_from_rows(space, rows, np.array(labels))
         path = tmp_path / "dm.txt"
         dm.save(path)
-        loaded = load_design_matrix(path, space)
-        assert loaded.labels.tolist() == dm.labels.tolist()
-        assert np.array_equal(loaded.indptr, dm.indptr)
-        assert np.array_equal(loaded.indices, dm.indices)
-        assert np.array_equal(loaded.data, dm.data)
-        path2 = tmp_path / "dm2.txt"
-        loaded.save(path2)
-        assert path.read_bytes() == path2.read_bytes()
+        assert path.read_bytes() == reference_dump(dm).encode()
+        assert read_values(path.read_text()).tobytes() == dm.data.tobytes()
 
     def test_noninteger_values_round_trip(self, space, tmp_path):
         dm = matrix_from_rows(space, [[(0, 0.1), (5, 3.0)]], [1])
         path = tmp_path / "dm.txt"
         dm.save(path)
-        loaded = load_design_matrix(path)
-        assert loaded.data.tolist() == [0.1, 3.0]
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 0:1\n")
-        with pytest.raises(RowFormatError):
-            load_design_matrix(path)
-
-    def test_bad_label_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("#N 3\n2 0:1\n")
-        with pytest.raises(RowFormatError):
-            load_design_matrix(path)
-
-    def test_loader_enforces_the_row_rules(self, tmp_path):
-        for line in ("1 2:1 1:1", "1 1:1 1:2", "1 0:0", "1 0:inf", "1 0:nan", "1 -1:1"):
-            path = tmp_path / "bad.txt"
-            path.write_text(f"#N 3\n0 0:1\n{line}\n")
-            with pytest.raises(RowFormatError, match="row 1"):
-                load_design_matrix(path)
-        path.write_text("#N 3\n1 3:1\n")
-        with pytest.raises(LayoutError):
-            load_design_matrix(path)
+        assert path.read_text() == "#N 14\n1 0:0.1 5:3\n"
+        assert read_values(path.read_text()).tolist() == [0.1, 3.0]
 
 
 # any float64 a design matrix may store: finite and nonzero
@@ -263,15 +239,19 @@ def reference_dump(dm: DesignMatrix) -> str:
     return "".join(lines)
 
 
+def read_values(text: str) -> np.ndarray:
+    """Every stored value of a design-matrix text, in entry order, read with ``float``."""
+    return np.array([float(entry.split(":")[1]) for line in text.splitlines()[1:] for entry in line.split()[1:]])
+
+
 class TestDesignMatrixProperties:
     @settings(max_examples=60, deadline=None)
     @given(dm=design_matrices())
     def test_save_then_load_is_bit_exact(self, dm, tmp_path_factory):
         path = tmp_path_factory.mktemp("dm") / "dm.txt"
         dm.save(path)
-        loaded = load_design_matrix(path, dm.space)
-        for name in ("indptr", "indices", "data", "labels"):
-            assert getattr(loaded, name).tobytes() == getattr(dm, name).tobytes()
+        assert path.read_bytes() == reference_dump(dm).encode()
+        assert read_values(path.read_text()).tobytes() == dm.data.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(dm=design_matrices(), chunk=st.integers(1, 6) | st.just(sparse.CHUNK_ROWS))
@@ -293,19 +273,15 @@ class TestDesignMatrixProperties:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # products that overflow float64
     @settings(max_examples=80, deadline=None)
-    @given(dm=design_matrices(), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    @given(dm=design_matrices(), seed=st.integers(0, 2**32 - 1),
            picks=st.lists(st.integers(0, 10**6), max_size=20))
-    def test_products_and_subset_equal_scipy(self, dm, d, seed, picks):
+    def test_products_and_subset_equal_scipy(self, dm, seed, picks):
         # the numpy row sums run in scipy's order, so they agree to the bit
-        rng = np.random.default_rng(seed)
-        w, V = rng.normal(size=dm.space.width), rng.normal(size=(dm.space.width, d))
+        w = np.random.default_rng(seed).normal(size=dm.space.width)
         reference = scipy_csr(dm)
-        squared = reference.copy()
-        squared.data = squared.data**2
-        for ours, theirs in ((dm.csr @ w, reference @ w), (dm.csr @ V, reference @ V),
-                             (dm.csr_squared @ V**2, squared @ V**2)):
-            assert ours.dtype == np.float64 and ours.shape == theirs.shape
-            assert np.array_equal(ours, theirs, equal_nan=True)
+        ours, theirs = dm.csr @ w, reference @ w
+        assert ours.dtype == np.float64 and ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs, equal_nan=True)
         idx = np.array([p % len(dm) for p in picks] if len(dm) else [], dtype=np.int64)
         sub, rows = dm.subset(idx), reference[idx]
         for name in ("indptr", "indices", "data"):

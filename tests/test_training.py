@@ -133,7 +133,7 @@ def objective_gradient(params: FMParams, data, l2: float):
     V = None if params.V is None else params.V.copy()
     blocks, _ = _colour_blocks(data)
     scores = raw_scores(params, data)
-    Q = None if V is None else (data.csr @ V).T.copy()
+    Q = None if V is None else (scipy_csr(data) @ V).T.copy()
     y = data.labels.astype(np.float64)
 
     def residual(rows, old, h):
