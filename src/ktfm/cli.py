@@ -1,8 +1,9 @@
 """Command-line surface: encode, train, predict, evaluate, cv, synth, exports.
 
-Every run derives all randomness from --seed and writes a manifest next to
-its outputs, so identical invocations reproduce identical files (manifest
-timestamps aside).
+Every run derives all randomness from --seed, so identical invocations
+reproduce identical files. encode, train, predict, cv and synth also write a
+manifest next to their outputs (identical but for its timestamp); evaluate,
+export-embeddings and import-assistments write none.
 """
 
 from __future__ import annotations
@@ -344,6 +345,7 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def export_embeddings_cmd(model, out):
     """Dump per-feature biases and factor vectors as CSV."""
+    _check_output_dirs(out)
     bundle = load_model(model)
     with open(out, "w", newline="\n") as fh:
         export_embeddings(bundle.params, bundle.space, fh)

@@ -58,9 +58,10 @@ def save_model(path, bundle: ModelBundle) -> None:
         "n_items": bundle.n_items,
         "vocab_digest": bundle.vocab_digest,
     }
+    # one dumps string: json.dump to a file always runs the pure-Python encoder
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:

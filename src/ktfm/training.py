@@ -4,10 +4,10 @@ Both trainers move the parameters one class of columns at a time. The score
 is linear in each single parameter, and columns that share no training row
 touch disjoint scores, so the columns are coloured once per fit, first-fit in
 column order, into classes of row-disjoint columns, and one numpy step moves a
-whole class (``_class_steps``); a half-sweep (w, or one column of V) takes the
-classes in class order. The trainers differ only in the step. Each carries its
-train scores and Q[f] = X @ V[:, f] from step to step, so no sweep re-scores
-the train set.
+whole class (``_class_steps``), its entries in row order; a half-sweep (w, or
+one column of V) takes the classes in class order. The trainers differ only in
+the step. Each carries its train scores and Q[f] = X @ V[:, f] from step to
+step, so no sweep re-scores the train set.
 
 The MAP fit minimizes mean NLL + (l2 / 2) * (|w|^2 + |V|^2) under the logit
 link, the global bias unpenalized. A sweep steps the bias, then w, then each
@@ -144,8 +144,8 @@ def _setup(data: DesignMatrix, config: TrainConfig):
     for f in range(config.d):
         for cols, rows, xv, seg in blocks:
             delta = V[cols, f][seg]
-            scores[rows] += delta * (xv * Q[f][rows])
-            Q[f][rows] += delta * xv
+            np.add.at(scores, rows, delta * (xv * Q[f][rows]))
+            np.add.at(Q[f], rows, delta * xv)
     return start.bias, w, V, blocks, empty, scores, Q
 
 
@@ -183,7 +183,8 @@ def train_map_logit(
         V[empty] = 0.0  # the penalty alone pulls a column no row touches to zero
 
     def objective():  # mean logit NLL + (l2 / 2) * (|w|^2 + |V|^2)
-        penalty = float(w @ w) + (0.0 if V is None else float((V * V).sum()))
+        # summed like V, not by w @ w: a BLAS dot at a wide w wakes a thread pool that spins
+        penalty = float((w * w).sum()) + (0.0 if V is None else float((V * V).sum()))
         return float(np.mean(np.logaddexp(0.0, scores) - y * scores)) + 0.5 * config.l2 * penalty
 
     def bound_step(cols, old, hh, hr):  # old - g / H, or old where H = 0
@@ -288,14 +289,26 @@ class _GroupState:
         self.mean = float(post_mean + rng.standard_normal() / np.sqrt(post_prec))
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of non-negative integer ``keys``, by numpy's radix sort, which
+    takes keys of at most 16 bits: the lowest 16 bits first (8 if no key needs more),
+    then each higher 16 that some key uses."""
+    top = int(keys.max(initial=0))
+    order = np.argsort(keys.astype(np.uint8 if top < 256 else np.uint16), kind="stable")
+    for shift in range(16, top.bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
+
+
 def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
     """Split the columns of ``data`` into classes that share no row.
 
     Columns are coloured first-fit in column order: each takes the smallest
     class none of its rows is in yet. Returns, per class in class order, its
-    columns in column order, the concatenation of their rows (ascending per
-    column) and values, and each entry's segment (the position of its column
-    within the class); and, apart, the columns no row touches.
+    columns in column order, and its entries in row order (a row has at most
+    one): their rows, which rise strictly, values and segments (the position
+    of each entry's column within the class), so each column's rows still
+    ascend; and, apart, the columns no row touches.
 
     In a feature block where no row has two columns (a one-hot block, such as
     items or users), the columns share no row, so each one's class depends
@@ -303,18 +316,15 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     step; any other block is coloured a column at a time. The classes of each
     row are kept as bits of uint64 words, one bit per class.
     """
-    # CSC order without scipy: stable radix sorts (numpy's take 16-bit keys) by the low, then the high
-    # half of the column; rows and segments are intp, as int32 indices gather at half speed or less
-    by_column = np.argsort(data.indices.astype(np.uint16), kind="stable")
-    by_column = by_column[np.argsort((data.indices[by_column] >> 16).astype(np.uint16), kind="stable")]
+    # rows and segments are intp, as int32 indices gather at half speed or less
     row_of_entry = np.repeat(np.arange(len(data)), np.diff(data.indptr))
-    col_rows = row_of_entry[by_column]
+    col_rows = row_of_entry[_stable_order(data.indices)]  # CSC order, without scipy
     widths = [width for _, width in data.space.blocks]
     block = np.repeat(np.arange(len(widths), dtype=np.int32), widths)[data.indices]
     # the blocks in which some row has two columns: neighbouring entries of one row in one block
     pairs = (row_of_entry[1:] == row_of_entry[:-1]) & (block[1:] == block[:-1])
     shared = np.bincount(block[1:][pairs], minlength=len(widths)) > 0
-    del row_of_entry, block, pairs
+    del block, pairs
     counts = np.bincount(data.indices, minlength=data.space.width)
     col_ptr = np.r_[0, np.cumsum(counts)]
     colour = np.full(counts.size, -1)
@@ -352,20 +362,20 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
             make_room(colour[cols].max())
             classes = np.repeat(colour[cols], counts[cols])  # no row twice
             used[rows, classes // 64] |= np.left_shift(np.uint64(1), (classes % 64).astype(np.uint64))
-    del used
+    del used, col_rows
     touched = np.flatnonzero(counts)
     edges = np.arange(colour.max(initial=-1) + 2)  # class c spans [edges[c], edges[c + 1])
     cols = touched[np.argsort(colour[touched], kind="stable")]
     col_cut = np.searchsorted(colour[cols], edges)
-    # each column's CSC entries, the columns in class order
-    sizes = counts[cols]
-    ends = np.cumsum(sizes)
-    order = np.repeat(col_ptr[cols] + sizes - ends, sizes)
-    order += np.arange(order.size)
-    rows, vals = col_rows[order], data.data[by_column[order]]
-    del col_rows, by_column, order  # before the segments, to lower the peak
-    cut = np.r_[0, ends][col_cut]
-    seg = np.repeat(np.arange(cols.size) - col_cut[colour[cols]], sizes)
+    cut = np.r_[0, np.cumsum(counts[cols])][col_cut]
+    position = np.zeros(counts.size, dtype=np.intp)  # of each column within its class
+    position[cols] = np.arange(cols.size) - col_cut[colour[cols]]
+    # the CSR entries by class; a stable sort keeps each class's entries in row order
+    order = _stable_order(colour[data.indices])
+    rows = row_of_entry[order]
+    del row_of_entry  # before the next copy, to lower the peak
+    seg = position[data.indices[order]]
+    vals = data.data[order]
     blocks = [
         (cols[a:b], rows[c:d], vals[c:d], seg[c:d])
         for a, b, c, d in zip(col_cut, col_cut[1:], cut, cut[1:])
@@ -381,6 +391,11 @@ def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.n
     X @ V[:, f]. ``step(cols, old, hh, hr)`` maps the old values and the sums
     hh = sum h^2 and hr = sum h * residual(rows, old, h) per column to the new
     values; ``target`` (scores or residuals) and q_f move by the change.
+
+    A class's rows are distinct and rise, so the gathers walk memory in order
+    and each move is one ``np.add.at`` pass, which adds to every row once,
+    where ``target[rows] +=`` would gather, add and scatter; each column's
+    entries stay in row order, so every sum is that of a column loop.
     """
     for cols, rows, xv, seg in blocks:
         old = values[cols]
@@ -390,9 +405,9 @@ def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.n
         hr = np.bincount(seg, h * residual(rows, old_e, h), len(cols))
         new = step(cols, old, hh, hr)
         delta = (new - old)[seg]
-        target[rows] += delta * h
+        np.add.at(target, rows, delta * h)
         if qf is not None:
-            qf[rows] += delta * xv
+            np.add.at(qf, rows, delta * xv)
         values[cols] = new
 
 
@@ -482,6 +497,7 @@ def train_gibbs_probit(
         if epoch_log is not None:
             epoch_log.append(_epoch_row(it, scores, train.labels, Link.PROBIT))
 
+    del blocks  # before the fresh score, to lower the peak
     fresh = raw_scores(params, train)
     drift = float(np.abs(scores - fresh).max())
     if not drift <= _DRIFT_TOL * max(1.0, float(np.abs(fresh).max())):

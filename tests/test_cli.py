@@ -558,6 +558,16 @@ class TestErrors:
         assert result.output.count("\n") == 1
         assert not (tmp_path / "o.txt").exists()
 
+    def test_export_embeddings_checks_its_output_directory_before_loading(self, runner, tmp_path):
+        # a corrupt model would fail too: the missing directory must be the error reported
+        model = tmp_path / "model.json"
+        model.write_text("{not json")
+        out = tmp_path / "missing" / "emb.csv"
+        result = runner.invoke(main, ["export-embeddings", "--model", str(model), "--out", str(out)])
+        assert result.exit_code != 0
+        assert result.output.startswith("Error:") and "missing" in result.output
+        assert result.output.count("\n") == 1
+
     def test_cv_checks_its_out_dir_before_loading(self, runner, tmp_path, example_log_csv, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("cv loaded the data before creating its out-dir")

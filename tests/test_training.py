@@ -32,6 +32,7 @@ from ktfm.training import (
     _GroupState,
     _probability,
     _setup,
+    _stable_order,
     _sweep,
     sample_truncated_normal,
 )
@@ -659,6 +660,21 @@ class TestColouringOracle:
     def test_one_hot_and_shared_blocks(self, dm):
         assert colours(dm).tolist() == reference_colours(dm).tolist()
 
+    @settings(max_examples=150, deadline=None)
+    @given(dm=blocked_matrices())
+    def test_each_class_holds_its_entries_in_row_order(self, dm):
+        # the class steps gather and scatter by rows, and each bincount adds a
+        # column's entries in row order, as the column loop does
+        row_of_entry = np.repeat(np.arange(len(dm)), np.diff(dm.indptr))
+        for cols, rows, vals, seg in _colour_blocks(dm)[0]:
+            assert np.all(np.diff(rows) > 0)
+            ours = np.isin(dm.indices, cols)
+            assert rows.tolist() == row_of_entry[ours].tolist()
+            assert cols[seg].tolist() == dm.indices[ours].tolist()
+            assert vals.tobytes() == dm.data[ours].tobytes()
+            for j in range(cols.size):
+                assert np.all(np.diff(rows[seg == j]) > 0)
+
     def test_more_than_64_classes(self):
         # an item block, then 140 skills that some rows hold all of, then
         # users whose rows already sit in 64 or more classes: three words
@@ -807,6 +823,13 @@ class TestBlockedSweep:
                 lo, hi = Xc.indptr[k], Xc.indptr[k + 1]
                 assert rows[seg == j].tolist() == Xc.indices[lo:hi].tolist()
                 assert vals[seg == j].tobytes() == Xc.data[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("top", [0, 3, 255, 256, 2**16 - 1, 2**16, 2**33])
+    def test_stable_order_is_numpys_stable_argsort(self, top):
+        # keys of 8, 16, 32 and more bits: numpy's radix sort takes 16 at most
+        keys = np.random.default_rng(top % 997).integers(0, top + 1, 3000)
+        keys[17] = top
+        assert _stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
 
     def test_non_finite_conditional_variance_raises(self):
         # zero factors make h vanish, so a zero prior precision leaves a zero conditional one
