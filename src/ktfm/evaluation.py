@@ -19,7 +19,7 @@ import numpy as np
 from .encoding import EncodingConfig, encode_dataset, preset_encoding
 from .model import Link, raw_scores
 from .sparse import DesignMatrix
-from .training import TrainConfig, nll, train_gibbs_probit, train_map_logit
+from .training import TrainConfig, _colour_blocks, nll, train_gibbs_probit, train_map_logit
 
 
 def accuracy(predictions: Sequence[float], labels: Sequence[int]) -> float:
@@ -177,8 +177,14 @@ def run_cv(
     Every cell is checked once, before any work: a bad cell raises, or is
     handed to ``skip`` and left out. Each run of consecutive cells with one
     preset shares one encoding of the full log (counters always see the whole
-    history), and all cells share one fold partition. Reports give per-fold
-    ACC/AUC/NLL and come back sorted by mean AUC, best first.
+    history), and all cells share one fold partition. A run goes fold by
+    fold: it subsets the fold's train and test rows once and fits every cell
+    of the run on them. When the run holds more than one cell, the train
+    subset is coloured once (``_colour_blocks``) and every fit takes that
+    colouring, which is the one each would build; a lone cell's fits colour
+    their own, so a Gibbs fit can free its classes before its closing score.
+    Reports give per-fold ACC/AUC/NLL, one per cell in grid order (a repeated
+    cell gives two), and come back stably sorted by mean AUC, best first.
     """
     cells, configs = [], {}
     for preset, d in grid:
@@ -198,17 +204,23 @@ def run_cv(
     reports = []
     for preset, run in groupby(cells, key=lambda cell: cell[0]):
         encoded = _encode(dataset, configs[preset])
-        for _, d in run:
-            config = replace(train_config, d=d)
-            metrics = []
-            for fold, (train_idx, test_idx) in enumerate(folds):
-                train, test = encoded.subset(train_idx), encoded.subset(test_idx)
+        configs_of_run = [replace(train_config, d=d) for _, d in run]
+        metrics = [[] for _ in configs_of_run]
+        for fold, (train_idx, test_idx) in enumerate(folds):
+            train, test = encoded.subset(train_idx), encoded.subset(test_idx)
+            # one colouring serves every d of the run; a lone fit colours (and frees) its own
+            classes = _colour_blocks(train) if len(configs_of_run) > 1 else None
+            for config, cell_metrics in zip(configs_of_run, metrics):
                 if link is Link.PROBIT:
-                    predictions = train_gibbs_probit(train, test, config).test_predictions
+                    predictions = train_gibbs_probit(train, test, config, classes=classes).test_predictions
                 else:
-                    predictions = link.inverse(raw_scores(train_map_logit(train, config), test))
-                metrics.append(evaluate_predictions(predictions, encoded.labels[test_idx], fold))
-            reports.append(CVReport(preset=preset, d=d, folds=tuple(metrics)))
+                    predictions = link.inverse(raw_scores(train_map_logit(train, config, classes=classes), test))
+                cell_metrics.append(evaluate_predictions(predictions, encoded.labels[test_idx], fold))
+            del train, test, classes  # before the next fold's subsets
+        reports.extend(
+            CVReport(preset=preset, d=config.d, folds=tuple(cell_metrics))
+            for config, cell_metrics in zip(configs_of_run, metrics)
+        )
         del encoded  # one encoded matrix alive at a time
     reports.sort(key=lambda r: -1.0 if r.mean_auc is None else r.mean_auc, reverse=True)
     return reports

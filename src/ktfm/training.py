@@ -2,12 +2,14 @@
 
 Both trainers move the parameters one class of columns at a time. The score
 is linear in each single parameter, and columns that share no training row
-touch disjoint scores, so the columns are coloured once per fit, first-fit in
-column order, into classes of row-disjoint columns, and one numpy step moves a
-whole class (``_class_steps``), its entries in row order; a half-sweep (w, or
-one column of V) takes the classes in class order. The trainers differ only in
-the step. Each carries its train scores and Q[f] = X @ V[:, f] from step to
-step, so no sweep re-scores the train set.
+touch disjoint scores, so the columns are coloured first-fit in column order
+into classes of row-disjoint columns, and one numpy step moves a whole class
+(``_class_steps``), its entries in row order; a half-sweep (w, or one column
+of V) takes the classes in class order. A fit colours its train set itself,
+or takes that colouring as ``classes`` (read-only arrays), so that fits of
+several d on one set colour it once. The trainers differ only in the step.
+Each carries its train scores and Q[f] = X @ V[:, f] from step to step, so no
+sweep re-scores the train set.
 
 The MAP fit minimizes mean NLL + (l2 / 2) * (|w|^2 + |V|^2) under the logit
 link, the global bias unpenalized. A sweep steps the bias, then w, then each
@@ -121,12 +123,13 @@ def init_params(config: TrainConfig, n_features: int) -> FMParams:
     return FMParams(0.0, np.zeros(n_features), V)
 
 
-def _setup(data: DesignMatrix, config: TrainConfig):
+def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None):
     """Both trainers' opening: reject empty data, warn on constant labels, and
-    colour the columns (``_colour_blocks``). Returns writable copies of the bias,
-    w and V of ``init_params``, the classes, the untouched columns, and the
-    train scores and Q = [X @ V[:, f] per f] of those parameters, written a
-    class at a time (the bias and w are zero, so only the pairwise term adds)."""
+    colour the columns (``_colour_blocks``), unless ``classes`` holds that
+    colouring already. Returns writable copies of the bias, w and V of
+    ``init_params``, the classes, the untouched columns, and the train scores
+    and Q = [X @ V[:, f] per f] of those parameters, written a class at a time
+    (the bias and w are zero, so only the pairwise term adds)."""
     if len(data) == 0:
         raise ValueError("cannot train on an empty design matrix")
     labels = data.labels
@@ -138,7 +141,7 @@ def _setup(data: DesignMatrix, config: TrainConfig):
     start = init_params(config, data.space.width)
     w = start.w.copy()
     V = None if start.V is None else start.V.copy()
-    blocks, empty = _colour_blocks(data)
+    blocks, empty = _colour_blocks(data) if classes is None else classes
     scores = np.zeros(len(data))
     Q = None if V is None else np.zeros((config.d, len(data)))
     for f in range(config.d):
@@ -167,12 +170,13 @@ def _probability(z: np.ndarray) -> np.ndarray:
 
 
 def train_map_logit(
-    data: DesignMatrix, config: TrainConfig, *, epoch_log: list | None = None
+    data: DesignMatrix, config: TrainConfig, *, epoch_log: list | None = None, classes: tuple | None = None
 ) -> FMParams:
     """MAP fit under the logit link by colour-blocked coordinate descent: one sweep per
     epoch, until a sweep lowers the objective by less than ``_MAP_TOL`` of its value
-    or ``config.epochs`` sweeps have run. Epoch-log rows also carry the objective."""
-    bias, w, V, blocks, empty, scores, Q = _setup(data, config)
+    or ``config.epochs`` sweeps have run. Epoch-log rows also carry the objective.
+    ``classes``, if given, is ``_colour_blocks(data)``, which the fit then does not build."""
+    bias, w, V, blocks, empty, scores, Q = _setup(data, config, classes)
     y = data.labels.astype(np.float64)
     lam = config.l2 * len(data)
 
@@ -308,13 +312,13 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     columns in column order, and its entries in row order (a row has at most
     one): their rows, which rise strictly, values and segments (the position
     of each entry's column within the class), so each column's rows still
-    ascend; and, apart, the columns no row touches.
+    ascend; and, apart, the columns no row touches. Every array is read-only.
 
     In a feature block where no row has two columns (a one-hot block, such as
     items or users), the columns share no row, so each one's class depends
     only on the blocks before it, and the whole block is coloured in one numpy
     step; any other block is coloured a column at a time. The classes of each
-    row are kept as bits of uint64 words, one bit per class.
+    row are kept as bits of uint64 words, one bit per class, word-major.
     """
     # rows and segments are intp, as int32 indices gather at half speed or less
     row_of_entry = np.repeat(np.arange(len(data)), np.diff(data.indptr))
@@ -328,14 +332,15 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     counts = np.bincount(data.indices, minlength=data.space.width)
     col_ptr = np.r_[0, np.cumsum(counts)]
     colour = np.full(counts.size, -1)
-    # bit c % 64 of used[r, c // 64]: class c holds row r; little-endian, so that
-    # a row of words read as one Python int has bit c for class c
-    used = np.zeros((len(data), 1), dtype="<u8")
+    # bit c % 64 of used[c // 64, r]: class c holds row r. Word-major, so that a
+    # column's OR is a gather and a class's write a scatter along one flat array;
+    # little-endian, so that a row's words read as one Python int have bit c for class c
+    used = np.zeros((1, len(data)), dtype="<u8")
 
     def make_room(top):  # for class ``top``; classes grow one at a time
         nonlocal used
-        if top >= 64 * used.shape[1]:
-            used = np.hstack([used, np.zeros((len(used), 1), dtype=used.dtype)])
+        if top >= 64 * len(used):
+            used = np.vstack([used, np.zeros((1, used.shape[1]), dtype=used.dtype)])
 
     bounds = np.cumsum([0] + widths)
     for b, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -345,23 +350,25 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
         if shared[b]:
             for k in cols.tolist():
                 rows = col_rows[col_ptr[k] : col_ptr[k + 1]]
-                taken = int.from_bytes(np.bitwise_or.reduce(used[rows], axis=0).tobytes(), "little")
+                taken = int.from_bytes(np.bitwise_or.reduce(used.take(rows, axis=1), axis=1).tobytes(), "little")
                 c = colour[k] = (~taken & (taken + 1)).bit_length() - 1  # the lowest clear bit
                 make_room(c)
-                used[rows, c // 64] |= np.uint64(1 << c % 64)
+                word = used[c // 64]
+                word[rows] |= np.uint64(1 << c % 64)
         else:
             # no two columns share a row, so all take their classes at once: OR each
             # column's rows' words, take each word's lowest clear bit (as a power of
             # two, 0 for a full word), then the first word that has one
             lo = col_ptr[cols[0]]
             rows = col_rows[lo : col_ptr[cols[-1] + 1]]
-            words = np.bitwise_or.reduceat(used[rows], col_ptr[cols] - lo, axis=0)
+            words = np.bitwise_or.reduceat(used.take(rows, axis=1), col_ptr[cols] - lo, axis=1)
             bit = np.frexp((~words & (words + np.uint64(1))).astype(np.float64))[1] - 1
-            n_words = used.shape[1]
-            colour[cols] = np.where(bit < 0, 64 * n_words, 64 * np.arange(n_words) + bit).min(axis=1)
+            n_words = len(used)
+            colour[cols] = np.where(bit < 0, 64 * n_words, 64 * np.arange(n_words)[:, None] + bit).min(axis=0)
             make_room(colour[cols].max())
             classes = np.repeat(colour[cols], counts[cols])  # no row twice
-            used[rows, classes // 64] |= np.left_shift(np.uint64(1), (classes % 64).astype(np.uint64))
+            flat = used.reshape(-1)  # a view, so that the write is one 1-D scatter
+            flat[classes // 64 * len(data) + rows] |= np.left_shift(np.uint64(1), (classes % 64).astype(np.uint64))
     del used, col_rows
     touched = np.flatnonzero(counts)
     edges = np.arange(colour.max(initial=-1) + 2)  # class c spans [edges[c], edges[c + 1])
@@ -376,11 +383,14 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     del row_of_entry  # before the next copy, to lower the peak
     seg = position[data.indices[order]]
     vals = data.data[order]
+    empty = np.flatnonzero(counts == 0)
+    for array in (cols, rows, vals, seg, empty):  # read-only, as fits of several d share them
+        array.flags.writeable = False
     blocks = [
         (cols[a:b], rows[c:d], vals[c:d], seg[c:d])
         for a, b, c, d in zip(col_cut, col_cut[1:], cut, cut[1:])
     ]
-    return blocks, np.flatnonzero(counts == 0)
+    return blocks, empty
 
 
 def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.ndarray, residual, step) -> None:
@@ -429,23 +439,24 @@ def train_gibbs_probit(
     config: TrainConfig = TrainConfig(),
     *,
     epoch_log: list | None = None,
+    classes: tuple | None = None,
 ) -> GibbsOutput:
     """Bayesian fit under the probit link via latent-utility Gibbs sampling.
 
     Each iteration (1) draws the latent utilities truncated to the side their
     label dictates, (2) draws the bias, then w, then each column of V from
     their Gaussian conditionals, one class of row-disjoint columns at a time
-    (the classes are coloured once per fit), while keeping the score
-    residuals and each Q[f] = X @ V[:, f] in sync, and (3) resamples the
-    per-group prior means and precisions; a drawn precision that is zero or
-    not finite raises TrainingDivergedError. The next iteration starts from
-    the scores the residuals carry (latent utility plus residual). After
-    burn-in, parameters are accumulated into a posterior mean and test
-    probabilities into a running average. A fit whose carried scores end up
-    further than ``_DRIFT_TOL`` from a fresh score raises
+    (the classes of ``_colour_blocks(train)``, passed as ``classes`` or else
+    built here), while keeping the score residuals and each Q[f] = X @ V[:, f]
+    in sync, and (3) resamples the per-group prior means and precisions; a
+    drawn precision that is zero or not finite raises TrainingDivergedError.
+    The next iteration starts from the scores the residuals carry (latent
+    utility plus residual). After burn-in, parameters are accumulated into a
+    posterior mean and test probabilities into a running average. A fit whose
+    carried scores end up further than ``_DRIFT_TOL`` from a fresh score raises
     TrainingDivergedError.
     """
-    bias, w, V, blocks, empty, scores, Q = _setup(train, config)
+    bias, w, V, blocks, empty, scores, Q = _setup(train, config, classes)
     d = config.d
     iters = config.epochs
     burn_in = config.effective_burn_in
@@ -497,7 +508,7 @@ def train_gibbs_probit(
         if epoch_log is not None:
             epoch_log.append(_epoch_row(it, scores, train.labels, Link.PROBIT))
 
-    del blocks  # before the fresh score, to lower the peak
+    del blocks, classes  # before the fresh score, to lower the peak (when this fit built them)
     fresh = raw_scores(params, train)
     drift = float(np.abs(scores - fresh).max())
     if not drift <= _DRIFT_TOL * max(1.0, float(np.abs(fresh).max())):

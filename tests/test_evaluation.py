@@ -276,10 +276,44 @@ class TestRunCv:
         grid = [("irt", 0), ("mirtb", 1), ("mirtb", 2)]
         run_cv(synthetic_dataset(seed=8, n_students=12, n_items=6), grid,
                FoldSpec(k=3, seed=0), TrainConfig(epochs=2, seed=0), link=link)
-        per_fold = ["train_map_logit", "raw_scores"] if link is Link.LOGIT else ["train_gibbs_probit"]
+        per_fit = ["train_map_logit", "raw_scores"] if link is Link.LOGIT else ["train_gibbs_probit"]
+        # fold-major within each run of one preset: every d of the run on fold 0, then on fold 1 ...
+        runs = [[0], [1, 2]]
         assert calls == [
-            (name, None if name == "raw_scores" else d) for _, d in grid for _ in range(3) for name in per_fold
+            (name, None if name == "raw_scores" else d)
+            for run in runs for _ in range(3) for d in run for name in per_fit
         ]
+
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    def test_one_colouring_per_fold_of_a_run(self, monkeypatch, link):
+        # a run of several cells colours each fold's train set once and hands the
+        # colouring to every fit; a lone cell's fits colour their own
+        import ktfm.evaluation as evaluation
+        import ktfm.training as training
+
+        calls = []
+        colour = training._colour_blocks
+
+        def counting(data):
+            calls.append(len(data))
+            return colour(data)
+
+        monkeypatch.setattr(training, "_colour_blocks", counting)
+        monkeypatch.setattr(evaluation, "_colour_blocks", counting)
+        dataset = synthetic_dataset(seed=8, n_students=12, n_items=6)
+        args = (FoldSpec(k=3, seed=0), TrainConfig(epochs=2, seed=0))
+        run_cv(dataset, [("mirtb", 1), ("mirtb", 2)], *args, link=link)
+        assert len(calls) == 3
+        calls.clear()
+        run_cv(dataset, [("mirtb", 1), ("irt", 0)], *args, link=link)
+        assert len(calls) == 6
+
+    def test_a_repeated_cell_gives_two_equal_reports(self):
+        dataset = synthetic_dataset(seed=9, n_students=12, n_items=6)
+        args = (FoldSpec(k=3, seed=0), TrainConfig(epochs=3, seed=0))
+        twice = run_cv(dataset, [("mirtb", 1), ("mirtb", 1)], *args)
+        assert len(twice) == 2 and twice[0] == twice[1]
+        assert twice[0] == run_cv(dataset, [("mirtb", 1)], *args)[0]
 
     def test_every_cell_checked_before_encoding(self, monkeypatch):
         import ktfm.evaluation as evaluation

@@ -696,6 +696,33 @@ class TestColouringOracle:
         assert blocks == [] and empty.tolist() == [0, 1, 2, 3, 4]
 
 
+class TestSharedColouring:
+    @staticmethod
+    def fitted_bytes(params):
+        V = b"" if params.V is None else params.V.tobytes()
+        return np.float64(params.bias).tobytes() + params.w.tobytes() + V
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_fits_handed_a_colouring_equal_fits_that_build_it(self, d):
+        # cv fits every d of a preset on one fold's colouring, which must give the
+        # bytes each fit gives alone and come back as it went in
+        data = make_matrix(np.random.default_rng(31), n_rows=60, width=12, untouched=2)
+        test = make_matrix(np.random.default_rng(32), n_rows=20, width=12)
+        classes = _colour_blocks(data)
+        arrays = [*(a for block in classes[0] for a in block), classes[1]]
+        before = [a.tobytes() for a in arrays]
+        config = TrainConfig(d=d, epochs=8, seed=5)
+        for _ in range(2):
+            shared = train_map_logit(data, config, classes=classes)
+            assert self.fitted_bytes(shared) == self.fitted_bytes(train_map_logit(data, config))
+            shared = train_gibbs_probit(data, test, config, classes=classes)
+            alone = train_gibbs_probit(data, test, config)
+            assert self.fitted_bytes(shared.params) == self.fitted_bytes(alone.params)
+            assert shared.test_predictions.tobytes() == alone.test_predictions.tobytes()
+        assert [a.tobytes() for a in arrays] == before
+        assert not any(a.flags.writeable for a in arrays)
+
+
 def factor_scores_by_class_steps(V, blocks, n_rows):
     """The start scores and Q as both trainers once built them: every column of
     V stepped from zero to its value by ``_class_steps``, a class at a time."""
