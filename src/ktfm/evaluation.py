@@ -182,7 +182,8 @@ def run_cv(
     of the run on them. When the run holds more than one cell, the train
     subset is coloured once (``_colour_blocks``) and every fit takes that
     colouring, which is the one each would build; a lone cell's fits colour
-    their own, so a Gibbs fit can free its classes before its closing score.
+    their own. Either way the fold's last fit holds the only reference, so a
+    Gibbs fit can free the classes before its closing score.
     Reports give per-fold ACC/AUC/NLL, one per cell in grid order (a repeated
     cell gives two), and come back stably sorted by mean AUC, best first.
     """
@@ -208,15 +209,16 @@ def run_cv(
         metrics = [[] for _ in configs_of_run]
         for fold, (train_idx, test_idx) in enumerate(folds):
             train, test = encoded.subset(train_idx), encoded.subset(test_idx)
-            # one colouring serves every d of the run; a lone fit colours (and frees) its own
-            classes = _colour_blocks(train) if len(configs_of_run) > 1 else None
+            # one colouring serves every d of the run; each fit pops one reference to it,
+            # so the last fit holds the only one and can free it, as a lone fit frees its own
+            handed = [_colour_blocks(train) if len(configs_of_run) > 1 else None] * len(configs_of_run)
             for config, cell_metrics in zip(configs_of_run, metrics):
                 if link is Link.PROBIT:
-                    predictions = train_gibbs_probit(train, test, config, classes=classes).test_predictions
+                    predictions = train_gibbs_probit(train, test, config, classes=handed.pop()).test_predictions
                 else:
-                    predictions = link.inverse(raw_scores(train_map_logit(train, config, classes=classes), test))
+                    predictions = link.inverse(raw_scores(train_map_logit(train, config, classes=handed.pop()), test))
                 cell_metrics.append(evaluate_predictions(predictions, encoded.labels[test_idx], fold))
-            del train, test, classes  # before the next fold's subsets
+            del train, test  # before the next fold's subsets
         reports.extend(
             CVReport(preset=preset, d=config.d, folds=tuple(cell_metrics))
             for config, cell_metrics in zip(configs_of_run, metrics)

@@ -5,7 +5,12 @@ is linear in each single parameter, and columns that share no training row
 touch disjoint scores, so the columns are coloured first-fit in column order
 into classes of row-disjoint columns, and one numpy step moves a whole class
 (``_class_steps``), its entries in row order; a half-sweep (w, or one column
-of V) takes the classes in class order. A fit colours its train set itself,
+of V) takes the classes in class order. A class with an entry of value 1 in
+every row (a one-hot block that every row has, such as items, users or an
+extra column, when it lands in one class) is whole-row: it steps on whole
+arrays by in-place adds, with no row gather, scatter or multiply by x, and
+each of its float operations is the one the general step does with x = 1 on
+every row, so the bytes are the same. A fit colours its train set itself,
 or takes that colouring as ``classes`` (read-only arrays), so that fits of
 several d on one set colour it once. The trainers differ only in the step.
 Each carries its train scores and Q[f] = X @ V[:, f] from step to step, so no
@@ -147,8 +152,12 @@ def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None
     for f in range(config.d):
         for cols, rows, xv, seg in blocks:
             delta = V[cols, f][seg]
-            np.add.at(scores, rows, delta * (xv * Q[f][rows]))
-            np.add.at(Q[f], rows, delta * xv)
+            if rows is None:  # whole-row: x = 1 on every row
+                scores += delta * Q[f]
+                Q[f] += delta
+            else:
+                np.add.at(scores, rows, delta * (xv * Q[f][rows]))
+                np.add.at(Q[f], rows, delta * xv)
     return start.bias, w, V, blocks, empty, scores, Q
 
 
@@ -313,6 +322,9 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     one): their rows, which rise strictly, values and segments (the position
     of each entry's column within the class), so each column's rows still
     ascend; and, apart, the columns no row touches. Every array is read-only.
+    A whole-row class, whose entries are every row once, each of value 1,
+    holds None for its rows and values, which ``_class_steps`` reads as
+    rows = arange and values = ones.
 
     In a feature block where no row has two columns (a one-hot block, such as
     items or users), the columns share no row, so each one's class depends
@@ -386,8 +398,11 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     empty = np.flatnonzero(counts == 0)
     for array in (cols, rows, vals, seg, empty):  # read-only, as fits of several d share them
         array.flags.writeable = False
+    n_rows = len(data)
     blocks = [
-        (cols[a:b], rows[c:d], vals[c:d], seg[c:d])
+        # a class with an entry in every row (its rows are distinct), each of value 1, is whole-row
+        (cols[a:b], None, None, seg[c:d]) if d - c == n_rows and (vals[c:d] == 1.0).all()
+        else (cols[a:b], rows[c:d], vals[c:d], seg[c:d])
         for a, b, c, d in zip(col_cut, col_cut[1:], cut, cut[1:])
     ]
     return blocks, empty
@@ -405,19 +420,38 @@ def _class_steps(values: np.ndarray, blocks, qf: np.ndarray | None, target: np.n
     A class's rows are distinct and rise, so the gathers walk memory in order
     and each move is one ``np.add.at`` pass, which adds to every row once,
     where ``target[rows] +=`` would gather, add and scatter; each column's
-    entries stay in row order, so every sum is that of a column loop.
+    entries stay in row order, so every sum is that of a column loop. A
+    whole-row class (rows None: every row once, x = 1) takes h = 1 for w and
+    h = q_f - old for V, and moves ``target`` and q_f by in-place adds on the
+    whole arrays: x * y = y and a scatter onto distinct rows adds once per
+    row, so each operation, and so each byte, is that of the general step.
     """
     for cols, rows, xv, seg in blocks:
         old = values[cols]
         old_e = old[seg]
-        h = xv if qf is None else xv * (qf[rows] - xv * old_e)
-        hh = np.bincount(seg, h * h, len(cols))
-        hr = np.bincount(seg, h * residual(rows, old_e, h), len(cols))
-        new = step(cols, old, hh, hr)
-        delta = (new - old)[seg]
-        np.add.at(target, rows, delta * h)
-        if qf is not None:
-            np.add.at(qf, rows, delta * xv)
+        if rows is not None:
+            h = xv if qf is None else xv * (qf[rows] - xv * old_e)
+            hh = np.bincount(seg, h * h, len(cols))
+            hr = np.bincount(seg, h * residual(rows, old_e, h), len(cols))
+            new = step(cols, old, hh, hr)
+            delta = (new - old)[seg]
+            np.add.at(target, rows, delta * h)
+            if qf is not None:
+                np.add.at(qf, rows, delta * xv)
+        elif qf is None:  # whole-row, w: h = 1
+            hh = np.bincount(seg, None, len(cols))  # the count of ones, as sum 1 * 1 gives
+            hr = np.bincount(seg, residual(slice(None), old_e, 1.0), len(cols))
+            new = step(cols, old, hh, hr)
+            target += (new - old)[seg]
+        else:  # whole-row, V: h = q_f - old
+            h = qf - old_e
+            hh = np.bincount(seg, h * h, len(cols))
+            hr = np.bincount(seg, h * residual(slice(None), old_e, h), len(cols))
+            new = step(cols, old, hh, hr)
+            delta = (new - old)[seg]
+            qf += delta
+            delta *= h
+            target += delta
         values[cols] = new
 
 
@@ -508,7 +542,7 @@ def train_gibbs_probit(
         if epoch_log is not None:
             epoch_log.append(_epoch_row(it, scores, train.labels, Link.PROBIT))
 
-    del blocks, classes  # before the fresh score, to lower the peak (when this fit built them)
+    del blocks, classes  # before the fresh score, to lower the peak (when no caller holds them too)
     fresh = raw_scores(params, train)
     drift = float(np.abs(scores - fresh).max())
     if not drift <= _DRIFT_TOL * max(1.0, float(np.abs(fresh).max())):

@@ -441,6 +441,18 @@ def ktm_report(ktm_log, tmp_path_factory):
     return rows
 
 
+@pytest.fixture(scope="module")
+def ktm_extra_log(ktm_log, tmp_path_factory):
+    """That log with one seeded extra side column, ``mode`` (three values), on every row."""
+    out = tmp_path_factory.mktemp("ktm_extra")
+    lines = Path(ktm_log[1]).read_text().splitlines()
+    modes = np.random.default_rng(8).choice(["a", "b", "c"], len(lines) - 1)
+    (out / "triplets.csv").write_text(
+        "".join(f"{line},{mode}\n" for line, mode in zip(lines, ["mode", *modes]))
+    )
+    return ["--data", str(out / "triplets.csv"), ktm_log[2], ktm_log[3]]
+
+
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -472,6 +484,27 @@ class TestOutputBytesArePinned:
         )
         assert sha256_text(preds.read_text()) == (
             "977f4cac9f09ce47f871dc4c7d461be24d714ee1dadca27a4aba51a362af182a"
+        )
+
+    def test_probit_cv_of_two_cells_with_an_extra_column(self, ktm_extra_log, runner, tmp_path):
+        # two cells of one preset share each fold's colouring, which holds whole-row
+        # classes (items, every row once with value 1) and classes that are not
+        from ktfm.evaluation import FoldSpec, encode_preset, make_folds
+        from ktfm.training import _colour_blocks
+        from tests.test_training import general_form, whole_row
+
+        dataset = load_dataset(ktm_extra_log[1], ktm_extra_log[3])
+        encoded = encode_preset(dataset, "ktm-iswfe", 2)[1]
+        train = encoded.subset(make_folds(len(encoded), FoldSpec(k=3, seed=1), dataset.triplets[:, 0])[0][0])
+        kinds = {whole_row(block, len(train)) for block in general_form(_colour_blocks(train)[0], len(train))}
+        assert kinds == {True, False}
+        invoke(runner, ["cv", *ktm_extra_log, "--link", "probit", "--preset", "ktm-iswfe", "--d", "0", "--d", "2",
+                        "--folds", "3", "--seed", "1", "--epochs", "12", "--out-dir", str(tmp_path)])
+        assert sha256_text((tmp_path / "report.csv").read_text()) == (
+            "3512a803418a116ea42d79926a10522e17f012f09dfe141b167e632ccbf336de"
+        )
+        assert sha256_text((tmp_path / "summary.csv").read_text()) == (
+            "4f81c1b4190022b04352e47632f61226beb574fd0fbc80105dd560cca0d306e5"
         )
 
 

@@ -308,6 +308,34 @@ class TestRunCv:
         run_cv(dataset, [("mirtb", 1), ("irt", 0)], *args, link=link)
         assert len(calls) == 6
 
+    def test_the_last_fit_of_a_fold_frees_the_shared_colouring(self, monkeypatch):
+        # each Gibbs fit closes with a fresh score of its train set: the shared
+        # colouring must outlive that of the fold's first fit and be gone by the last's
+        import weakref
+
+        import ktfm.evaluation as evaluation
+        import ktfm.training as training
+
+        colourings, closing = [], []
+        colour, score = training._colour_blocks, training.raw_scores
+
+        def colouring(data):
+            classes = colour(data)
+            colourings.append([weakref.ref(seg) for *_, seg in classes[0]])
+            return classes
+
+        def scoring(params, data):
+            if len(data) == 48:  # a train set; the test sets hold 24 rows
+                closing.append([ref() is not None for ref in colourings[-1]])
+            return score(params, data)
+
+        monkeypatch.setattr(evaluation, "_colour_blocks", colouring)
+        monkeypatch.setattr(training, "raw_scores", scoring)
+        run_cv(synthetic_dataset(seed=8, n_students=12, n_items=6), [("mirtb", 1), ("mirtb", 2)],
+               FoldSpec(k=3, seed=0), TrainConfig(epochs=2, seed=0), link=Link.PROBIT)
+        assert len(colourings) == 3 and all(colourings)
+        assert [(all(alive), any(alive)) for alive in closing] == [(True, True), (False, False)] * 3
+
     def test_a_repeated_cell_gives_two_equal_reports(self):
         dataset = synthetic_dataset(seed=9, n_students=12, n_items=6)
         args = (FoldSpec(k=3, seed=0), TrainConfig(epochs=3, seed=0))

@@ -36,7 +36,7 @@ from ktfm.training import (
     _sweep,
     sample_truncated_normal,
 )
-from tests.conftest import matrix_from_rows, scipy_csr, to_dense
+from tests.conftest import matrix_from_dense, matrix_from_rows, scipy_csr, to_dense
 from tests.test_model import random_instance
 from tests.test_sparse import design_matrices
 
@@ -622,6 +622,19 @@ def reference_colours(data):
     return colour
 
 
+def general_form(blocks, n_rows):
+    """The classes of ``_colour_blocks`` with every whole-row class (rows and values
+    None) spelt out as the general form: rows = arange, values = ones."""
+    every, ones = np.arange(n_rows), np.ones(n_rows)
+    return [(cols, every, ones, seg) if rows is None else (cols, rows, xv, seg) for cols, rows, xv, seg in blocks]
+
+
+def whole_row(block, n_rows):
+    """Whether a general-form class has an entry in every row, each of value 1."""
+    cols, rows, xv, seg = block
+    return rows.size == n_rows and bool((xv == 1.0).all())
+
+
 def colours(data):
     """The class of every column in ``_colour_blocks(data)``, -1 for the untouched."""
     blocks, empty = _colour_blocks(data)
@@ -666,7 +679,7 @@ class TestColouringOracle:
         # the class steps gather and scatter by rows, and each bincount adds a
         # column's entries in row order, as the column loop does
         row_of_entry = np.repeat(np.arange(len(dm)), np.diff(dm.indptr))
-        for cols, rows, vals, seg in _colour_blocks(dm)[0]:
+        for cols, rows, vals, seg in general_form(_colour_blocks(dm)[0], len(dm)):
             assert np.all(np.diff(rows) > 0)
             ours = np.isin(dm.indices, cols)
             assert rows.tolist() == row_of_entry[ours].tolist()
@@ -721,6 +734,78 @@ class TestSharedColouring:
             assert shared.test_predictions.tobytes() == alone.test_predictions.tobytes()
         assert [a.tobytes() for a in arrays] == before
         assert not any(a.flags.writeable for a in arrays)
+
+
+@st.composite
+def whole_row_matrices(draw):
+    """A ``design_matrices`` draw behind a one-hot block (so in class 0) that every
+    row has with value 1, but for at most one flawed row, and with some of its own
+    columns set to 1 on every row (each alone in a later class), so that whole-row
+    classes and classes one entry short of them both come up."""
+    dm = draw(design_matrices())
+    n_rows, width = len(dm), dm.space.width
+    tail = to_dense(dm)
+    tail[:, sorted(draw(st.sets(st.integers(0, width - 1), max_size=2)))] = 1.0
+    m = draw(st.integers(1, 3))
+    head = np.zeros((n_rows, m))
+    head[np.arange(n_rows), draw(st.lists(st.integers(0, m - 1), min_size=n_rows, max_size=n_rows))] = 1.0
+    if n_rows and draw(st.booleans()):
+        r = draw(st.integers(0, n_rows - 1))
+        head[r] *= draw(st.sampled_from([0.0, 2.0, -1.0]))  # the row left out, or a value not 1
+    space = FeatureSpace((("head", m), ("tail", width)))
+    return matrix_from_dense(space, np.hstack([head, tail]), dm.labels)
+
+
+class TestWholeRowClasses:
+    @staticmethod
+    def swept(values, classes, empty, qf, e, group, seed):
+        """The error of one Gibbs half-sweep, if any, and the bytes it leaves."""
+        try:
+            _sweep(values, classes, empty, qf, e, group, np.random.default_rng(seed))
+            raised = None
+        except TrainingDivergedError as exc:
+            raised = str(exc)
+        return raised, values.tobytes(), e.tobytes(), None if qf is None else qf.tobytes()
+
+    @staticmethod
+    def fitted(fit):
+        """The error of a fit, or the bytes of its parameters and test predictions."""
+        try:
+            out = fit()
+        except TrainingDivergedError as exc:
+            return str(exc)
+        if isinstance(out, FMParams):
+            return TestSharedColouring.fitted_bytes(out)
+        return TestSharedColouring.fitted_bytes(out.params), out.test_predictions.tobytes()
+
+    @pytest.mark.filterwarnings("ignore")  # constant labels; products that overflow float64
+    @settings(max_examples=150, deadline=None)
+    @given(dm=design_matrices() | whole_row_matrices(), d=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_marked_classes_step_as_the_general_form(self, dm, d, seed):
+        # a class is whole-row (rows and values None) just when it holds an entry
+        # of value 1 in every row; stepping it on whole arrays gives the bytes of
+        # the general path with rows = arange and values = ones
+        blocks, empty = _colour_blocks(dm)
+        general = general_form(blocks, len(dm))
+        for block, spelt in zip(blocks, general):
+            assert (block[1] is None) == (block[2] is None) == whole_row(spelt, len(dm))
+        assume(len(dm))
+        rng = np.random.default_rng(seed)
+        group = _GroupState("g")
+        group.mean, group.precision = rng.normal(), rng.gamma(2.0)
+        w, V, e = rng.normal(size=dm.space.width), rng.normal(size=(dm.space.width, d)), rng.normal(size=len(dm))
+        Q = (scipy_csr(dm) @ V).T
+        config = TrainConfig(d=d, epochs=1, seed=seed)
+        with np.errstate(all="ignore"):
+            # one Gibbs half-sweep of w, then of each column of V
+            for values, qf in [(w, None), *zip(V.T, Q)]:
+                marked, spelt = (self.swept(values.copy(), classes, empty, None if qf is None else qf.copy(), e.copy(),
+                                            group, seed) for classes in (blocks, general))
+                assert marked == spelt
+            # one MAP sweep and one Gibbs iteration, start scores included
+            for fit in (lambda classes: train_map_logit(dm, config, classes=classes),
+                        lambda classes: train_gibbs_probit(dm, dm, config, classes=classes)):
+                assert self.fitted(lambda: fit((blocks, empty))) == self.fitted(lambda: fit((general, empty)))
 
 
 def factor_scores_by_class_steps(V, blocks, n_rows):
@@ -814,7 +899,7 @@ class TestBlockedSweep:
         coloured = [k for cols, *_ in blocks for k in cols.tolist()]
         assert sorted(coloured) == np.flatnonzero(counts).tolist()
         assert empty.tolist() == np.flatnonzero(counts == 0).tolist()
-        for c, (cols, rows, vals, seg) in enumerate(blocks):
+        for c, (cols, rows, vals, seg) in enumerate(general_form(blocks, len(dm))):
             assert cols.size and np.all(np.diff(cols) > 0)
             assert np.unique(rows).size == rows.size  # no two columns of a class share a row
             for j, k in enumerate(cols.tolist()):
@@ -824,11 +909,12 @@ class TestBlockedSweep:
                 # first fit: every lower class holds an earlier column sharing a row with k
                 for lower in blocks[:c]:
                     assert any((touches[:, i] & touches[:, k]).any() for i in lower[0].tolist() if i < k)
-        assert all(a.dtype == np.intp for _, rows, _, seg in blocks for a in (rows, seg))  # fast indexing
+        # fast indexing; a whole-row class has no rows
+        assert all(a.dtype == np.intp for _, rows, _, seg in blocks for a in (rows, seg) if a is not None)
         again, again_empty = _colour_blocks(dm)
         assert again_empty.tobytes() == empty.tobytes()
-        assert len(again) == len(blocks)
-        for ours, theirs in zip(blocks, again):
+        assert [rows is None for _, rows, *_ in again] == [rows is None for _, rows, *_ in blocks]
+        for ours, theirs in zip(general_form(blocks, len(dm)), general_form(again, len(dm))):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
 
     def test_colouring_reads_columns_past_16_bits(self):
