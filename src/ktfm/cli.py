@@ -370,6 +370,8 @@ def export_embeddings_cmd(model, out):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 def synth(generator, students, items, skills, dim, attempts, link, scale, seed, out_dir):
     """Generate a synthetic log with saved ground-truth parameters."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     spec = SynthSpec(
         generator=generator,
         n_students=students,
@@ -381,9 +383,9 @@ def synth(generator, students, items, skills, dim, attempts, link, scale, seed, 
         seed=seed,
         scale=scale,
     )
-    paths = write_synthetic(generate_synthetic(spec), out_dir)
+    paths = write_synthetic(generate_synthetic(spec), out)
     write_manifest(
-        Path(out_dir) / "manifest.json",
+        out / "manifest.json",
         "synth",
         {
             "generator": generator,

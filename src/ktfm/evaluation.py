@@ -179,11 +179,10 @@ def run_cv(
     preset shares one encoding of the full log (counters always see the whole
     history), and all cells share one fold partition. A run goes fold by
     fold: it subsets the fold's train and test rows once and fits every cell
-    of the run on them. When the run holds more than one cell, the train
-    subset is coloured once (``_colour_blocks``) and every fit takes that
-    colouring, which is the one each would build; a lone cell's fits colour
-    their own. Either way the fold's last fit holds the only reference, so a
-    Gibbs fit can free the classes before its closing score.
+    of the run on them. The train subset is coloured once (``_colour_blocks``)
+    and every fit takes that colouring, which is the one each would build.
+    The fold's last fit holds the only reference, so a Gibbs fit can free the
+    classes before its closing score.
     Reports give per-fold ACC/AUC/NLL, one per cell in grid order (a repeated
     cell gives two), and come back stably sorted by mean AUC, best first.
     """
@@ -210,8 +209,8 @@ def run_cv(
         for fold, (train_idx, test_idx) in enumerate(folds):
             train, test = encoded.subset(train_idx), encoded.subset(test_idx)
             # one colouring serves every d of the run; each fit pops one reference to it,
-            # so the last fit holds the only one and can free it, as a lone fit frees its own
-            handed = [_colour_blocks(train) if len(configs_of_run) > 1 else None] * len(configs_of_run)
+            # so the last fit holds the only one and can free it
+            handed = [_colour_blocks(train)] * len(configs_of_run)
             for config, cell_metrics in zip(configs_of_run, metrics):
                 if link is Link.PROBIT:
                     predictions = train_gibbs_probit(train, test, config, classes=handed.pop()).test_predictions

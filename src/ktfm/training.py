@@ -326,63 +326,51 @@ def _colour_blocks(data: DesignMatrix) -> tuple[list[tuple[np.ndarray, ...]], np
     holds None for its rows and values, which ``_class_steps`` reads as
     rows = arange and values = ones.
 
-    In a feature block where no row has two columns (a one-hot block, such as
-    items or users), the columns share no row, so each one's class depends
-    only on the blocks before it, and the whole block is coloured in one numpy
-    step; any other block is coloured a column at a time. The classes of each
-    row are kept as bits of uint64 words, one bit per class, word-major.
+    Each column's class depends only on the columns before it that share one
+    of its rows, so the touched columns are cut into runs: maximal spans of
+    consecutive columns in which none shares a row with an earlier one of its
+    span. A run's columns cannot block one another, so each run is coloured
+    in one numpy step. The classes of each row are kept as bits of uint64
+    words, one bit per class, word-major.
     """
     # rows and segments are intp, as int32 indices gather at half speed or less
     row_of_entry = np.repeat(np.arange(len(data)), np.diff(data.indptr))
     col_rows = row_of_entry[_stable_order(data.indices)]  # CSC order, without scipy
-    widths = [width for _, width in data.space.blocks]
-    block = np.repeat(np.arange(len(widths), dtype=np.int32), widths)[data.indices]
-    # the blocks in which some row has two columns: neighbouring entries of one row in one block
-    pairs = (row_of_entry[1:] == row_of_entry[:-1]) & (block[1:] == block[:-1])
-    shared = np.bincount(block[1:][pairs], minlength=len(widths)) > 0
-    del block, pairs
     counts = np.bincount(data.indices, minlength=data.space.width)
     col_ptr = np.r_[0, np.cumsum(counts)]
+    # a row's entries ascend by column, so each column's latest earlier column in
+    # one of its rows is the entry just before one of its own; in the dtype of the
+    # indices, as ufunc.at with mixed dtypes leaves its fast path
+    latest = np.full(counts.size, -1, dtype=data.indices.dtype)
+    np.maximum.at(latest, data.indices[1:], np.where(row_of_entry[1:] == row_of_entry[:-1], data.indices[:-1], -1))
+    touched = np.flatnonzero(counts)
+    latest = latest[touched]  # by position among the touched columns
     colour = np.full(counts.size, -1)
     # bit c % 64 of used[c // 64, r]: class c holds row r. Word-major, so that a
-    # column's OR is a gather and a class's write a scatter along one flat array;
-    # little-endian, so that a row's words read as one Python int have bit c for class c
-    used = np.zeros((1, len(data)), dtype="<u8")
-
-    def make_room(top):  # for class ``top``; classes grow one at a time
-        nonlocal used
-        if top >= 64 * len(used):
-            used = np.vstack([used, np.zeros((1, used.shape[1]), dtype=used.dtype)])
-
-    bounds = np.cumsum([0] + widths)
-    for b, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        cols = start + np.flatnonzero(counts[start:stop])
-        if not cols.size:
-            continue
-        if shared[b]:
-            for k in cols.tolist():
-                rows = col_rows[col_ptr[k] : col_ptr[k + 1]]
-                taken = int.from_bytes(np.bitwise_or.reduce(used.take(rows, axis=1), axis=1).tobytes(), "little")
-                c = colour[k] = (~taken & (taken + 1)).bit_length() - 1  # the lowest clear bit
-                make_room(c)
-                word = used[c // 64]
-                word[rows] |= np.uint64(1 << c % 64)
-        else:
-            # no two columns share a row, so all take their classes at once: OR each
-            # column's rows' words, take each word's lowest clear bit (as a power of
-            # two, 0 for a full word), then the first word that has one
-            lo = col_ptr[cols[0]]
-            rows = col_rows[lo : col_ptr[cols[-1] + 1]]
-            words = np.bitwise_or.reduceat(used.take(rows, axis=1), col_ptr[cols] - lo, axis=1)
-            bit = np.frexp((~words & (words + np.uint64(1))).astype(np.float64))[1] - 1
-            n_words = len(used)
-            colour[cols] = np.where(bit < 0, 64 * n_words, 64 * np.arange(n_words)[:, None] + bit).min(axis=0)
-            make_room(colour[cols].max())
-            classes = np.repeat(colour[cols], counts[cols])  # no row twice
-            flat = used.reshape(-1)  # a view, so that the write is one 1-D scatter
-            flat[classes // 64 * len(data) + rows] |= np.left_shift(np.uint64(1), (classes % 64).astype(np.uint64))
-    del used, col_rows
-    touched = np.flatnonzero(counts)
+    # run's OR is a gather and its write a scatter along one flat array
+    used = np.zeros((1, len(data)), dtype=np.uint64)
+    start = 0
+    while start < touched.size:
+        # the run ends before the first column that shares a row with one from its start on
+        ends = latest[start + 1 :] >= touched[start]
+        stop = start + 1 + int(ends.argmax()) if ends.any() else touched.size
+        cols, start = touched[start:stop], stop
+        n = counts[cols]
+        # OR each column's rows' words, take each word's lowest clear bit (as a power
+        # of two, 0 for a full word), then the first word that has one
+        lo = col_ptr[cols[0]]
+        rows = col_rows[lo : lo + n.sum()]
+        words = np.bitwise_or.reduceat(used.take(rows, axis=1), col_ptr[cols] - lo, axis=1)
+        bit = np.frexp((~words & (words + np.uint64(1))).astype(np.float64))[1] - 1
+        n_words = len(used)
+        colour[cols] = c = np.where(bit < 0, 64 * n_words, 64 * np.arange(n_words)[:, None] + bit).min(axis=0)
+        if c.max() >= 64 * n_words:  # classes grow one at a time
+            used = np.vstack([used, np.zeros((1, len(data)), dtype=used.dtype)])
+        # set each column's bit on its rows (no row twice): one 1-D scatter along a flat view
+        at = np.repeat(c // 64 * len(data), n) + rows
+        used.reshape(-1)[at] |= np.repeat(np.left_shift(np.uint64(1), (c % 64).astype(np.uint64)), n)
+        del rows  # a view, which would keep col_rows alive past the loop
+    del used, col_rows, latest
     edges = np.arange(colour.max(initial=-1) + 2)  # class c spans [edges[c], edges[c + 1])
     cols = touched[np.argsort(colour[touched], kind="stable")]
     col_cut = np.searchsorted(colour[cols], edges)

@@ -601,15 +601,21 @@ class TestErrors:
         assert result.output.startswith("Error:") and "missing" in result.output
         assert result.output.count("\n") == 1
 
-    def test_cv_checks_its_out_dir_before_loading(self, runner, tmp_path, example_log_csv, monkeypatch):
+    @pytest.mark.parametrize(
+        "command, work", [("cv", "load_dataset"), ("synth", "generate_synthetic")], ids=["cv", "synth"]
+    )
+    def test_command_checks_its_out_dir_before_working(
+        self, runner, tmp_path, example_log_csv, monkeypatch, command, work
+    ):
         def unreachable(*args, **kwargs):
-            raise AssertionError("cv loaded the data before creating its out-dir")
+            raise AssertionError(f"{command} called {work} before creating its out-dir")
 
-        monkeypatch.setattr("ktfm.cli.load_dataset", unreachable)
+        monkeypatch.setattr(f"ktfm.cli.{work}", unreachable)
         data, _ = example_log_csv
         blocker = tmp_path / "a_file"
         blocker.write_text("")
-        result = runner.invoke(main, ["cv", "--data", str(data), "--out-dir", str(blocker / "cv")])
+        args = ["--data", str(data)] if command == "cv" else []
+        result = runner.invoke(main, [command, *args, "--out-dir", str(blocker / command)])
         assert result.exit_code != 0
         assert result.output.startswith("Error:") and "a_file" in result.output
         assert result.output.count("\n") == 1

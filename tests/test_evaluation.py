@@ -286,8 +286,7 @@ class TestRunCv:
 
     @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
     def test_one_colouring_per_fold_of_a_run(self, monkeypatch, link):
-        # a run of several cells colours each fold's train set once and hands the
-        # colouring to every fit; a lone cell's fits colour their own
+        # a run colours each fold's train set once and hands the colouring to every fit
         import ktfm.evaluation as evaluation
         import ktfm.training as training
 
@@ -308,7 +307,12 @@ class TestRunCv:
         run_cv(dataset, [("mirtb", 1), ("irt", 0)], *args, link=link)
         assert len(calls) == 6
 
-    def test_the_last_fit_of_a_fold_frees_the_shared_colouring(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [([("mirtb", 1), ("mirtb", 2)], [(True, True), (False, False)]), ([("mirtb", 1)], [(False, False)])],
+        ids=["two-cells", "lone-cell"],
+    )
+    def test_the_last_fit_of_a_fold_frees_the_shared_colouring(self, monkeypatch, grid, expected):
         # each Gibbs fit closes with a fresh score of its train set: the shared
         # colouring must outlive that of the fold's first fit and be gone by the last's
         import weakref
@@ -331,10 +335,10 @@ class TestRunCv:
 
         monkeypatch.setattr(evaluation, "_colour_blocks", colouring)
         monkeypatch.setattr(training, "raw_scores", scoring)
-        run_cv(synthetic_dataset(seed=8, n_students=12, n_items=6), [("mirtb", 1), ("mirtb", 2)],
+        run_cv(synthetic_dataset(seed=8, n_students=12, n_items=6), grid,
                FoldSpec(k=3, seed=0), TrainConfig(epochs=2, seed=0), link=Link.PROBIT)
         assert len(colourings) == 3 and all(colourings)
-        assert [(all(alive), any(alive)) for alive in closing] == [(True, True), (False, False)] * 3
+        assert [(all(alive), any(alive)) for alive in closing] == expected * 3
 
     def test_a_repeated_cell_gives_two_equal_reports(self):
         dataset = synthetic_dataset(seed=9, n_students=12, n_items=6)

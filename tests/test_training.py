@@ -22,7 +22,7 @@ from ktfm import (
     train_gibbs_probit,
     train_map_logit,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ktfm.training import (
@@ -600,9 +600,8 @@ def column_loop(data, values, qf, e, group, noise):
 
 def reference_colours(data):
     """First-fit classes of the columns of ``data`` (-1 for a column no row
-    touches), by the loop ``_colour_blocks`` ran before it coloured one-hot
-    blocks in one step: every touched column, in column order, takes the
-    smallest class none of its rows is in yet, read from a rows x classes
+    touches), a column at a time: every touched column, in column order, takes
+    the smallest class none of its rows is in yet, read from a rows x classes
     bool table that doubles when all its classes are taken."""
     Xc = scipy_csr(data).tocsc()
     colour = np.full(data.space.width, -1)
@@ -648,7 +647,8 @@ def colours(data):
 @st.composite
 def blocked_matrices(draw):
     """Matrices over several blocks, some one-hot (at most one column per row)
-    and some not, so that both ways of colouring a block run."""
+    and some not, so that runs of row-disjoint columns span, stop inside and
+    cross the blocks."""
     blocks = draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=5))
     space = FeatureSpace(tuple((f"b{i}", width) for i, (width, _) in enumerate(blocks)))
     rows = []
@@ -670,6 +670,12 @@ class TestColouringOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(dm=blocked_matrices())
+    # a conflict reaching back past the current run does not cut it: columns 1 and 2 share class 1
+    @example(dm=matrix_from_rows(FeatureSpace((("b0", 3),)), [[(0, 1.0), (1, 1.0)], [(0, 1.0), (2, 1.0)]]))
+    # the latest conflict of column 2 is the row's previous entry, column 1
+    @example(dm=matrix_from_rows(FeatureSpace((("b0", 3),)), [[(0, 1.0), (1, 1.0), (2, 1.0)]]))
+    # conflicts cross the block boundary: column 2 shares a row with 1, and 3 with 0
+    @example(dm=matrix_from_rows(FeatureSpace((("b0", 2), ("b1", 2))), [[(0, 1.0), (3, 1.0)], [(1, 1.0), (2, 1.0)]]))
     def test_one_hot_and_shared_blocks(self, dm):
         assert colours(dm).tolist() == reference_colours(dm).tolist()
 
