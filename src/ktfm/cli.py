@@ -47,6 +47,7 @@ from .sparse import LayoutError, RowFormatError
 from .training import (
     TrainConfig,
     TrainingDivergedError,
+    nll,
     train_gibbs_probit,
     train_map_logit,
 )
@@ -68,13 +69,6 @@ def _write_predictions(path, probabilities) -> None:
         fh.write("row,proba\n")
         for r, p in enumerate(probabilities):
             fh.write(f"{r},{float(p)!r}\n")
-
-
-def _write_epoch_log(path, log_rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("epoch,train_nll\n")
-        for row in log_rows:
-            fh.write(f"{row['epoch']},{float(row['train_nll'])!r}\n")
 
 
 def _check_trainer_options(link: str) -> None:
@@ -190,11 +184,16 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
     dataset = load_dataset(data, qmatrix, vocab)
     config, dm = encode_preset(dataset, preset, dim)
     cfg = TrainConfig(d=dim, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
-    epoch_log: list | None = [] if log_path else None
+    log_rows = ["epoch,train_nll\n"]
+
+    def log_sweep(sweep, scores, objective):  # the train NLL of the sweep's carried scores
+        log_rows.append(f"{sweep},{nll(Link(link).inverse(scores), dm.labels)!r}\n")
+
+    after_sweep = log_sweep if log_path else None
     if Link(link) is Link.PROBIT:
-        params = train_gibbs_probit(dm, None, cfg, epoch_log=epoch_log).params
+        params = train_gibbs_probit(dm, None, cfg, after_sweep=after_sweep).params
     else:
-        params = train_map_logit(dm, cfg, epoch_log=epoch_log)
+        params = train_map_logit(dm, cfg, after_sweep=after_sweep)
     bundle = ModelBundle(
         params=params,
         space=dm.space,
@@ -208,7 +207,7 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
     if vocab_out:
         dataset.vocab.save(vocab_out)
     if log_path:
-        _write_epoch_log(log_path, epoch_log)
+        Path(log_path).write_text("".join(log_rows), newline="\n")
     write_manifest(
         Path(out).with_suffix(".manifest.json"),
         "train",

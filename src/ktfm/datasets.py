@@ -73,7 +73,11 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            payload = json.load(fh)
+        try:
+            return cls.from_dict(payload)
+        except (AttributeError, TypeError, ValueError):  # JSON of another shape
+            raise DataFormatError(f"{path}: not a vocabulary file") from None
 
 
 def load_triplets(

@@ -77,11 +77,6 @@ def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:
             f"{path}: model version {payload.get('version')} not supported "
             f"(expected {MODEL_VERSION})"
         )
-    if expected_vocab_digest is not None and payload["vocab_digest"] != expected_vocab_digest:
-        raise ModelFormatError(
-            f"{path}: vocabulary digest mismatch; the model was trained with a "
-            "different id mapping"
-        )
     try:
         params = FMParams(
             payload["bias"],
@@ -105,6 +100,11 @@ def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from None
+    if expected_vocab_digest is not None and bundle.vocab_digest != expected_vocab_digest:
+        raise ModelFormatError(
+            f"{path}: vocabulary digest mismatch; the model was trained with a "
+            "different id mapping"
+        )
     if bundle.space.width != params.n_features:
         raise ModelFormatError(
             f"{path}: layout width {bundle.space.width} != parameter count "

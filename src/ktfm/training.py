@@ -14,7 +14,10 @@ every row, so the bytes are the same. A fit colours its train set itself,
 or takes that colouring as ``classes`` (read-only arrays), so that fits of
 several d on one set colour it once. The trainers differ only in the step.
 Each carries its train scores and Q[f] = X @ V[:, f] from step to step, so no
-sweep re-scores the train set.
+sweep re-scores the train set; at d = 0, V has no columns and Q no rows.
+Both call ``after_sweep(sweep, scores, objective)``, if given, after each sweep
+whose parameters are finite: the sweep from 0, a read-only view of the carried
+train scores, and the MAP objective (None from Gibbs); ``--log`` is one.
 
 The MAP fit minimizes mean NLL + (l2 / 2) * (|w|^2 + |V|^2) under the logit
 link, the global bias unpenalized. A sweep steps the bias, then w, then each
@@ -45,12 +48,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import PROB_EPS, FMParams, Link, raw_scores
-from .sparse import DesignMatrix
+from .sparse import DesignMatrix, _readonly
 
 NLL_EPS = 1e-12
 _INIT_SCALE = 0.01  # standard deviation of the initial factor entries
@@ -119,22 +122,25 @@ def nll(predictions: Sequence[float], labels: Sequence[int]) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
+def _init_factors(config: TrainConfig, n_features: int) -> np.ndarray:
+    """The start V, of shape (n_features, d): entries i.i.d. Normal(0, 0.01^2)."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    return _INIT_SCALE * rng.standard_normal((n_features, config.d))
+
+
 def init_params(config: TrainConfig, n_features: int) -> FMParams:
     """Zero biases; factor entries i.i.d. Normal(0, 0.01^2)."""
-    if config.d == 0:
-        return FMParams(0.0, np.zeros(n_features))
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    V = _INIT_SCALE * rng.standard_normal((n_features, config.d))
-    return FMParams(0.0, np.zeros(n_features), V)
+    return _params(0.0, np.zeros(n_features), _init_factors(config, n_features))
 
 
 def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None):
     """Both trainers' opening: reject empty data, warn on constant labels, and
     colour the columns (``_colour_blocks``), unless ``classes`` holds that
-    colouring already. Returns writable copies of the bias, w and V of
-    ``init_params``, the classes, the untouched columns, and the train scores
-    and Q = [X @ V[:, f] per f] of those parameters, written a class at a time
-    (the bias and w are zero, so only the pairwise term adds)."""
+    colouring already. Returns the bias, w and V of ``init_params``, writable
+    (V of shape (width, 0) at d = 0), the classes, the untouched columns, and
+    the train scores and Q = [X @ V[:, f] per f] (d by n) of those parameters,
+    written a class at a time (the bias and w are zero, so only the pairwise
+    term adds)."""
     if len(data) == 0:
         raise ValueError("cannot train on an empty design matrix")
     labels = data.labels
@@ -143,34 +149,34 @@ def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None
             "all training labels are identical; the fit is degenerate",
             stacklevel=3,
         )
-    start = init_params(config, data.space.width)
-    w = start.w.copy()
-    V = None if start.V is None else start.V.copy()
+    w = np.zeros(data.space.width)
+    V = _init_factors(config, data.space.width)
     blocks, empty = _colour_blocks(data) if classes is None else classes
     scores = np.zeros(len(data))
-    Q = None if V is None else np.zeros((config.d, len(data)))
-    for f in range(config.d):
+    Q = np.zeros((config.d, len(data)))
+    for column, qf in zip(V.T, Q):
         for cols, rows, xv, seg in blocks:
-            delta = V[cols, f][seg]
+            delta = column[cols][seg]
             if rows is None:  # whole-row: x = 1 on every row
-                scores += delta * Q[f]
-                Q[f] += delta
+                scores += delta * qf
+                qf += delta
             else:
-                np.add.at(scores, rows, delta * (xv * Q[f][rows]))
-                np.add.at(Q[f], rows, delta * xv)
-    return start.bias, w, V, blocks, empty, scores, Q
+                np.add.at(scores, rows, delta * (xv * qf[rows]))
+                np.add.at(qf, rows, delta * xv)
+    return 0.0, w, V, blocks, empty, scores, Q
 
 
-def _finite(bias: float, w: np.ndarray, V: np.ndarray | None, epoch: int) -> FMParams:
+def _params(bias: float, w: np.ndarray, V: np.ndarray) -> FMParams:
+    """``FMParams`` of a fit's parameters, whose V has no columns at d = 0 where ``FMParams`` holds None."""
+    return FMParams(bias, w, V if V.shape[1] else None)
+
+
+def _finite(bias: float, w: np.ndarray, V: np.ndarray, epoch: int) -> FMParams:
     """The current parameters, or TrainingDivergedError if any is not finite."""
-    if not (np.isfinite(bias) and np.isfinite(w).all() and (V is None or np.isfinite(V).all())):
-        raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}")
-    return FMParams(bias, w, V)
-
-
-def _epoch_row(epoch: int, scores: np.ndarray, labels: np.ndarray, link: Link) -> dict:
-    """One row of the epoch log: the epoch and the train NLL of the carried scores."""
-    return {"epoch": epoch, "train_nll": nll(link.inverse(scores), labels)}
+    try:
+        return _params(bias, w, V)
+    except ValueError:  # FMParams checks that every parameter is finite
+        raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}") from None
 
 
 def _probability(z: np.ndarray) -> np.ndarray:
@@ -179,12 +185,13 @@ def _probability(z: np.ndarray) -> np.ndarray:
 
 
 def train_map_logit(
-    data: DesignMatrix, config: TrainConfig, *, epoch_log: list | None = None, classes: tuple | None = None
+    data: DesignMatrix, config: TrainConfig, *, after_sweep: Callable | None = None, classes: tuple | None = None
 ) -> FMParams:
     """MAP fit under the logit link by colour-blocked coordinate descent: one sweep per
     epoch, until a sweep lowers the objective by less than ``_MAP_TOL`` of its value
-    or ``config.epochs`` sweeps have run. Epoch-log rows also carry the objective.
-    ``classes``, if given, is ``_colour_blocks(data)``, which the fit then does not build."""
+    or ``config.epochs`` sweeps have run. ``after_sweep`` is handed that objective,
+    the one the stop reads. ``classes``, if given, is ``_colour_blocks(data)``,
+    which the fit then does not build."""
     bias, w, V, blocks, empty, scores, Q = _setup(data, config, classes)
     y = data.labels.astype(np.float64)
     lam = config.l2 * len(data)
@@ -192,12 +199,12 @@ def train_map_logit(
     def residual(rows, old, h):
         return _probability(scores[rows]) - y[rows]
 
-    if V is not None and lam:
+    if lam:
         V[empty] = 0.0  # the penalty alone pulls a column no row touches to zero
 
     def objective():  # mean logit NLL + (l2 / 2) * (|w|^2 + |V|^2)
         # summed like V, not by w @ w: a BLAS dot at a wide w wakes a thread pool that spins
-        penalty = float((w * w).sum()) + (0.0 if V is None else float((V * V).sum()))
+        penalty = float((w * w).sum()) + float((V * V).sum())
         return float(np.mean(np.logaddexp(0.0, scores) - y * scores)) + 0.5 * config.l2 * penalty
 
     def bound_step(cols, old, hh, hr):  # old - g / H, or old where H = 0
@@ -209,14 +216,12 @@ def train_map_logit(
         step = 4.0 * float(np.mean(_probability(scores) - y))  # the bias: h = 1, so H = N / 4
         bias -= step
         scores -= step
-        _class_steps(w, blocks, None, scores, residual, bound_step)
-        if V is not None:
-            for f in range(config.d):
-                _class_steps(V[:, f], blocks, Q[f], scores, residual, bound_step)
+        for values, qf in [(w, None), *zip(V.T, Q)]:
+            _class_steps(values, blocks, qf, scores, residual, bound_step)
         params = _finite(bias, w, V, epoch)
         previous, current = current, objective()
-        if epoch_log is not None:
-            epoch_log.append({**_epoch_row(epoch, scores, y, Link.LOGIT), "objective": current})
+        if after_sweep is not None:
+            after_sweep(epoch, _readonly(scores.view()), current)
         if previous - current < _MAP_TOL * abs(current):
             break
     return params
@@ -460,7 +465,7 @@ def train_gibbs_probit(
     test: DesignMatrix | None = None,
     config: TrainConfig = TrainConfig(),
     *,
-    epoch_log: list | None = None,
+    after_sweep: Callable | None = None,
     classes: tuple | None = None,
 ) -> GibbsOutput:
     """Bayesian fit under the probit link via latent-utility Gibbs sampling.
@@ -479,56 +484,48 @@ def train_gibbs_probit(
     TrainingDivergedError.
     """
     bias, w, V, blocks, empty, scores, Q = _setup(train, config, classes)
-    d = config.d
-    iters = config.epochs
-    burn_in = config.effective_burn_in
-
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
 
     positive = train.labels.astype(bool)
 
-    bias_group = _GroupState("bias and w")
-    dim_groups = [_GroupState(f"V[:, {f}]") for f in range(d)]
+    # w, then each column of V with its Q row, and the prior group of each
+    halves = [(w, None), *zip(V.T, Q)]
+    groups = [_GroupState("bias and w"), *(_GroupState(f"V[:, {f}]") for f in range(config.d))]
 
-    kept = 0
-    bias_sum = 0.0
+    kept, bias_sum = 0, 0.0
     w_sum = np.zeros_like(w)
-    V_sum = None if V is None else np.zeros_like(V)
+    V_sum = np.zeros_like(V)
     test_sum = None if test is None else np.zeros(len(test))
 
-    for it in range(iters):
+    for it in range(config.epochs):
         z = sample_truncated_normal(scores, positive, rng)
         e = scores - z  # running residual, kept in sync below
 
         # global bias: d score / d bias = 1 for every row
-        new_bias = _conditional(bias_group.precision, bias_group.mean, float(len(train)),
+        new_bias = _conditional(groups[0].precision, groups[0].mean, float(len(train)),
                                 float((bias - e).sum()), rng.standard_normal())
         e += new_bias - bias
         bias = new_bias
 
-        _sweep(w, blocks, empty, None, e, bias_group, rng)
-        if V is not None:
-            for f in range(d):
-                _sweep(V[:, f], blocks, empty, Q[f], e, dim_groups[f], rng)
+        for (values, qf), group in zip(halves, groups):
+            _sweep(values, blocks, empty, qf, e, group, rng)
         scores = z + e
 
-        bias_group.resample(np.concatenate(([bias], w)), rng, it)
-        if V is not None:
-            for f in range(d):
-                dim_groups[f].resample(V[:, f], rng, it)
+        groups[0].resample(np.concatenate(([bias], w)), rng, it)
+        for column, group in zip(V.T, groups[1:]):
+            group.resample(column, rng, it)
 
         params = _finite(bias, w, V, it)
-        if it >= burn_in:
+        if it >= config.effective_burn_in:
             kept += 1
             bias_sum += bias
             w_sum += w
-            if V_sum is not None:
-                V_sum += V
+            V_sum += V
             if test_sum is not None:
                 test_sum += Link.PROBIT.inverse(raw_scores(params, test))
 
-        if epoch_log is not None:
-            epoch_log.append(_epoch_row(it, scores, train.labels, Link.PROBIT))
+        if after_sweep is not None:
+            after_sweep(it, _readonly(scores.view()), None)
 
     del blocks, classes  # before the fresh score, to lower the peak (when no caller holds them too)
     fresh = raw_scores(params, train)
@@ -536,10 +533,6 @@ def train_gibbs_probit(
     if not drift <= _DRIFT_TOL * max(1.0, float(np.abs(fresh).max())):
         raise TrainingDivergedError(f"carried train scores drifted {drift:.3g} from a fresh score")
 
-    mean_params = FMParams(
-        bias_sum / kept,
-        w_sum / kept,
-        None if V_sum is None else V_sum / kept,
-    )
+    mean_params = _params(bias_sum / kept, w_sum / kept, V_sum / kept)
     test_pred = None if test is None else np.clip(test_sum / kept, PROB_EPS, 1.0 - PROB_EPS)
     return GibbsOutput(mean_params, test_pred)

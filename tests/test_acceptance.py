@@ -92,7 +92,8 @@ def test_criterion_3_gradient_check():
         for d in (0, 3):
             data = make_matrix(np.random.default_rng(30), n_rows=80, width=10, max_nnz=4)
             log: list = []
-            params = train_map_logit(data, TrainConfig(d=d, epochs=5000, l2=0.05, seed=0), epoch_log=log)
+            params = train_map_logit(data, TrainConfig(d=d, epochs=5000, l2=0.05, seed=0),
+                                     after_sweep=lambda *sweep: log.append(sweep))
             assert len(log) < 5000  # stopped on its tolerance
             g_bias, g_w, g_V = objective_gradient(params, data, l2=0.05)
             gradient = np.concatenate([[g_bias], g_w, [] if g_V is None else g_V.ravel()]) / len(data)

@@ -475,15 +475,27 @@ class TestOutputBytesArePinned:
         )
 
     def test_probit_model_and_predictions(self, ktm_log, runner, tmp_path):
-        model, vocab, preds = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "p.csv"
+        model, vocab, preds, log = (tmp_path / name for name in ("m.json", "v.json", "p.csv", "log.csv"))
         invoke(runner, ["train", *ktm_log, "--link", "probit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "20",
-                        "--seed", "1", "--out", str(model), "--vocab-out", str(vocab)])
+                        "--seed", "1", "--out", str(model), "--vocab-out", str(vocab), "--log", str(log)])
         invoke(runner, ["predict", "--model", str(model), *ktm_log, "--vocab", str(vocab), "--out", str(preds)])
         assert sha256_text(model.read_text()) == (
             "dc7209e642d15dc89d050c54ff1e49928ff6d265c78c10cef3a24433829ff30b"
         )
         assert sha256_text(preds.read_text()) == (
             "977f4cac9f09ce47f871dc4c7d461be24d714ee1dadca27a4aba51a362af182a"
+        )
+        assert sha256_text(log.read_text()) == (
+            "e646edc04361c78f64312bc27af6817afd29d8aee2037bfc77284138489c22b3"
+        )
+
+    def test_logit_epoch_log(self, ktm_log, runner, tmp_path):
+        log = tmp_path / "log.csv"
+        invoke(runner, ["train", *ktm_log, "--link", "logit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "20",
+                        "--seed", "1", "--out", str(tmp_path / "m.json"), "--log", str(log)])
+        assert len(log.read_text().splitlines()) == 21
+        assert sha256_text(log.read_text()) == (
+            "6307d6a249b67428d38d52f336f17ed31178b41800e0ae2a4c175df0f094a95c"
         )
 
     def test_probit_cv_of_two_cells_with_an_extra_column(self, ktm_extra_log, runner, tmp_path):
@@ -551,6 +563,28 @@ class TestErrors:
         assert result.exit_code != 0
         assert not isinstance(result.exception, FileNotFoundError)
         assert result.output.startswith("Error:") and "m.json" in result.output
+
+    @pytest.mark.parametrize("vocab_text", ["[]", '{"users": [1, 2]}', '{"extras": {"mode": 3}}'])
+    def test_vocabulary_of_the_wrong_shape_is_one_line(self, runner, tmp_path, example_log_csv, vocab_text):
+        data, _ = example_log_csv
+        vocab = tmp_path / "v.json"
+        vocab.write_text(vocab_text)
+        result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(tmp_path / "m.json")])
+        assert result.exit_code != 0
+        assert result.output == f"Error: {vocab}: not a vocabulary file\n"
+
+    def test_model_without_a_vocabulary_digest_is_one_line(self, runner, tmp_path, example_log_csv):
+        data, _ = example_log_csv
+        model, vocab = tmp_path / "m.json", tmp_path / "v.json"
+        invoke(runner, ["train", "--data", str(data), "--epochs", "1", "--out", str(model), "--vocab-out", str(vocab)])
+        payload = json.loads(model.read_text())
+        del payload["vocab_digest"]
+        model.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["predict", "--model", str(model), "--data", str(data), "--vocab", str(vocab),
+                                      "--out", str(tmp_path / "p.csv")])
+        assert result.exit_code != 0
+        assert result.output.startswith("Error:") and "corrupt model file" in result.output
+        assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize("option", ["--out", "--vocab-out", "--log"])
     def test_train_checks_output_directories_before_loading(

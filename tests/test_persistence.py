@@ -98,6 +98,8 @@ class TestModelRoundTrip:
         path.write_text(json.dumps({"format": "ktfm-model", "version": 1}))
         with pytest.raises(ModelFormatError):
             load_model(path)
+        with pytest.raises(ModelFormatError, match="corrupt"):  # checked for a digest, none there
+            load_model(path, "0" * 64)
 
     def test_foreign_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -53,6 +53,13 @@ def make_matrix(rng, n_rows=40, width=12, max_nnz=5, untouched=0):
     return matrix_from_rows(width, rows, np.array(labels))
 
 
+class SweepLog(list):
+    """An ``after_sweep`` callback that keeps (sweep, a copy of the scores, objective) per sweep."""
+
+    def __call__(self, sweep, scores, objective):
+        self.append((sweep, scores.copy(), objective))
+
+
 class TestNll:
     def test_uniform_predictor(self):
         assert nll([0.5, 0.5], [0, 1]) == pytest.approx(math.log(2), rel=1e-12)
@@ -241,9 +248,9 @@ class TestMapTrainer:
     def test_loss_decreases_on_separable_toy(self):
         labels = np.array([i % 2 for i in range(20)])
         data = matrix_from_rows(2, [[(i % 2, 1.0)] for i in range(20)], labels)
-        log: list = []
-        train_map_logit(data, TrainConfig(epochs=10, seed=0), epoch_log=log)
-        losses = [row["train_nll"] for row in log]
+        log = SweepLog()
+        train_map_logit(data, TrainConfig(epochs=10, seed=0), after_sweep=log)
+        losses = [nll(Link.LOGIT.inverse(scores), labels) for _, scores, _ in log]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_seeded_determinism(self):
@@ -289,16 +296,16 @@ class TestMapTrainer:
 
     def test_fits_the_penalized_objective(self):
         # at d = 0 the fit minimizes mean NLL + (l2 / 2) * |w|^2, bias
-        # unpenalized: it stops on its tolerance, logs the objective of what
-        # it returns, and lands within 1e-6 of an L-BFGS fit's objective and
+        # unpenalized: it stops on its tolerance, hands after_sweep the objective
+        # of what it returns, and lands within 1e-6 of an L-BFGS fit's objective and
         # within 1e-3 of its predictions
         rng = np.random.default_rng(5)
         data = make_matrix(rng, n_rows=100, width=12, max_nnz=4)
         l2 = 0.1
-        log: list = []
-        params = train_map_logit(data, TrainConfig(epochs=2000, l2=l2, seed=0), epoch_log=log)
+        log = SweepLog()
+        params = train_map_logit(data, TrainConfig(epochs=2000, l2=l2, seed=0), after_sweep=log)
         assert len(log) < 2000
-        assert log[-1]["objective"] == pytest.approx(map_objective(params, data, l2), rel=1e-12)
+        assert log[-1][2] == pytest.approx(map_objective(params, data, l2), rel=1e-12)
 
         X = to_dense(data)
         y = data.labels.astype(np.float64)
@@ -328,31 +335,52 @@ class TestMapTrainer:
         dm = DesignMatrix(dm.space, dm.indptr, dm.indices,
                           np.sign(dm.data) * np.clip(np.abs(dm.data), 1e-3, 300.0), dm.labels)
         cfg = TrainConfig(d=d, epochs=8, l2=l2, seed=1)
-        log: list = []
+        log = SweepLog()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # constant labels
-            train_map_logit(dm, cfg, epoch_log=log)
+            train_map_logit(dm, cfg, after_sweep=log)
         objectives = [map_objective(init_params(cfg, dm.space.width), dm, l2)]
-        objectives += [row["objective"] for row in log]
+        objectives += [objective for _, _, objective in log]
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(objectives, objectives[1:]))
 
 
 def test_epoch_logs_read_the_carried_scores(monkeypatch):
-    # logging a fit re-scores no train set: the MAP fit never calls raw_scores,
-    # and Gibbs calls it once, to check its carried scores at the end
+    # a fit hands after_sweep the scores it carries, and re-scores no train set for
+    # it: the MAP fit never calls raw_scores, and Gibbs calls it once, to check its
+    # carried scores at the end
     import ktfm.training as training
 
     calls = []
     monkeypatch.setattr(training, "raw_scores", lambda *args: calls.append(1) or raw_scores(*args))
     data = make_matrix(np.random.default_rng(8), n_rows=50, width=10)
-    log: list = []
-    params = train_map_logit(data, TrainConfig(d=2, epochs=5, seed=1), epoch_log=log)
-    assert len(calls) == 0 and len(log) == 5
-    assert log[-1]["train_nll"] == pytest.approx(nll(Link.LOGIT.inverse(raw_scores(params, data)), data.labels),
-                                                 rel=1e-12)
+    log = SweepLog()
+    params = train_map_logit(data, TrainConfig(d=2, epochs=5, seed=1), after_sweep=log)
+    assert len(calls) == 0 and [sweep for sweep, _, _ in log] == [0, 1, 2, 3, 4]
+    np.testing.assert_allclose(log[-1][1], raw_scores(params, data), rtol=1e-12, atol=1e-12)
     log.clear()
-    train_gibbs_probit(data, None, TrainConfig(d=2, epochs=5, seed=1), epoch_log=log)
-    assert len(calls) == 1 and len(log) == 5
+    train_gibbs_probit(data, None, TrainConfig(d=2, epochs=5, seed=1), after_sweep=log)
+    assert len(calls) == 1 and [sweep for sweep, _, _ in log] == [0, 1, 2, 3, 4]
+    assert all(objective is None for _, _, objective in log)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_after_sweep_sees_the_fit_and_leaves_it_alone(d):
+    # a fit with a callback gives the bytes of one without, and the scores it hands
+    # over are read-only
+    data = make_matrix(np.random.default_rng(9), n_rows=50, width=10, untouched=1)
+    test = make_matrix(np.random.default_rng(10), n_rows=20, width=10)
+    config = TrainConfig(d=d, epochs=6, seed=2)
+
+    def meddle(sweep, scores, objective):
+        with pytest.raises(ValueError, match="read-only"):
+            scores[0] = 0.0
+        seen.append(sweep)
+
+    for fit in (lambda **kw: train_map_logit(data, config, **kw),
+                lambda **kw: train_gibbs_probit(data, test, config, **kw)):
+        seen: list = []
+        assert TestWholeRowClasses.fitted(lambda: fit(after_sweep=meddle)) == TestWholeRowClasses.fitted(fit)
+        assert seen == list(range(6))
 
 
 class TestTruncatedSampling:
@@ -855,7 +883,7 @@ class TestSetup:
     def test_d0_starts_from_zero_scores(self):
         data = make_matrix(np.random.default_rng(3))
         bias, w, V, blocks, empty, scores, Q = _setup(data, TrainConfig(d=0))
-        assert V is None and Q is None and not scores.any() and not w.any()
+        assert V.shape == (12, 0) and Q.shape == (0, 40) and not scores.any() and not w.any()
 
 
 class TestBlockedSweep:
