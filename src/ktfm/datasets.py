@@ -24,11 +24,14 @@ import numpy as np
 
 from .encoding import (
     _BITS,
+    _PLAIN,
     EncodingConfig,
     EncodingError,
     QMatrix,
     _csv_chunks,
+    _KeyedLookup,
     _lookup,
+    _plain_keys,
     encode_dataset,
     load_qmatrix,
 )
@@ -72,12 +75,26 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path) as fh:
-            payload = json.load(fh)
+        """Read what ``save`` wrote; anything else raises one
+        ``DataFormatError`` that names the file."""
+        with open(path, "rb") as fh:
+            text = fh.read()
         try:
-            return cls.from_dict(payload)
+            vocab = cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: not a vocabulary file: invalid JSON ({exc})") from None
         except (AttributeError, TypeError, ValueError):  # JSON of another shape
             raise DataFormatError(f"{path}: not a vocabulary file") from None
+        maps = [("users", vocab.users), ("items", vocab.items),
+                *((f"extra column {name!r}", ids) for name, ids in vocab.extras.items())]
+        for name, mapping in maps:
+            # dense ids index arrays, so each map takes its raw ids one-to-one onto 0..n-1
+            ids = list(mapping.values())
+            if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+                raise DataFormatError(
+                    f"{path}: the {name} ids are not the distinct integers 0..{len(ids) - 1}"
+                )
+        return vocab
 
 
 def load_triplets(
@@ -95,9 +112,84 @@ def load_triplets(
     time). Unseen values in a frozen extra column always raise; extra columns
     a frozen vocabulary does not know are ignored entirely. A faulty file
     raises for its first faulty line.
+
+    A plain file (see ``_read_plain_log``), as ``synth`` and
+    ``import-assistments`` write it, is read in numpy passes; any other file,
+    and any faulty one, by the csv loop, which alone names a faulty line.
     """
     fresh = vocab is None
-    vocab = Vocabulary() if fresh else vocab
+    read = _read_plain_log(path, Vocabulary() if fresh else vocab, fresh, allow_unknown)
+    if read is None:
+        read = _read_csv_log(path, Vocabulary() if fresh else vocab, fresh, allow_unknown)
+    parts, names, vocab = read
+    codes = np.concatenate(parts, axis=1)
+    unknown = int(np.count_nonzero((codes[0] < 0) | (codes[1] < 0)))
+    if unknown:
+        warnings.warn(f"{path}: {unknown} rows reference ids outside the vocabulary")
+    return _readonly(codes[:3].T), {name: codes[k] for k, name in enumerate(names, start=3)}, vocab
+
+
+def _log_columns(path, header: list[str], vocab: Vocabulary, fresh: bool, allow_unknown: bool):
+    """The extra columns that a log's header names and ``load_triplets``
+    reads; the (position, mapping, extend, fault) of each column read, in
+    header order; and the order in which a row's columns are checked."""
+    header = [h.strip() for h in header]
+    if header[:3] != ["user_id", "item_id", "correct"]:
+        raise DataFormatError(
+            f"{path}: header must start with user_id,item_id,correct, got {header[:3]}"
+        )
+    names = [name for name in header[3:] if fresh or name in vocab.extras]
+    if len(set(names)) < len(names):
+        raise DataFormatError(f"{path}: header repeats an extra column name: {names}")
+    columns = [
+        (0, vocab.users, fresh, lambda value: "id not in the provided vocabulary"),
+        (1, vocab.items, fresh, lambda value: "id not in the provided vocabulary"),
+        (2, _BITS, False, lambda value: f"correct must be 0 or 1, got {value!r}"),
+        *(
+            (header.index(name, 3), vocab.extras.setdefault(name, {}), fresh,
+             lambda value, name=name: f"unseen value {value!r} for extra column {name!r}")
+            for name in names
+        ),
+    ]
+    return names, columns, [2, *(() if allow_unknown else (0, 1)), *range(3, len(columns))]
+
+
+def _read_plain_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
+    """The per-batch codes, extra names and vocabulary of a plain log, read in
+    numpy passes; None for a log that is not plain or that holds a fault.
+
+    A plain log holds printable ASCII but no space or quote, ends every line,
+    its header included, with "\\n", and has as many fields on every line as
+    in its header, each read field of at most 8 bytes. Each batch of lines
+    packs each field read into a uint64 key, and ``_KeyedLookup`` gives the
+    keys their ids by first appearance.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    cut = text.find(b"\n") + 1  # the first line is the header
+    raw = np.frombuffer(text, np.uint8)
+    if not cut or not _PLAIN[raw[:cut]].all():
+        return None
+    header = text[: cut - 1].decode().split(",")
+    try:
+        names, columns, checked = _log_columns(path, header, vocab, fresh, allow_unknown)
+    except DataFormatError:
+        return None
+    lookups = [_KeyedLookup(mapping, extend) for _, mapping, extend, _ in columns]
+    parts = []
+    for keys in _plain_keys(raw[cut:], len(header), [pos for pos, *_ in columns]):
+        if keys is None:
+            return None
+        codes = np.array([lookup(column) for lookup, column in zip(lookups, keys.T)])
+        if (codes[checked] < 0).any():
+            return None
+        parts.append(codes)
+    return parts, names, vocab
+
+
+def _read_csv_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
+    """The per-batch codes, extra names and vocabulary of any log, read by
+    ``csv.reader``; a faulty log raises for its first faulty line."""
     parts: list[np.ndarray] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -105,27 +197,7 @@ def load_triplets(
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header[:3] != ["user_id", "item_id", "correct"]:
-            raise DataFormatError(
-                f"{path}: header must start with user_id,item_id,correct, got {header[:3]}"
-            )
-        names = [name for name in header[3:] if fresh or name in vocab.extras]
-        if len(set(names)) < len(names):
-            raise DataFormatError(f"{path}: header repeats an extra column name: {names}")
-        # (position, mapping, extend, fault) of each column read, in header order
-        columns = [
-            (0, vocab.users, fresh, lambda value: "id not in the provided vocabulary"),
-            (1, vocab.items, fresh, lambda value: "id not in the provided vocabulary"),
-            (2, _BITS, False, lambda value: f"correct must be 0 or 1, got {value!r}"),
-            *(
-                (header.index(name, 3), vocab.extras.setdefault(name, {}), fresh,
-                 lambda value, name=name: f"unseen value {value!r} for extra column {name!r}")
-                for name in names
-            ),
-        ]
-        # the order in which a row's columns are checked
-        order = [2, *(() if allow_unknown else (0, 1)), *range(3, len(columns))]
+        names, columns, order = _log_columns(path, header, vocab, fresh, allow_unknown)
         for lines, rows, lengths in _csv_chunks(reader, first_line=2):
             wrong = lengths != len(header)
             end = int(np.argmax(wrong)) if wrong.any() else len(rows)  # the first malformed row
@@ -148,11 +220,7 @@ def load_triplets(
             del rows, fields  # free this batch before the next is read
     if not parts:
         raise DataFormatError(f"{path}: no data rows")
-    codes = np.concatenate(parts, axis=1)
-    unknown = int(np.count_nonzero((codes[0] < 0) | (codes[1] < 0)))
-    if unknown:
-        warnings.warn(f"{path}: {unknown} rows reference ids outside the vocabulary")
-    return _readonly(codes[:3].T), {name: codes[k] for k, name in enumerate(names, start=3)}, vocab
+    return parts, names, vocab
 
 
 def write_triplets(path, triplets, vocab: Vocabulary | None = None) -> None:

@@ -93,9 +93,115 @@ def _lookup(mapping: dict[str, int], values: Sequence[str], extend: bool = False
     return np.fromiter(map(mapping.get, values, itertools.repeat(-1)), np.int64, len(values))
 
 
+_COMMA, _NL = ord(","), ord("\n")
+# the bytes of a plain log: line ends, and printable ASCII but the space and the
+# quote, so that neither csv.reader nor str.strip changes a field
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[0x21:0x7F] = True
+_PLAIN[ord('"')] = False
+_PLAIN[_NL] = True
+# a field of at most 8 bytes packs into one uint64 key, whose low L bytes
+# _KEY_MASKS[L] keeps
+_KEY_BYTES = 8
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(_KEY_BYTES + 1)], dtype="<u8")
+
+
+def _plain_keys(raw: np.ndarray, n_fields: int, positions: Sequence[int]):
+    """The fields at ``positions`` of the lines of the uint8 text ``raw``,
+    ``CHUNK_ROWS`` lines at a time, as an array of uint64 keys of shape
+    (lines, len(positions)), while the text is plain: ``_PLAIN`` bytes, every
+    line ended by "\\n" and holding ``n_fields`` fields split by ",", and every
+    field read no longer than 8 bytes. Yields None for the first batch that is
+    not, and stops.
+
+    A key holds its field's bytes in order, zero-padded, so two fields share a
+    key only if they are equal.
+    """
+    ends = np.flatnonzero(raw == _NL)
+    if not ends.size or ends[-1] != raw.size - 1:
+        yield None
+        return
+    lo = 0
+    for first in range(0, ends.size, CHUNK_ROWS):
+        n = min(CHUNK_ROWS, ends.size - first)
+        text = raw[lo : ends[first + n - 1] + 1]
+        lo += text.size
+        seps = np.flatnonzero((text == _COMMA) | (text == _NL))
+        # the text holds n "\n"; when each is the last separator of a line, no
+        # line holds more or fewer than n_fields fields
+        ragged = seps.size != n * n_fields or (text[seps[n_fields - 1 :: n_fields]] != _NL).any()
+        if ragged or not np.take(_PLAIN, text).all():
+            yield None
+            return
+        starts = np.concatenate(([0], seps[:-1] + 1)).reshape(n, n_fields)[:, positions]
+        lengths = seps.reshape(n, n_fields)[:, positions] - starts
+        if (lengths > _KEY_BYTES).any():
+            yield None
+            return
+        # the little-endian word of the 8 bytes at each offset, cut to its field
+        padded = np.concatenate((text, np.zeros(_KEY_BYTES, np.uint8)))
+        words = np.ndarray(text.shape, dtype="<u8", buffer=padded, strides=(1,))
+        yield words[starts] & _KEY_MASKS[lengths]
+        del seps, starts, padded, words  # before the next batch is cut
+
+
+class _KeyedLookup:
+    """``_lookup`` of the values behind uint64 keys (see ``_plain_keys``): each
+    distinct value is decoded and looked up once, and its id is kept for the
+    batches that follow."""
+
+    def __init__(self, mapping: dict[str, int], extend: bool = False):
+        self.mapping, self.extend = mapping, extend
+        # a sentinel above every key of printable bytes keeps searchsorted in range
+        self.keys = np.array([np.iinfo(np.uint64).max], np.uint64)
+        self.ids = np.array([-1], np.int64)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self.keys, keys)
+        new = self.keys[at] != keys
+        if new.any():
+            distinct, first = np.unique(keys[new], return_index=True)
+            distinct = distinct[np.argsort(first)]  # by first appearance
+            values = distinct.astype("<u8").view(f"S{_KEY_BYTES}").astype(str).tolist()
+            merged = np.concatenate((self.keys, distinct))
+            order = np.argsort(merged)
+            self.keys = merged[order]
+            self.ids = np.concatenate((self.ids, _lookup(self.mapping, values, self.extend)))[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.ids[at]
+
+
+def _plain_qmatrix(text: bytes) -> np.ndarray | None:
+    """The cells of a q-matrix text whose every line is ``w`` bare 0/1 cells
+    split by "," and ended by "\\n", as a uint8 array; None for any other text.
+
+    Such a text is a grid of lines of 2w bytes: cell c of line r is byte
+    r * 2w + 2c, and the separator after it byte r * 2w + 2c + 1.
+    """
+    stride = text.find(b"\n") + 1
+    if not stride or stride % 2 or len(text) % stride:
+        return None
+    grid = np.frombuffer(text, np.uint8).reshape(-1, stride)
+    cells, seps = grid[:, 0::2], grid[:, 1::2]
+    # "0" and "1" are the two bytes b with b | 1 == "1"
+    if ((cells | 1) != ord("1")).any() or (seps[:, :-1] != _COMMA).any() or (seps[:, -1] != _NL).any():
+        return None
+    return cells - np.uint8(ord("0"))
+
+
 def load_qmatrix(path) -> QMatrix:
     """Read a headerless CSV of 0/1 cells, one row per item; cells may be
-    quoted or padded with spaces."""
+    quoted or padded with spaces.
+
+    A file of bare cells, split by "," and ended by "\\n" on every line, as
+    ``synth``, ``import-assistments`` and numpy's ``savetxt`` write it, is
+    read as one byte grid; any other file, and any faulty one, by the csv
+    loop, which names the first fault.
+    """
+    with open(path, "rb") as fh:
+        cells = _plain_qmatrix(fh.read())
+    if cells is not None:
+        return QMatrix(cells)
     parts, width = [], 0
     with open(path, newline="") as fh:
         for lines, rows, lengths in _csv_chunks(csv.reader(fh), first_line=1):

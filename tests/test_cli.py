@@ -1,14 +1,17 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ktfm import datasets, encoding
 from ktfm.cli import main
 from ktfm.datasets import load_dataset
 from ktfm.encoding import encode_dataset
@@ -545,6 +548,64 @@ class TestExportEmbeddings:
         assert len(lines) == 13  # 8 users + 4 items + header
 
 
+def _gen_log():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_log.py"
+    spec = importlib.util.spec_from_file_location("gen_log", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWrittenFilesSkipTheCsvModule:
+    """The logs and q-matrices that ``synth``, ``import-assistments`` and
+    ``perfbench/gen_log.py`` write are plain, so the loaders read them in numpy
+    passes and never reach their csv loops."""
+
+    @staticmethod
+    def block_csv_reader(monkeypatch):
+        def reader(*args, **kwargs):
+            raise AssertionError("a plain file went through the csv loop")
+
+        for module in (datasets, encoding):
+            monkeypatch.setattr(module, "csv", SimpleNamespace(reader=reader))
+
+    def load(self, log, qmatrix, heldout=None):
+        dataset = load_dataset(log, qmatrix)
+        assert len(dataset.triplets) and dataset.qmatrix.n_items
+        if heldout is not None:
+            triplets, _, _ = datasets.load_triplets(heldout, dataset.vocab, allow_unknown=True)
+            assert len(triplets)
+        return dataset
+
+    def test_synth(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "synth"
+        invoke(runner, ["synth", "--generator", "ktm", "--students", "12", "--items", "9", "--skills", "3",
+                        "--d", "2", "--attempts", "2", "--seed", "3", "--out-dir", str(out)])
+        self.block_csv_reader(monkeypatch)
+        self.load(out / "triplets.csv", out / "qmatrix.csv")
+
+    def test_import_assistments(self, runner, tmp_path, monkeypatch):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "order_id,assignment_id,user_id,problem_id,correct,skill_id,skill_name,"
+            "first_action,school_id,teacher_id,tutor_mode\n"
+            "5,1,70123,p1,1,s9,frac,0,73,22,tutor\n"
+            "5,1,70123,p1,1,s7,dec,0,73,22,tutor\n"
+            "2,1,70456,p2,0,,,1,73,25,test\n"
+            "9,1,70123,p2,1,,,2,73,22,pre_test\n"
+        )
+        data, qmatrix = tmp_path / "data.csv", tmp_path / "q.csv"
+        invoke(runner, ["import-assistments", "--raw", str(raw), "--out-data", str(data), "--out-qmatrix", str(qmatrix)])
+        self.block_csv_reader(monkeypatch)
+        dataset = self.load(data, qmatrix)
+        assert sorted(dataset.extras) == ["first_action", "school_id", "teacher_id", "tutor_mode"]
+
+    def test_gen_log(self, tmp_path, monkeypatch):
+        _gen_log().generate(5, tmp_path, train_rows=300)
+        self.block_csv_reader(monkeypatch)
+        self.load(tmp_path / "train.csv", tmp_path / "qmatrix.csv", heldout=tmp_path / "heldout.csv")
+
+
 class TestErrors:
     def test_unknown_preset_message(self, runner, tmp_path, example_log_csv):
         data, _ = example_log_csv
@@ -572,6 +633,30 @@ class TestErrors:
         result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(tmp_path / "m.json")])
         assert result.exit_code != 0
         assert result.output == f"Error: {vocab}: not a vocabulary file\n"
+
+    @pytest.mark.parametrize(
+        "vocab_text, message",
+        [
+            ('{"users": {"a": 0', "not a vocabulary file: invalid JSON"),
+            ('{"users": {"a": 0, "b": 0}}', "the users ids are not the distinct integers 0..1"),
+            ('{"items": {"1": 0, "2": 2}}', "the items ids are not the distinct integers 0..1"),
+            ('{"users": {"a": "0"}}', "the users ids are not the distinct integers 0..0"),
+            ('{"users": {"a": 0.0}}', "the users ids are not the distinct integers 0..0"),
+            ('{"extras": {"mode": {"x": true}}}', "the extra column 'mode' ids are not the distinct integers 0..0"),
+        ],
+        ids=["invalid-json", "two-on-one", "gap", "string", "float", "true"],
+    )
+    def test_vocabulary_that_is_not_one_to_one_is_one_line(
+        self, runner, tmp_path, example_log_csv, vocab_text, message
+    ):
+        data, _ = example_log_csv
+        vocab = tmp_path / "v.json"
+        vocab.write_text(vocab_text)
+        result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(tmp_path / "m.json")])
+        assert result.exit_code != 0
+        assert result.output.startswith(f"Error: {vocab}: {message}")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_model_without_a_vocabulary_digest_is_one_line(self, runner, tmp_path, example_log_csv):
         data, _ = example_log_csv

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from ktfm.datasets import (
     convert_assistments,
     settle_outcomes,
 )
-from ktfm import encoding
+from ktfm import datasets, encoding
 from ktfm.encoding import EncodingConfig, EncodingError
 from ktfm.model import FMParams, raw_scores
 from ktfm.sparse import DesignMatrix
@@ -251,19 +252,35 @@ def reference_load_triplets(path, vocab=None, *, allow_unknown=False):
     return triplets, {k: np.array(v) for k, v in extras.items()}, vocab
 
 
-# cells as they may appear in a file: padded and quoted
-_IDS = st.sampled_from(["1", "2", " 2", "10 ", '"3"', "u1", "u2", " u1 ", "x", "y"])
-_CORRECT = st.sampled_from(["0", "1", " 1", "0 ", '"1"'])
-_EXTRA = st.sampled_from(["a", "b", " a", "c ", '"b"', "d", ""])
+# the fields of each column: under "" those of a plain log (bare printable
+# ASCII of at most 8 bytes), under each quirk those only the csv loop reads
+_IDS = {"": ["1", "2", "10", "u1", "u2", "x", "y", "12345678"],
+        "padded": [" 2", "10 ", " u1 "], "quoted": ['"3"'], "long": ["123456789"], "non-ASCII": ["ü"]}
+_CORRECT = {"": ["0", "1"], "padded": [" 1", "0 "], "quoted": ['"1"']}
+_EXTRA = {"": ["a", "b", "d", "", "pre_test"],
+          "padded": [" a", "c "], "quoted": ['"b"'], "long": ["tutor_mode"], "non-ASCII": ["ä"]}
+_QUIRKS = ["padded", "quoted", "long", "non-ASCII", "padded header", "crlf line ends", "no last line end"]
 
 
 @st.composite
 def triplet_logs(draw):
     """CSV text of a log with 0-2 extra columns, plus up to four inserted
-    lines that are blank or faulty (a wrong field count or a bad ``correct``)."""
+    lines that are blank or faulty (a wrong field count or a bad ``correct``).
+
+    Half the logs are plain: bare fields of at most 8 printable ASCII bytes and
+    "\\n" after every line, which the numpy pass reads unless an inserted line
+    is blank or faulty. The others have one to three quirks that send them to
+    the csv loop: padded, quoted, long or non-ASCII fields, a padded header
+    name, "\\r\\n" line ends or no last line end.
+    """
+    quirks = set() if draw(st.booleans()) else draw(st.sets(st.sampled_from(_QUIRKS), min_size=1, max_size=3))
+
+    def field(pools):
+        return draw(st.sampled_from(pools[""] * 2 + [v for quirk in quirks for v in pools.get(quirk, [])]))
+
     names = draw(st.lists(st.sampled_from(["mode", "school", "tutor"]), max_size=2, unique=True))
     lines = [
-        ",".join([draw(_IDS), draw(_IDS), draw(_CORRECT), *(draw(_EXTRA) for _ in names)])
+        ",".join([field(_IDS), field(_IDS), field(_CORRECT), *(field(_EXTRA) for _ in names)])
         for _ in range(draw(st.integers(0, 30)))
     ]
     inserts = st.tuples(st.integers(0, 30), st.sampled_from(["", "  ", "short", "long", "correct"]))
@@ -276,8 +293,16 @@ def triplet_logs(draw):
         elif kind == "long":
             cells.append("z")
         lines.insert(min(at, len(lines)), ",".join(cells) if kind in ("short", "long", "correct") else kind)
-    header = ",".join(["user_id", " item_id", "correct", *names])
-    return "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+    header = ",".join(["user_id", " item_id" if "padded header" in quirks else "item_id", "correct", *names])
+    end = "\r\n" if "crlf line ends" in quirks else "\n"
+    return end.join([header, *lines]) + ("" if "no last line end" in quirks else end)
+
+
+def load_by_csv_loop(path, vocab=None, *, allow_unknown=False):
+    """``load_triplets`` with the numpy pass turned off: its csv loop alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datasets, "_read_plain_log", lambda *args: None)
+        return load_triplets(path, vocab, allow_unknown=allow_unknown)
 
 
 def _outcome(load, path, vocab, allow_unknown):
@@ -294,7 +319,52 @@ def _outcome(load, path, vocab, allow_unknown):
     return result, [str(w.message) for w in caught]
 
 
+_PLAIN_LOG = "user_id,item_id,correct,mode\nu1,10,1,a\nu2,12345678,0,pre_test\nu1,2,1,b\n"
+_PLAIN_VOCAB = {"users": {"u1": 0, "u2": 1}, "items": {"10": 0, "12345678": 1, "2": 2},
+                "extras": {"mode": {"a": 0, "pre_test": 1, "b": 2}}}
+
+
 class TestLoaderDifferential:
+    @pytest.mark.parametrize(
+        "text, vocab, allow_unknown",
+        [(_PLAIN_LOG, None, False), (_PLAIN_LOG, _PLAIN_VOCAB, False), (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, True)],
+        ids=["fresh", "frozen", "unknown-id-allowed"],
+    )
+    def test_a_plain_log_takes_the_numpy_pass(self, tmp_path, text, vocab, allow_unknown):
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        assert datasets._read_plain_log(path, Vocabulary.from_dict(vocab or {}), vocab is None, allow_unknown)
+        frozen = (lambda: Vocabulary.from_dict(vocab)) if vocab else (lambda: None)
+        want = _outcome(reference_load_triplets, path, frozen(), allow_unknown)
+        assert _outcome(load_triplets, path, frozen(), allow_unknown) == want
+
+    @pytest.mark.parametrize(
+        "text, vocab, allow_unknown",
+        [
+            (_PLAIN_LOG.replace("u2", " u2"), None, False),
+            (_PLAIN_LOG.replace("u2", '"u2"'), None, False),
+            (_PLAIN_LOG.replace("12345678", "123456789"), None, False),
+            (_PLAIN_LOG.replace("u2", "ü2"), None, False),
+            (_PLAIN_LOG.replace("item_id", " item_id"), None, False),
+            (_PLAIN_LOG.replace("\n", "\r\n"), None, False),
+            (_PLAIN_LOG[:-1], None, False),
+            (_PLAIN_LOG.replace("\nu2", "\n\nu2"), None, False),
+            (_PLAIN_LOG.replace(",0,", ",2,"), None, False),
+            (_PLAIN_LOG.replace(",pre_test", ""), None, False),
+            (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, False),
+            (_PLAIN_LOG.replace(",b", ",c"), _PLAIN_VOCAB, True),
+        ],
+        ids=["padded", "quoted", "long", "non-ASCII", "padded-header", "crlf", "no-last-line-end", "blank-line",
+             "bad-correct", "ragged", "unknown-id", "unseen-extra"],
+    )
+    def test_a_quirk_or_fault_sends_the_log_to_the_csv_loop(self, tmp_path, text, vocab, allow_unknown):
+        path = tmp_path / "log.csv"
+        path.write_bytes(text.encode())
+        assert datasets._read_plain_log(path, Vocabulary.from_dict(vocab or {}), vocab is None, allow_unknown) is None
+        frozen = (lambda: Vocabulary.from_dict(vocab)) if vocab else (lambda: None)
+        want = _outcome(reference_load_triplets, path, frozen(), allow_unknown)
+        assert _outcome(load_triplets, path, frozen(), allow_unknown) == want
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         train=triplet_logs(),
@@ -307,9 +377,10 @@ class TestLoaderDifferential:
         paths = []
         for name, text in (("train", train), ("test", test)):
             paths.append(tmp_path / f"{name}.csv")
-            paths[-1].write_text(text)
+            paths[-1].write_bytes(text.encode())
         fresh = _outcome(load_triplets, paths[0], None, False)
-        assert fresh == _outcome(reference_load_triplets, paths[0], None, False)
+        for oracle in (load_by_csv_loop, reference_load_triplets):
+            assert fresh == _outcome(oracle, paths[0], None, False)
         if fresh[0][0] == "error":
             return
         frozen = Vocabulary.from_dict(json.loads(fresh[0][2]))
@@ -317,8 +388,28 @@ class TestLoaderDifferential:
             frozen.extras.pop(sorted(frozen.extras)[0])
         for allow_unknown in (False, True):
             got = _outcome(load_triplets, paths[1], Vocabulary.from_dict(frozen.to_dict()), allow_unknown)
-            want = _outcome(reference_load_triplets, paths[1], Vocabulary.from_dict(frozen.to_dict()), allow_unknown)
-            assert got == want
+            for oracle in (load_by_csv_loop, reference_load_triplets):
+                assert got == _outcome(oracle, paths[1], Vocabulary.from_dict(frozen.to_dict()), allow_unknown)
+
+
+class TestVocabularyLoad:
+    def test_saved_vocabulary_round_trips(self, tmp_path):
+        vocab = Vocabulary(users={"b": 1, "a": 0}, items={"7": 0}, extras={"mode": {"x": 1, "y": 0}})
+        vocab.save(tmp_path / "v.json")
+        assert Vocabulary.load(tmp_path / "v.json").to_json() == vocab.to_json()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "{", b"\xff{}", '{"users": {"a": 0, "b": 0}}', '{"users": {"a": 1}}', '{"items": {"1": 0, "2": 2}}',
+         '{"users": {"a": "0"}}', '{"users": {"a": 0.0}}', '{"users": {"a": true}}', '{"users": {"a": -1}}',
+         '{"extras": {"mode": {"x": 0, "y": 0}}}', '{"extras": {"mode": {"x": null}}}', "[]", '{"users": [0]}'],
+    )
+    def test_anything_else_is_one_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "v.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: ") as caught:
+            Vocabulary.load(path)
+        assert "\n" not in str(caught.value)
 
 
 class TestQMatrixAlignment:

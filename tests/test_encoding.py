@@ -245,17 +245,27 @@ def reference_load_qmatrix(path) -> QMatrix:
 @st.composite
 def qmatrix_texts(draw):
     """A q-matrix file of 1-3 columns whose cells are mostly 0/1, padded or
-    quoted, with blank lines and the odd bad cell or ragged row."""
+    quoted, with blank lines and the odd bad cell or ragged row; or a plain
+    one, of bare cells with "\\n" after every line, which the byte-grid read
+    takes unless it holds the odd bad cell, ragged row or blank line."""
     width = draw(st.integers(1, 3))
-    cells = st.sampled_from(["0", "1"] * 6 + [" 1", "0 ", '"1"', "2", "+1", "01", "-0", ""])
+    plain = draw(st.booleans())
+    if plain:
+        cells = st.sampled_from(["0", "1"] * 12 + ["2", ""])
+        kinds = ["row"] * 24 + ["", "ragged"]
+    else:
+        cells = st.sampled_from(["0", "1"] * 6 + [" 1", "0 ", '"1"', "2", "+1", "01", "-0", ""])
+        kinds = ["row"] * 8 + ["", "  ", "ragged"]
     lines = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["row"] * 8 + ["", "  ", "ragged"]))
+        kind = draw(st.sampled_from(kinds))
         if kind in ("", "  "):
             lines.append(kind)
         else:
             n = width if kind == "row" else draw(st.integers(1, 4))
             lines.append(",".join(draw(cells) for _ in range(n)))
+    if plain:
+        return "".join(line + "\n" for line in lines)
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
