@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,14 +25,13 @@ import numpy as np
 
 from .encoding import (
     _BITS,
-    _PLAIN,
+    _COMMA,
+    _NL,
     EncodingConfig,
     EncodingError,
     QMatrix,
     _csv_chunks,
-    _KeyedLookup,
     _lookup,
-    _plain_keys,
     encode_dataset,
     load_qmatrix,
 )
@@ -114,15 +114,16 @@ def load_triplets(
     raises for its first faulty line.
 
     A plain file (see ``_read_plain_log``), as ``synth`` and
-    ``import-assistments`` write it, is read in numpy passes; any other file,
-    and any faulty one, by the csv loop, which alone names a faulty line.
+    ``import-assistments`` write it, is read in one numpy pass over its whole
+    text; any other file, and any faulty one, by the csv loop, which alone
+    names a faulty line. Either read hands over one array of codes, of which
+    the triplets and each extra column are views.
     """
     fresh = vocab is None
     read = _read_plain_log(path, Vocabulary() if fresh else vocab, fresh, allow_unknown)
     if read is None:
         read = _read_csv_log(path, Vocabulary() if fresh else vocab, fresh, allow_unknown)
-    parts, names, vocab = read
-    codes = np.concatenate(parts, axis=1)
+    codes, names, vocab = read
     unknown = int(np.count_nonzero((codes[0] < 0) | (codes[1] < 0)))
     if unknown:
         warnings.warn(f"{path}: {unknown} rows reference ids outside the vocabulary")
@@ -154,42 +155,79 @@ def _log_columns(path, header: list[str], vocab: Vocabulary, fresh: bool, allow_
     return names, columns, [2, *(() if allow_unknown else (0, 1)), *range(3, len(columns))]
 
 
+# the bytes of a plain log: line ends, and printable ASCII but the space and the
+# quote, so that neither csv.reader nor str.strip changes a field
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[0x21:0x7F] = True
+_PLAIN[ord('"')] = False
+_PLAIN[_NL] = True
+# a field of at most 8 bytes packs into one uint64 key, whose low L bytes
+# _KEY_MASKS[L] keeps
+_KEY_BYTES = 8
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(_KEY_BYTES + 1)], dtype="<u8")
+
+
 def _read_plain_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
-    """The per-batch codes, extra names and vocabulary of a plain log, read in
-    numpy passes; None for a log that is not plain or that holds a fault.
+    """The codes (one row per column read), extra names and vocabulary of a
+    plain log, read in one pass over its whole text; None for a log that is
+    not plain or that holds a fault.
 
     A plain log holds printable ASCII but no space or quote, ends every line,
     its header included, with "\\n", and has as many fields on every line as
-    in its header, each read field of at most 8 bytes. Each batch of lines
-    packs each field read into a uint64 key, and ``_KeyedLookup`` gives the
-    keys their ids by first appearance.
+    in its header, each read field of at most 8 bytes. Each column's fields
+    pack into uint64 keys, which hold their field's bytes in order,
+    zero-padded, so two fields share a key only if they are equal; each
+    distinct key is decoded and looked up once, in order of first appearance.
+    Besides the text, the pass holds its separators' offsets (8 bytes per
+    field) and the codes (8 bytes per field read).
     """
     with open(path, "rb") as fh:
-        text = fh.read()
-    cut = text.find(b"\n") + 1  # the first line is the header
-    raw = np.frombuffer(text, np.uint8)
-    if not cut or not _PLAIN[raw[:cut]].all():
+        size = os.fstat(fh.fileno()).st_size
+        raw = np.zeros(size + _KEY_BYTES, np.uint8)  # the spare zeros end the last fields' words
+        text = raw[: fh.readinto(raw[:size])]
+    ends = text == _NL
+    n_lines = int(np.count_nonzero(ends))  # the header's included
+    if n_lines < 2 or text[-1] != _NL or not _PLAIN[text].all():
         return None
-    header = text[: cut - 1].decode().split(",")
+    header = text[: int(np.argmax(ends))].tobytes().decode().split(",")
     try:
         names, columns, checked = _log_columns(path, header, vocab, fresh, allow_unknown)
     except DataFormatError:
         return None
-    lookups = [_KeyedLookup(mapping, extend) for _, mapping, extend, _ in columns]
-    parts = []
-    for keys in _plain_keys(raw[cut:], len(header), [pos for pos, *_ in columns]):
-        if keys is None:
+    n_fields = len(header)
+    ends |= text == _COMMA
+    seps = np.flatnonzero(ends)
+    del ends
+    # the text holds n_lines "\n"; when each is the last separator of a line,
+    # no line holds more or fewer than n_fields fields
+    if seps.size != n_lines * n_fields or (text[seps[n_fields - 1 :: n_fields]] != _NL).any():
+        return None
+    # the little-endian word of the 8 bytes at each offset
+    words = np.ndarray(text.shape, dtype="<u8", buffer=raw, strides=(1,))
+    codes = np.empty((len(columns), n_lines - 1), np.int64)
+    for row, (pos, mapping, extend, _) in enumerate(columns):
+        # the separators before and after field pos of every line but the header
+        starts = seps[n_fields + pos - 1 :: n_fields][: n_lines - 1] + 1
+        lengths = seps[n_fields + pos :: n_fields] - starts
+        if (lengths > _KEY_BYTES).any():
             return None
-        codes = np.array([lookup(column) for lookup, column in zip(lookups, keys.T)])
-        if (codes[checked] < 0).any():
+        keys = words[starts] & _KEY_MASKS[lengths]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        first = np.full(distinct.size, keys.size)
+        np.minimum.at(first, inverse, np.arange(keys.size))
+        order = np.argsort(first)  # by first appearance
+        values = distinct[order].astype("<u8").view(f"S{_KEY_BYTES}").astype(str).tolist()
+        ids = np.empty(distinct.size, np.int64)
+        ids[order] = _lookup(mapping, values, extend)
+        if row in checked and (ids < 0).any():
             return None
-        parts.append(codes)
-    return parts, names, vocab
+        codes[row] = ids[inverse]
+    return codes, names, vocab
 
 
 def _read_csv_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
-    """The per-batch codes, extra names and vocabulary of any log, read by
-    ``csv.reader``; a faulty log raises for its first faulty line."""
+    """The codes (one row per column read), extra names and vocabulary of any
+    log, read by ``csv.reader``; a faulty log raises for its first faulty line."""
     parts: list[np.ndarray] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -220,7 +258,7 @@ def _read_csv_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
             del rows, fields  # free this batch before the next is read
     if not parts:
         raise DataFormatError(f"{path}: no data rows")
-    return parts, names, vocab
+    return np.concatenate(parts, axis=1), names, vocab
 
 
 def write_triplets(path, triplets, vocab: Vocabulary | None = None) -> None:

@@ -94,81 +94,6 @@ def _lookup(mapping: dict[str, int], values: Sequence[str], extend: bool = False
 
 
 _COMMA, _NL = ord(","), ord("\n")
-# the bytes of a plain log: line ends, and printable ASCII but the space and the
-# quote, so that neither csv.reader nor str.strip changes a field
-_PLAIN = np.zeros(256, dtype=bool)
-_PLAIN[0x21:0x7F] = True
-_PLAIN[ord('"')] = False
-_PLAIN[_NL] = True
-# a field of at most 8 bytes packs into one uint64 key, whose low L bytes
-# _KEY_MASKS[L] keeps
-_KEY_BYTES = 8
-_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(_KEY_BYTES + 1)], dtype="<u8")
-
-
-def _plain_keys(raw: np.ndarray, n_fields: int, positions: Sequence[int]):
-    """The fields at ``positions`` of the lines of the uint8 text ``raw``,
-    ``CHUNK_ROWS`` lines at a time, as an array of uint64 keys of shape
-    (lines, len(positions)), while the text is plain: ``_PLAIN`` bytes, every
-    line ended by "\\n" and holding ``n_fields`` fields split by ",", and every
-    field read no longer than 8 bytes. Yields None for the first batch that is
-    not, and stops.
-
-    A key holds its field's bytes in order, zero-padded, so two fields share a
-    key only if they are equal.
-    """
-    ends = np.flatnonzero(raw == _NL)
-    if not ends.size or ends[-1] != raw.size - 1:
-        yield None
-        return
-    lo = 0
-    for first in range(0, ends.size, CHUNK_ROWS):
-        n = min(CHUNK_ROWS, ends.size - first)
-        text = raw[lo : ends[first + n - 1] + 1]
-        lo += text.size
-        seps = np.flatnonzero((text == _COMMA) | (text == _NL))
-        # the text holds n "\n"; when each is the last separator of a line, no
-        # line holds more or fewer than n_fields fields
-        ragged = seps.size != n * n_fields or (text[seps[n_fields - 1 :: n_fields]] != _NL).any()
-        if ragged or not np.take(_PLAIN, text).all():
-            yield None
-            return
-        starts = np.concatenate(([0], seps[:-1] + 1)).reshape(n, n_fields)[:, positions]
-        lengths = seps.reshape(n, n_fields)[:, positions] - starts
-        if (lengths > _KEY_BYTES).any():
-            yield None
-            return
-        # the little-endian word of the 8 bytes at each offset, cut to its field
-        padded = np.concatenate((text, np.zeros(_KEY_BYTES, np.uint8)))
-        words = np.ndarray(text.shape, dtype="<u8", buffer=padded, strides=(1,))
-        yield words[starts] & _KEY_MASKS[lengths]
-        del seps, starts, padded, words  # before the next batch is cut
-
-
-class _KeyedLookup:
-    """``_lookup`` of the values behind uint64 keys (see ``_plain_keys``): each
-    distinct value is decoded and looked up once, and its id is kept for the
-    batches that follow."""
-
-    def __init__(self, mapping: dict[str, int], extend: bool = False):
-        self.mapping, self.extend = mapping, extend
-        # a sentinel above every key of printable bytes keeps searchsorted in range
-        self.keys = np.array([np.iinfo(np.uint64).max], np.uint64)
-        self.ids = np.array([-1], np.int64)
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(self.keys, keys)
-        new = self.keys[at] != keys
-        if new.any():
-            distinct, first = np.unique(keys[new], return_index=True)
-            distinct = distinct[np.argsort(first)]  # by first appearance
-            values = distinct.astype("<u8").view(f"S{_KEY_BYTES}").astype(str).tolist()
-            merged = np.concatenate((self.keys, distinct))
-            order = np.argsort(merged)
-            self.keys = merged[order]
-            self.ids = np.concatenate((self.ids, _lookup(self.mapping, values, self.extend)))[order]
-            at = np.searchsorted(self.keys, keys)
-        return self.ids[at]
 
 
 def _plain_qmatrix(text: bytes) -> np.ndarray | None:

@@ -78,10 +78,13 @@ def make_folds(
 
     ``by_student`` partitions students instead of rows; a fold's test set is
     every row of its students, which evaluates performance on learners the
-    model never saw.
+    model never saw. Fewer rows (by_row) or students (by_student) than folds
+    raise ``ValueError``, since some fold would test nothing.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
     if spec.mode == "by_row":
+        if n_rows < spec.k:
+            raise ValueError(f"cannot make {spec.k} row folds from {n_rows} rows")
         order, student_pos = rng.permutation(n_rows), None
     else:
         if student_of_row is None:

@@ -87,8 +87,10 @@ class Link(str, enum.Enum):
 class FMParams:
     """Trained model: global bias, per-feature biases w, factor matrix V.
 
-    ``V`` is ``None`` exactly when the factor dimension d is zero, in which
-    case the model is plain (regularized) logistic/probit regression.
+    ``V`` has one row per feature and one column per factor dimension; at
+    d = 0 it has no columns, and the model is plain (regularized)
+    logistic/probit regression. ``V=None``, the default, stands for those
+    zero columns.
     """
 
     bias: float
@@ -99,19 +101,14 @@ class FMParams:
         w = np.array(self.w, dtype=np.float64, copy=True)
         if w.ndim != 1:
             raise ValueError("w must be a vector")
-        if not math.isfinite(self.bias) or not np.all(np.isfinite(w)):
+        V = np.zeros((w.size, 0)) if self.V is None else np.array(self.V, dtype=np.float64, copy=True)
+        if V.ndim != 2 or V.shape[0] != w.size:
+            raise ValueError(f"V must be {w.size} x d, got {V.shape}")
+        if not math.isfinite(self.bias) or not np.all(np.isfinite(w)) or not np.all(np.isfinite(V)):
             raise ValueError("parameters must be finite")
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "w", _readonly(w))
-        if self.V is not None:
-            V = np.array(self.V, dtype=np.float64, copy=True)
-            if V.ndim != 2 or V.shape[0] != w.size:
-                raise ValueError(f"V must be {w.size} x d, got {V.shape}")
-            if V.shape[1] == 0:
-                raise ValueError("V must be None when d = 0")
-            if not np.all(np.isfinite(V)):
-                raise ValueError("parameters must be finite")
-            object.__setattr__(self, "V", _readonly(V))
+        object.__setattr__(self, "V", _readonly(V))
 
     @property
     def n_features(self) -> int:
@@ -119,7 +116,7 @@ class FMParams:
 
     @property
     def d(self) -> int:
-        return 0 if self.V is None else int(self.V.shape[1])
+        return int(self.V.shape[1])
 
 
 def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
@@ -137,16 +134,14 @@ def raw_scores(params: FMParams, data: DesignMatrix) -> np.ndarray:
         )
     X = data.csr
     z = params.bias + X @ params.w
-    if params.V is not None:
-        # sum over f of q_f^2 per row, and of (x_k V[k,f])^2 per entry
-        q2, xv2 = np.zeros(len(data)), np.zeros(X.data.size)
-        for column in np.ascontiguousarray(params.V.T):
-            xv = X.data * column[X.indices]
-            q = X.row_sums(xv)
-            q2 += q * q
-            xv2 += xv * xv
-        z = z + 0.5 * (q2 - X.row_sums(xv2))
-    return np.asarray(z, dtype=np.float64)
+    # sum over f of q_f^2 per row, and of (x_k V[k,f])^2 per entry
+    q2, xv2 = np.zeros(len(data)), np.zeros(X.data.size)
+    for column in np.ascontiguousarray(params.V.T):
+        xv = X.data * column[X.indices]
+        q = X.row_sums(xv)
+        q2 += q * q
+        xv2 += xv * xv
+    return z + 0.5 * (q2 - X.row_sums(xv2))
 
 
 def predict_proba_matrix(params: FMParams, data: DesignMatrix, link: Link) -> np.ndarray:
@@ -171,7 +166,4 @@ def export_embeddings(params: FMParams, space: FeatureSpace, stream: TextIO) -> 
     writer.writerow(list(EMBEDDING_HEADER) + [f"v{f}" for f in range(params.d)])
     labels = ((block, local) for block, width in space.blocks for local in range(width))
     for col, (block, local) in enumerate(labels):
-        row = [block, str(local), _fmt(params.w[col])]
-        if params.V is not None:
-            row.extend(_fmt(v) for v in params.V[col])
-        writer.writerow(row)
+        writer.writerow([block, str(local), _fmt(params.w[col]), *map(_fmt, params.V[col])])

@@ -48,7 +48,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         "d": bundle.params.d,
         "bias": bundle.params.bias,
         "w": bundle.params.w.tolist(),
-        "V": None if bundle.params.V is None else bundle.params.V.tolist(),
+        "V": bundle.params.V.tolist() if bundle.params.d else None,
         "feature_space": [list(b) for b in bundle.space.blocks],
         "encoding": {
             **{f"use_{b}": b in bundle.encoding.blocks for b in BLOCK_ORDER},

@@ -130,7 +130,7 @@ def _init_factors(config: TrainConfig, n_features: int) -> np.ndarray:
 
 def init_params(config: TrainConfig, n_features: int) -> FMParams:
     """Zero biases; factor entries i.i.d. Normal(0, 0.01^2)."""
-    return _params(0.0, np.zeros(n_features), _init_factors(config, n_features))
+    return FMParams(0.0, np.zeros(n_features), _init_factors(config, n_features))
 
 
 def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None):
@@ -166,15 +166,10 @@ def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None
     return 0.0, w, V, blocks, empty, scores, Q
 
 
-def _params(bias: float, w: np.ndarray, V: np.ndarray) -> FMParams:
-    """``FMParams`` of a fit's parameters, whose V has no columns at d = 0 where ``FMParams`` holds None."""
-    return FMParams(bias, w, V if V.shape[1] else None)
-
-
 def _finite(bias: float, w: np.ndarray, V: np.ndarray, epoch: int) -> FMParams:
     """The current parameters, or TrainingDivergedError if any is not finite."""
     try:
-        return _params(bias, w, V)
+        return FMParams(bias, w, V)
     except ValueError:  # FMParams checks that every parameter is finite
         raise TrainingDivergedError(f"non-finite parameters at epoch {epoch}") from None
 
@@ -533,6 +528,6 @@ def train_gibbs_probit(
     if not drift <= _DRIFT_TOL * max(1.0, float(np.abs(fresh).max())):
         raise TrainingDivergedError(f"carried train scores drifted {drift:.3g} from a fresh score")
 
-    mean_params = _params(bias_sum / kept, w_sum / kept, V_sum / kept)
+    mean_params = FMParams(bias_sum / kept, w_sum / kept, V_sum / kept)
     test_pred = None if test is None else np.clip(test_sum / kept, PROB_EPS, 1.0 - PROB_EPS)
     return GibbsOutput(mean_params, test_pred)

@@ -96,7 +96,7 @@ def test_criterion_3_gradient_check():
                                      after_sweep=lambda *sweep: log.append(sweep))
             assert len(log) < 5000  # stopped on its tolerance
             g_bias, g_w, g_V = objective_gradient(params, data, l2=0.05)
-            gradient = np.concatenate([[g_bias], g_w, [] if g_V is None else g_V.ravel()]) / len(data)
+            gradient = np.concatenate([[g_bias], g_w, g_V.ravel()]) / len(data)
             assert np.abs(gradient).max() <= 1e-3
 
 

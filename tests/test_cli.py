@@ -658,6 +658,19 @@ class TestErrors:
         assert result.output.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("split, unit", [("row", "rows"), ("student", "students")])
+    def test_fewer_rows_than_folds_is_one_line_before_any_fit(self, runner, tmp_path, monkeypatch, split, unit):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cv fitted a fold it could not make")
+
+        monkeypatch.setattr("ktfm.evaluation.train_map_logit", unreachable)
+        data = tmp_path / "log.csv"
+        data.write_text("user_id,item_id,correct\na,1,1\nb,2,0\nc,1,0\n")
+        result = runner.invoke(main, ["cv", "--data", str(data), "--preset", "irt", "--d", "0",
+                                      "--folds", "5", "--split", split, "--out-dir", str(tmp_path / "cv")])
+        assert result.exit_code != 0
+        assert result.output == f"Error: cannot make 5 {split} folds from 3 {unit}\n"
+
     def test_model_without_a_vocabulary_digest_is_one_line(self, runner, tmp_path, example_log_csv):
         data, _ = example_log_csv
         model, vocab = tmp_path / "m.json", tmp_path / "v.json"

@@ -324,11 +324,43 @@ _PLAIN_VOCAB = {"users": {"u1": 0, "u2": 1}, "items": {"10": 0, "12345678": 1, "
                 "extras": {"mode": {"a": 0, "pre_test": 1, "b": 2}}}
 
 
+def _long_plain_log(n_rows=5_000):
+    """A plain log of more than 4,096 data lines whose users, items and extra
+    values keep first appearing after line 4,096, each column in an order of
+    first appearance unlike its keys' sorted order."""
+    lines = ["user_id,item_id,correct,mode"]
+    for r in range(n_rows):
+        # users and modes appear in descending order, items in a scattered one
+        user, item, mode = f"u{(n_rows - r) // 7}", str((r * 7_919) % (r // 2 + 1)), f"m{9 - r // 600}"
+        lines.append(f"{user},{item},{r % 3 % 2},{mode}")
+    return "\n".join(lines) + "\n"
+
+
+_LONG_PLAIN_LOG = _long_plain_log()
+
+
+def _reversed_vocab(text):
+    """The vocabulary of a plain log's values, dense ids in reverse order of first appearance."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+
+    def reverse(k):
+        values = list(dict.fromkeys(row[k] for row in rows))
+        return {value: len(values) - 1 - i for i, value in enumerate(values)}
+
+    return {"users": reverse(0), "items": reverse(1), "extras": {name: reverse(k) for k, name in enumerate(header[3:], 3)}}
+
+
 class TestLoaderDifferential:
     @pytest.mark.parametrize(
         "text, vocab, allow_unknown",
-        [(_PLAIN_LOG, None, False), (_PLAIN_LOG, _PLAIN_VOCAB, False), (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, True)],
-        ids=["fresh", "frozen", "unknown-id-allowed"],
+        [
+            (_PLAIN_LOG, None, False),
+            (_PLAIN_LOG, _PLAIN_VOCAB, False),
+            (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, True),
+            (_LONG_PLAIN_LOG, None, False),
+            (_LONG_PLAIN_LOG, _reversed_vocab(_LONG_PLAIN_LOG), False),
+        ],
+        ids=["fresh", "frozen", "unknown-id-allowed", "long-fresh", "long-frozen"],
     )
     def test_a_plain_log_takes_the_numpy_pass(self, tmp_path, text, vocab, allow_unknown):
         path = tmp_path / "log.csv"

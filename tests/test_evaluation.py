@@ -145,8 +145,8 @@ class TestMakeFolds:
     )
     def test_equals_the_chunk_membership_folds(self, students, k, seed, by_student):
         spec = FoldSpec(k=k, seed=seed, mode="by_student" if by_student else "by_row")
-        if by_student and len(set(students)) < k:
-            with pytest.raises(ValueError):
+        if len(set(students) if by_student else students) < k:
+            with pytest.raises(ValueError, match=f"cannot make {k} (student|row) folds"):
                 make_folds(len(students), spec, students)
             return
         ours = make_folds(len(students), spec, students)
@@ -183,6 +183,10 @@ class TestMakeFolds:
     def test_too_few_students(self):
         with pytest.raises(ValueError):
             make_folds(6, FoldSpec(k=5, mode="by_student"), [0, 0, 1, 1, 2, 2])
+
+    def test_too_few_rows(self):
+        with pytest.raises(ValueError, match="^cannot make 5 row folds from 3 rows$"):
+            make_folds(3, FoldSpec(k=5))
 
     def test_by_student_needs_map(self):
         with pytest.raises(ValueError):

@@ -30,11 +30,10 @@ def brute_force_score(params: FMParams, row) -> float:
     """Explicit double loop over all ordered pairs k < l of a one-row matrix."""
     dense = to_dense(row)[0]
     z = params.bias + float(dense @ params.w)
-    if params.V is not None:
-        n = params.n_features
-        for k in range(n):
-            for l in range(k + 1, n):
-                z += dense[k] * dense[l] * float(params.V[k] @ params.V[l])
+    n = params.n_features
+    for k in range(n):
+        for l in range(k + 1, n):
+            z += dense[k] * dense[l] * float(params.V[k] @ params.V[l])
     return z
 
 
@@ -103,8 +102,7 @@ class TestRawScore:
         rng = np.random.default_rng(seed)
         n = dm.space.width
         params = FMParams(rng.normal(), rng.normal(size=n), rng.normal(size=(n, d)) if d else None)
-        fast = raw_scores(params, dm)
-        V = np.zeros((n, 0)) if params.V is None else params.V
+        fast, V = raw_scores(params, dm), params.V
         for r, x in enumerate(to_dense(dm)):
             slow = params.bias + float(x @ params.w)
             # bounds the rounding of both forms: the factor term is formed
@@ -289,11 +287,10 @@ class TestEmbeddingExport:
 
 
 class TestFMParams:
-    def test_v_none_iff_d_zero(self):
-        assert FMParams(0.0, np.zeros(3)).d == 0
+    def test_d_zero_holds_zero_factor_columns(self):
+        for params in (FMParams(0.0, np.zeros(3)), FMParams(0.0, np.zeros(3), None), FMParams(0.0, np.zeros(3), np.zeros((3, 0)))):
+            assert params.d == 0 and params.V.shape == (3, 0) and not params.V.flags.writeable
         assert FMParams(0.0, np.zeros(3), np.zeros((3, 2))).d == 2
-        with pytest.raises(ValueError):
-            FMParams(0.0, np.zeros(3), np.zeros((3, 0)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -60,7 +60,9 @@ class TestModelRoundTrip:
         bundle = small_bundle(d=0)
         path = tmp_path / "m.json"
         save_model(path, bundle)
-        assert load_model(path).params.V is None
+        assert json.loads(path.read_text())["V"] is None  # the file keeps its d = 0 bytes
+        loaded = load_model(path).params
+        assert loaded.d == 0 and loaded.V.shape == (bundle.params.n_features, 0)
 
     def test_digest_check(self, tmp_path):
         bundle = small_bundle()

@@ -92,7 +92,7 @@ class TestNll:
 class TestInitParams:
     def test_d0_has_no_factors(self):
         params = init_params(TrainConfig(d=0, seed=1), 10)
-        assert params.V is None
+        assert params.d == 0 and params.V.shape == (10, 0)
         assert (params.w == 0).all() and params.bias == 0.0
 
     def test_same_seed_same_init(self):
@@ -129,7 +129,7 @@ def moderate_instance(rng, n=12, d=0, max_nnz=6, n_rows=1):
 def map_objective(params: FMParams, data, l2: float) -> float:
     """The MAP objective, mean logit NLL + (l2 / 2) * (|w|^2 + |V|^2), from the one FM score."""
     z = raw_scores(params, data)
-    penalty = params.w @ params.w + (0.0 if params.V is None else (params.V**2).sum())
+    penalty = params.w @ params.w + (params.V**2).sum()
     return float(np.mean(np.logaddexp(0.0, z) - data.labels * z)) + 0.5 * l2 * penalty
 
 
@@ -137,11 +137,10 @@ def objective_gradient(params: FMParams, data, l2: float):
     """N times the gradient of ``map_objective`` (d/d bias, d/d w, d/d V), as
     the MAP trainer forms it: its blocked kernel builds h and sums h (p - y)
     per column, and a step rule that moves nothing adds them to l2 N theta."""
-    w = params.w.copy()
-    V = None if params.V is None else params.V.copy()
+    w, V = params.w.copy(), params.V.copy()
     blocks, _ = _colour_blocks(data)
     scores = raw_scores(params, data)
-    Q = None if V is None else (scipy_csr(data) @ V).T.copy()
+    Q = (scipy_csr(data) @ V).T.copy()
     y = data.labels.astype(np.float64)
 
     def residual(rows, old, h):
@@ -156,11 +155,9 @@ def objective_gradient(params: FMParams, data, l2: float):
 
     g_w = l2 * len(data) * w
     _class_steps(w, blocks, None, scores, residual, adding_to(g_w))
-    g_V = None
-    if V is not None:
-        g_V = l2 * len(data) * V
-        for f in range(V.shape[1]):
-            _class_steps(V[:, f], blocks, Q[f], scores, residual, adding_to(g_V[:, f]))
+    g_V = l2 * len(data) * V
+    for f in range(V.shape[1]):
+        _class_steps(V[:, f], blocks, Q[f], scores, residual, adding_to(g_V[:, f]))
     return float((_probability(scores) - y).sum()), g_w, g_V
 
 
@@ -220,16 +217,14 @@ def map_sweep_loop(data, config):
     """One MAP sweep written one column at a time, in the colouring's class
     order, each step from fresh scores of the whole dense matrix."""
     start = init_params(config, data.space.width)
-    bias, w = start.bias, start.w.copy()
-    V = None if start.V is None else start.V.copy()
+    bias, w, V = start.bias, start.w.copy(), start.V.copy()
     X, y = to_dense(data), data.labels.astype(np.float64)
     lam = config.l2 * len(data)
     blocks, empty = _colour_blocks(data)
     order = np.concatenate([cols for cols, *_ in blocks]).tolist()
     if lam:
         w[empty] = 0.0
-        if V is not None:
-            V[empty] = 0.0
+        V[empty] = 0.0
 
     def residual():
         return expit(raw_scores(FMParams(bias, w, V), data)) - y
@@ -545,8 +540,7 @@ def reference_gibbs(train, test, config):
     n, d = train.space.width, config.d
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
     start = init_params(config, n)
-    bias, w = start.bias, start.w.copy()
-    V = None if start.V is None else start.V.copy()
+    bias, w, V = start.bias, start.w.copy(), start.V.copy()
     X = train.csr
     Xc = scipy_csr(train).tocsc()
     col_rows = [Xc.indices[Xc.indptr[k] : Xc.indptr[k + 1]] for k in range(n)]
@@ -561,8 +555,7 @@ def reference_gibbs(train, test, config):
         mean = (group.precision * group.mean + h_dot_r) * var
         return mean + rng.standard_normal() * np.sqrt(var)
 
-    kept, bias_sum, w_sum = 0, 0.0, np.zeros_like(w)
-    V_sum = None if V is None else np.zeros_like(V)
+    kept, bias_sum, w_sum, V_sum = 0, 0.0, np.zeros_like(w), np.zeros_like(V)
     test_sum = np.zeros(len(test))
     params = start
     for it in range(config.epochs):
@@ -601,10 +594,9 @@ def reference_gibbs(train, test, config):
             kept += 1
             bias_sum += bias
             w_sum += w
-            if V_sum is not None:
-                V_sum += V
+            V_sum += V
             test_sum += Link.PROBIT.inverse(raw_scores(params, test))
-    mean = FMParams(bias_sum / kept, w_sum / kept, None if V_sum is None else V_sum / kept)
+    mean = FMParams(bias_sum / kept, w_sum / kept, V_sum / kept)
     return mean, np.clip(test_sum / kept, 1e-15, 1.0 - 1e-15)
 
 
@@ -746,8 +738,7 @@ class TestColouringOracle:
 class TestSharedColouring:
     @staticmethod
     def fitted_bytes(params):
-        V = b"" if params.V is None else params.V.tobytes()
-        return np.float64(params.bias).tobytes() + params.w.tobytes() + V
+        return np.float64(params.bias).tobytes() + params.w.tobytes() + params.V.tobytes()
 
     @pytest.mark.parametrize("d", [0, 2])
     def test_fits_handed_a_colouring_equal_fits_that_build_it(self, d):
