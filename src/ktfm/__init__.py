@@ -52,7 +52,6 @@ from .sparse import (
     LayoutError,
 )
 from .training import (
-    GibbsOutput,
     TrainConfig,
     TrainingDivergedError,
     init_params,
@@ -72,7 +71,6 @@ __all__ = [
     "FeatureSpace",
     "FoldMetrics",
     "FoldSpec",
-    "GibbsOutput",
     "LayoutError",
     "Link",
     "ModelBundle",

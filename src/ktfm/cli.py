@@ -30,6 +30,7 @@ from .evaluation import (
     FoldSpec,
     encode_preset,
     evaluate_predictions,
+    fit,
     format_table,
     run_cv,
     write_fold_report,
@@ -44,13 +45,8 @@ from .persistence import (
     write_manifest,
 )
 from .sparse import LayoutError, RowFormatError
-from .training import (
-    TrainConfig,
-    TrainingDivergedError,
-    nll,
-    train_gibbs_probit,
-    train_map_logit,
-)
+from .training import TrainConfig, TrainingDivergedError, nll
+from .training import train_gibbs_probit, train_map_logit  # noqa: F401  read only by perfbench/trace_cli.py
 
 _ERRORS = (
     DataFormatError,
@@ -184,20 +180,17 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
     dataset = load_dataset(data, qmatrix, vocab)
     config, dm = encode_preset(dataset, preset, dim)
     cfg = TrainConfig(d=dim, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
+    fm_link = Link(link)
     log_rows = ["epoch,train_nll\n"]
 
     def log_sweep(sweep, scores, objective):  # the train NLL of the sweep's carried scores
-        log_rows.append(f"{sweep},{nll(Link(link).inverse(scores), dm.labels)!r}\n")
+        log_rows.append(f"{sweep},{nll(fm_link.inverse(scores), dm.labels)!r}\n")
 
-    after_sweep = log_sweep if log_path else None
-    if Link(link) is Link.PROBIT:
-        params = train_gibbs_probit(dm, None, cfg, after_sweep=after_sweep).params
-    else:
-        params = train_map_logit(dm, cfg, after_sweep=after_sweep)
+    [(params, _)] = fit(dm, [cfg], fm_link, after_sweep=log_sweep if log_path else None)
     bundle = ModelBundle(
         params=params,
         space=dm.space,
-        link=Link(link),
+        link=fm_link,
         encoding=config,
         vocab_digest=dataset.vocab.digest(),
         n_students=dataset.n_students,

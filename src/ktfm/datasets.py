@@ -155,12 +155,6 @@ def _log_columns(path, header: list[str], vocab: Vocabulary, fresh: bool, allow_
     return names, columns, [2, *(() if allow_unknown else (0, 1)), *range(3, len(columns))]
 
 
-# the bytes of a plain log: line ends, and printable ASCII but the space and the
-# quote, so that neither csv.reader nor str.strip changes a field
-_PLAIN = np.zeros(256, dtype=bool)
-_PLAIN[0x21:0x7F] = True
-_PLAIN[ord('"')] = False
-_PLAIN[_NL] = True
 # a field of at most 8 bytes packs into one uint64 key, whose low L bytes
 # _KEY_MASKS[L] keeps
 _KEY_BYTES = 8
@@ -187,7 +181,10 @@ def _read_plain_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
         text = raw[: fh.readinto(raw[:size])]
     ends = text == _NL
     n_lines = int(np.count_nonzero(ends))  # the header's included
-    if n_lines < 2 or text[-1] != _NL or not _PLAIN[text].all():
+    # the bytes of a plain log: line ends, and printable ASCII but the space and the
+    # quote, so that neither csv.reader nor str.strip changes a field
+    plain = ((text > 0x20) & (text < 0x7F) & (text != ord('"')) | ends).all()
+    if n_lines < 2 or text[-1] != _NL or not plain:
         return None
     header = text[: int(np.argmax(ends))].tobytes().decode().split(",")
     try:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .encoding import EncodingConfig, encode_dataset, preset_encoding
-from .model import Link, raw_scores
+from .model import FMParams, Link, raw_scores
 from .sparse import DesignMatrix
 from .training import TrainConfig, _colour_blocks, nll, train_gibbs_probit, train_map_logit
 
@@ -166,6 +166,31 @@ def encode_preset(dataset, preset: str, d: int) -> tuple[EncodingConfig, DesignM
     return config, _encode(dataset, config)
 
 
+def fit(
+    train: DesignMatrix,
+    configs: Sequence[TrainConfig],
+    link: Link,
+    *,
+    test: DesignMatrix | None = None,
+    after_sweep: Callable | None = None,
+) -> list[tuple[FMParams, np.ndarray | None]]:
+    """One (params, test probabilities) pair per config, fitted on ``train`` in order: the
+    MAP under logit, with the link of its scores of ``test``; Gibbs under probit, with its
+    running average; None without ``test``. ``after_sweep`` goes to every fit. ``train`` is
+    coloured once (``_colour_blocks``), the colouring each fit would build. Each fit pops
+    one reference to it, so the last holds the only one, and a Gibbs fit can free the
+    classes before its closing score."""
+    handed = [_colour_blocks(train)] * len(configs)
+    if link is Link.PROBIT:
+        return [train_gibbs_probit(train, test, config, after_sweep=after_sweep, classes=handed.pop())
+                for config in configs]
+    fits = []
+    for config in configs:
+        params = train_map_logit(train, config, after_sweep=after_sweep, classes=handed.pop())
+        fits.append((params, None if test is None else link.inverse(raw_scores(params, test))))
+    return fits
+
+
 def run_cv(
     dataset,
     grid: Sequence[tuple[str, int]],
@@ -182,10 +207,7 @@ def run_cv(
     preset shares one encoding of the full log (counters always see the whole
     history), and all cells share one fold partition. A run goes fold by
     fold: it subsets the fold's train and test rows once and fits every cell
-    of the run on them. The train subset is coloured once (``_colour_blocks``)
-    and every fit takes that colouring, which is the one each would build.
-    The fold's last fit holds the only reference, so a Gibbs fit can free the
-    classes before its closing score.
+    of the run on them through one ``fit``.
     Reports give per-fold ACC/AUC/NLL, one per cell in grid order (a repeated
     cell gives two), and come back stably sorted by mean AUC, best first.
     """
@@ -211,14 +233,7 @@ def run_cv(
         metrics = [[] for _ in configs_of_run]
         for fold, (train_idx, test_idx) in enumerate(folds):
             train, test = encoded.subset(train_idx), encoded.subset(test_idx)
-            # one colouring serves every d of the run; each fit pops one reference to it,
-            # so the last fit holds the only one and can free it
-            handed = [_colour_blocks(train)] * len(configs_of_run)
-            for config, cell_metrics in zip(configs_of_run, metrics):
-                if link is Link.PROBIT:
-                    predictions = train_gibbs_probit(train, test, config, classes=handed.pop()).test_predictions
-                else:
-                    predictions = link.inverse(raw_scores(train_map_logit(train, config, classes=handed.pop()), test))
+            for (_, predictions), cell_metrics in zip(fit(train, configs_of_run, link, test=test), metrics):
                 cell_metrics.append(evaluate_predictions(predictions, encoded.labels[test_idx], fold))
             del train, test  # before the next fold's subsets
         reports.extend(

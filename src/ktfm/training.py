@@ -98,14 +98,6 @@ class TrainConfig:
         return self.epochs // 5 if self.burn_in is None else self.burn_in
 
 
-@dataclass(frozen=True)
-class GibbsOutput:
-    """Posterior-mean parameters plus, given a test set, averaged test predictions."""
-
-    params: FMParams
-    test_predictions: np.ndarray | None
-
-
 def nll(predictions: Sequence[float], labels: Sequence[int]) -> float:
     """Mean negative log-likelihood of Bernoulli outcomes.
 
@@ -462,7 +454,7 @@ def train_gibbs_probit(
     *,
     after_sweep: Callable | None = None,
     classes: tuple | None = None,
-) -> GibbsOutput:
+) -> tuple[FMParams, np.ndarray | None]:
     """Bayesian fit under the probit link via latent-utility Gibbs sampling.
 
     Each iteration (1) draws the latent utilities truncated to the side their
@@ -474,9 +466,10 @@ def train_gibbs_probit(
     drawn precision that is zero or not finite raises TrainingDivergedError.
     The next iteration starts from the scores the residuals carry (latent
     utility plus residual). After burn-in, parameters are accumulated into a
-    posterior mean and test probabilities into a running average. A fit whose
-    carried scores end up further than ``_DRIFT_TOL`` from a fresh score raises
-    TrainingDivergedError.
+    posterior mean and test probabilities into a running average, and the fit
+    returns the pair (mean params, average), the average None without ``test``.
+    A fit whose carried scores end up further than ``_DRIFT_TOL`` from a fresh
+    score raises TrainingDivergedError.
     """
     bias, w, V, blocks, empty, scores, Q = _setup(train, config, classes)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
@@ -530,4 +523,4 @@ def train_gibbs_probit(
 
     mean_params = FMParams(bias_sum / kept, w_sum / kept, V_sum / kept)
     test_pred = None if test is None else np.clip(test_sum / kept, PROB_EPS, 1.0 - PROB_EPS)
-    return GibbsOutput(mean_params, test_pred)
+    return mean_params, test_pred

@@ -211,10 +211,10 @@ def test_criterion_6_parameter_recovery():
         train, test = dm.subset(train_idx), dm.subset(test_idx)
         oracle = oracle_probabilities(data.truth, data.triplets)[test_idx]
         oracle_auc = auc(oracle, test.labels)
-        out = train_gibbs_probit(
+        _, predictions = train_gibbs_probit(
             train, test, TrainConfig(epochs=500, burn_in=100, seed=0)
         )
-        gibbs_auc = auc(out.test_predictions, test.labels)
+        gibbs_auc = auc(predictions, test.labels)
         assert abs(gibbs_auc - oracle_auc) <= 0.05
 
 

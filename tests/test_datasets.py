@@ -377,6 +377,8 @@ class TestLoaderDifferential:
             (_PLAIN_LOG.replace("u2", '"u2"'), None, False),
             (_PLAIN_LOG.replace("12345678", "123456789"), None, False),
             (_PLAIN_LOG.replace("u2", "ü2"), None, False),
+            (_PLAIN_LOG.replace("u2", "u2\x7f"), None, False),
+            (_PLAIN_LOG.replace("u2", "u2\t"), None, False),
             (_PLAIN_LOG.replace("item_id", " item_id"), None, False),
             (_PLAIN_LOG.replace("\n", "\r\n"), None, False),
             (_PLAIN_LOG[:-1], None, False),
@@ -386,7 +388,7 @@ class TestLoaderDifferential:
             (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, False),
             (_PLAIN_LOG.replace(",b", ",c"), _PLAIN_VOCAB, True),
         ],
-        ids=["padded", "quoted", "long", "non-ASCII", "padded-header", "crlf", "no-last-line-end", "blank-line",
+        ids=["padded", "quoted", "long", "non-ASCII", "delete-byte", "tab-padded", "padded-header", "crlf", "no-last-line-end", "blank-line",
              "bad-correct", "ragged", "unknown-id", "unseen-extra"],
     )
     def test_a_quirk_or_fault_sends_the_log_to_the_csv_loop(self, tmp_path, text, vocab, allow_unknown):
@@ -396,6 +398,22 @@ class TestLoaderDifferential:
         frozen = (lambda: Vocabulary.from_dict(vocab)) if vocab else (lambda: None)
         want = _outcome(reference_load_triplets, path, frozen(), allow_unknown)
         assert _outcome(load_triplets, path, frozen(), allow_unknown) == want
+
+    def test_the_plain_bytes_are_those_of_the_old_table(self, tmp_path):
+        # the reader once checked the bytes by this table; "," and "\n" are in every
+        # log, and each other byte value goes into one user id of a plain log
+        table = np.zeros(256, dtype=bool)
+        table[0x21:0x7F] = True
+        table[ord('"')] = False
+        table[ord("\n")] = True
+        path = tmp_path / "log.csv"
+        for byte in range(256):
+            text = _PLAIN_LOG.encode()
+            if byte not in b",\n":
+                text = text.replace(b"u2", b"u" + bytes([byte]))
+            path.write_bytes(text)
+            plain = datasets._read_plain_log(path, Vocabulary.from_dict({}), True, False) is not None
+            assert plain == table[byte], byte
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

@@ -15,10 +15,13 @@ from ktfm import (
     auc,
     generate_synthetic,
     make_folds,
+    raw_scores,
     run_cv,
+    train_gibbs_probit,
+    train_map_logit,
 )
 from ktfm.datasets import Vocabulary
-from ktfm.evaluation import format_table, write_fold_report, write_summary
+from ktfm.evaluation import encode_preset, fit, format_table, write_fold_report, write_summary
 
 
 def all_pairs_auc(predictions, labels):
@@ -435,3 +438,29 @@ class TestRunCv:
         )
         text = format_table(reports)
         assert "irt" in text and "AUC" in text
+
+
+class TestFit:
+    @pytest.mark.parametrize("link", [Link.LOGIT, Link.PROBIT])
+    @pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
+    def test_each_fit_equals_its_trainer_called_alone(self, link, with_test):
+        # fit shares one colouring between its configs; every pair must still be
+        # the bytes of the link's trainer (and the MAP's scored test set) alone
+        _, dm = encode_preset(synthetic_dataset(seed=8, n_students=12, n_items=6), "mirtb", 2)
+        train, test = dm.subset(np.arange(0, len(dm), 2)), dm.subset(np.arange(1, len(dm), 2))
+        test = test if with_test else None
+        configs = [TrainConfig(d=0, epochs=4, seed=1), TrainConfig(d=2, epochs=4, seed=2)]
+        fits = fit(train, configs, link, test=test)
+        assert len(fits) == len(configs)
+        for config, (params, predictions) in zip(configs, fits):
+            if link is Link.PROBIT:
+                alone, want = train_gibbs_probit(train, test, config)
+            else:
+                alone = train_map_logit(train, config)
+                want = None if test is None else link.inverse(raw_scores(alone, test))
+            assert np.float64(params.bias) == np.float64(alone.bias)
+            assert params.w.tobytes() == alone.w.tobytes() and params.V.tobytes() == alone.V.tobytes()
+            if test is None:
+                assert predictions is None and want is None
+            else:
+                assert predictions.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
-"""Source guards over ``src/ktfm``: no private helper is left without a caller."""
+"""Source guards over ``src/ktfm``: no private helper is left without a caller, and
+only ``evaluation.fit`` calls a trainer."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,32 @@ def test_each_kind_of_reader_counts():
         "b": "from .a import _imported\nfrom . import a\n\ndef g():\n    return a._by_attribute\n",
     }
     assert unreferenced_private_names(sources) == ["a._Gone", "a._spare"]
+
+
+TRAINERS = {"train_map_logit", "train_gibbs_probit"}
+
+
+def trainer_callers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for every top-level function or class of ``sources`` that
+    calls a trainer, by its name or as an attribute (``module`` for a call
+    outside any of them)."""
+    callers = set()
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in TRAINERS:
+                    callers.add(f"{module}.{top.name}" if hasattr(top, "name") else module)
+    return sorted(callers)
+
+
+def test_only_fit_calls_a_trainer():
+    # the choice of trainer by link is made once, so ``train`` and ``cv`` fit alike
+    assert trainer_callers(package_sources()) == ["evaluation.fit"]
+
+
+def test_the_trainer_guard_finds_a_stray_call():
+    sources = package_sources()
+    sources["cli"] += "\n\ndef _refit(dm, cfg):\n    return train_map_logit(dm, cfg)\n"
+    sources["model"] += "\n\nclass _Fitter:\n    def go(self):\n        return training.train_gibbs_probit(None)\n"
+    sources["sparse"] += "\n\ntrain_map_logit(None, None)\n"
+    assert trainer_callers(sources) == ["cli._refit", "evaluation.fit", "model._Fitter", "sparse"]

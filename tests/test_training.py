@@ -430,20 +430,20 @@ class TestGibbsTrainer:
     def test_positive_labels_push_prediction_up(self):
         data = matrix_from_rows(1, [[(0, 1.0)]] * 30, np.ones(30, dtype=int))
         with pytest.warns(UserWarning):
-            out = train_gibbs_probit(data, data, TrainConfig(epochs=100, seed=0))
-        assert (out.test_predictions > 0.5).all()
+            _, predictions = train_gibbs_probit(data, data, TrainConfig(epochs=100, seed=0))
+        assert (predictions > 0.5).all()
 
     def test_same_seed_identical_output(self):
         rng = np.random.default_rng(11)
         data = make_matrix(rng, n_rows=60, width=10)
         test = make_matrix(np.random.default_rng(12), n_rows=20, width=10)
         cfg = TrainConfig(d=2, epochs=50, seed=21)
-        a = train_gibbs_probit(data, test, cfg)
-        b = train_gibbs_probit(data, test, cfg)
-        assert a.params.bias == b.params.bias
-        assert np.array_equal(a.params.w, b.params.w)
-        assert np.array_equal(a.params.V, b.params.V)
-        assert np.array_equal(a.test_predictions, b.test_predictions)
+        a, a_predictions = train_gibbs_probit(data, test, cfg)
+        b, b_predictions = train_gibbs_probit(data, test, cfg)
+        assert a.bias == b.bias
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.V, b.V)
+        assert np.array_equal(a_predictions, b_predictions)
 
     def test_seeded_fit_is_pinned_to_the_byte(self):
         # the sampler checks compare draws within a tolerance, so a change to the
@@ -451,7 +451,7 @@ class TestGibbsTrainer:
         # its reciprocal) passes them; this digest of the posterior means does not.
         # A change meant to move the probit outputs updates it and says so.
         data = make_matrix(np.random.default_rng(11), n_rows=60, width=10)
-        params = train_gibbs_probit(data, None, TrainConfig(d=2, epochs=30, seed=21)).params
+        params, _ = train_gibbs_probit(data, None, TrainConfig(d=2, epochs=30, seed=21))
         fitted = np.float64(params.bias).tobytes() + params.w.tobytes() + params.V.tobytes()
         assert hashlib.sha256(fitted).hexdigest() == (
             "5e3959d981a30621112fd18315f89c743fe761968bac7ce6634194674cdba305"
@@ -461,10 +461,10 @@ class TestGibbsTrainer:
         rng = np.random.default_rng(14)
         data = make_matrix(rng, n_rows=50, width=8)
         test = make_matrix(np.random.default_rng(15), n_rows=25, width=8)
-        out = train_gibbs_probit(data, test, TrainConfig(d=3, epochs=40, seed=2))
-        assert (out.test_predictions > 0).all()
-        assert (out.test_predictions < 1).all()
-        assert np.isfinite(out.params.w).all()
+        params, predictions = train_gibbs_probit(data, test, TrainConfig(d=3, epochs=40, seed=2))
+        assert (predictions > 0).all()
+        assert (predictions < 1).all()
+        assert np.isfinite(params.w).all()
 
     def test_tracks_oracle_on_probit_generated_data(self):
         from ktfm import SynthSpec, auc, encode_dataset, generate_synthetic
@@ -479,14 +479,14 @@ class TestGibbsTrainer:
         perm = rng.permutation(len(dm))
         cut = int(0.8 * len(dm))
         train_idx, test_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
-        out = train_gibbs_probit(
+        _, predictions = train_gibbs_probit(
             dm.subset(train_idx),
             dm.subset(test_idx),
             TrainConfig(epochs=500, burn_in=100, seed=1),
         )
         oracle = oracle_probabilities(data.truth, data.triplets)[test_idx]
         oracle_auc = auc(oracle, dm.labels[test_idx])
-        gibbs_auc = auc(out.test_predictions, dm.labels[test_idx])
+        gibbs_auc = auc(predictions, dm.labels[test_idx])
         assert abs(gibbs_auc - oracle_auc) <= 0.05
 
     def test_tracks_oracle_on_probit_ktm_data(self):
@@ -503,12 +503,12 @@ class TestGibbsTrainer:
         perm = np.random.default_rng(0).permutation(len(dm))
         cut = int(0.8 * len(dm))
         train_idx, test_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
-        out = train_gibbs_probit(
+        _, predictions = train_gibbs_probit(
             dm.subset(train_idx), dm.subset(test_idx), TrainConfig(d=2, epochs=200, seed=1)
         )
         oracle = oracle_probabilities(data.truth, data.triplets)[test_idx]
         oracle_auc = auc(oracle, dm.labels[test_idx])
-        gibbs_auc = auc(out.test_predictions, dm.labels[test_idx])
+        gibbs_auc = auc(predictions, dm.labels[test_idx])
         assert abs(gibbs_auc - oracle_auc) <= 0.05
 
     def test_drifting_carried_scores_raise(self, monkeypatch):
@@ -753,10 +753,10 @@ class TestSharedColouring:
         for _ in range(2):
             shared = train_map_logit(data, config, classes=classes)
             assert self.fitted_bytes(shared) == self.fitted_bytes(train_map_logit(data, config))
-            shared = train_gibbs_probit(data, test, config, classes=classes)
-            alone = train_gibbs_probit(data, test, config)
-            assert self.fitted_bytes(shared.params) == self.fitted_bytes(alone.params)
-            assert shared.test_predictions.tobytes() == alone.test_predictions.tobytes()
+            shared, shared_predictions = train_gibbs_probit(data, test, config, classes=classes)
+            alone, alone_predictions = train_gibbs_probit(data, test, config)
+            assert self.fitted_bytes(shared) == self.fitted_bytes(alone)
+            assert shared_predictions.tobytes() == alone_predictions.tobytes()
         assert [a.tobytes() for a in arrays] == before
         assert not any(a.flags.writeable for a in arrays)
 
@@ -801,7 +801,8 @@ class TestWholeRowClasses:
             return str(exc)
         if isinstance(out, FMParams):
             return TestSharedColouring.fitted_bytes(out)
-        return TestSharedColouring.fitted_bytes(out.params), out.test_predictions.tobytes()
+        params, predictions = out
+        return TestSharedColouring.fitted_bytes(params), predictions.tobytes()
 
     @pytest.mark.filterwarnings("ignore")  # constant labels; products that overflow float64
     @settings(max_examples=150, deadline=None)
@@ -1002,7 +1003,7 @@ class TestBlockedSweep:
             return auc(predictions, test.labels), nll(predictions, test.labels)
 
         configs = [TrainConfig(d=2, epochs=60, burn_in=20, seed=s) for s in seeds]
-        new = np.array([scores(train_gibbs_probit(train, test, cfg).test_predictions) for cfg in configs])
+        new = np.array([scores(train_gibbs_probit(train, test, cfg)[1]) for cfg in configs])
         old = np.array([scores(reference_gibbs(train, test, cfg)[1]) for cfg in configs])
         standard_error = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / len(seeds))
         assert (np.abs(new.mean(axis=0) - old.mean(axis=0)) <= 3 * standard_error).all()
