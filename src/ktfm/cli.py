@@ -3,7 +3,10 @@
 Every run derives all randomness from --seed, so identical invocations
 reproduce identical files. encode, train, predict, cv and synth also write a
 manifest next to their outputs (identical but for its timestamp); evaluate,
-export-embeddings and import-assistments write none.
+export-embeddings and import-assistments write none. A manifest is built from
+the command's own parameters: each one that is not a path is an option, keyed
+by its parameter name, and each existing-file path given a value is an input,
+recorded by digest. Output paths and the hidden --lr are not recorded.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from click.core import ParameterSource
 
 from . import __version__
 from .datasets import (
-    DataFormatError,
     SynthSpec,
     Vocabulary,
     align_qmatrix,
@@ -25,7 +27,7 @@ from .datasets import (
     load_triplets,
     write_synthetic,
 )
-from .encoding import EncodingError, encode_dataset, load_qmatrix
+from .encoding import encode_dataset, load_qmatrix
 from .evaluation import (
     FoldSpec,
     encode_preset,
@@ -37,27 +39,12 @@ from .evaluation import (
     write_summary,
 )
 from .model import Link, export_embeddings, predict_proba_matrix
-from .persistence import (
-    ModelBundle,
-    ModelFormatError,
-    load_model,
-    save_model,
-    write_manifest,
-)
-from .sparse import LayoutError, RowFormatError
+from .persistence import ModelBundle, load_model, save_model, write_manifest
 from .training import TrainConfig, TrainingDivergedError, nll
 from .training import train_gibbs_probit, train_map_logit  # noqa: F401  read only by perfbench/trace_cli.py
 
-_ERRORS = (
-    DataFormatError,
-    EncodingError,
-    LayoutError,
-    RowFormatError,
-    ModelFormatError,
-    TrainingDivergedError,
-    ValueError,
-    OSError,
-)
+# every package error is a ValueError but TrainingDivergedError
+_ERRORS = (ValueError, TrainingDivergedError, OSError)
 
 
 def _write_predictions(path, probabilities) -> None:
@@ -94,6 +81,20 @@ def _check_output_dirs(*paths) -> None:
             raise OSError(f"cannot write {path}: its directory does not exist")
 
 
+def _manifest(path) -> None:
+    """Write the running command's manifest from its own parameters by the rule in the
+    module docstring; a hidden parameter, such as ``--lr``, is not recorded."""
+    ctx = click.get_current_context()
+    options, inputs = {}, {}
+    for param in ctx.command.params:
+        if isinstance(param.type, click.Path):
+            if param.type.exists:
+                inputs[param.name] = ctx.params[param.name]
+        elif not param.hidden:
+            options[param.name] = ctx.params[param.name]
+    write_manifest(path, ctx.command.name, options, inputs)  # unset inputs (None) are dropped there
+
+
 class _Main(click.Group):
     """The one error boundary: a data, model or I/O error in any command
     becomes a one-line ``Error:`` message and a non-zero exit."""
@@ -116,7 +117,7 @@ qmatrix_opt = click.option("--qmatrix", type=click.Path(exists=True, dir_okay=Fa
 vocab_opt = click.option("--vocab", type=click.Path(exists=True, dir_okay=False))
 seed_opt = click.option("--seed", default=0, show_default=True)
 preset_opt = click.option("--preset", default="irt", show_default=True)
-d_opt = click.option("--d", "dim", default=0, show_default=True, help="Factor dimension.")
+d_opt = click.option("--d", default=0, show_default=True, help="Factor dimension.")
 link_opt = click.option(
     "--link",
     type=click.Choice(["logit", "probit"]),
@@ -141,20 +142,15 @@ l2_opt = click.option("--l2", default=1e-4, show_default=True, help="L2 penalty 
 @d_opt
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--vocab-out", type=click.Path(dir_okay=False))
-def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
+def encode(data, qmatrix, vocab, preset, d, out, vocab_out):
     """Encode a triplet log into a sparse design-matrix text file."""
     _check_output_dirs(out, vocab_out)
     dataset = load_dataset(data, qmatrix, vocab)
-    _, dm = encode_preset(dataset, preset, dim)
+    _, dm = encode_preset(dataset, preset, d)
     dm.save(out)
     if vocab_out:
         dataset.vocab.save(vocab_out)
-    write_manifest(
-        Path(out).with_suffix(".manifest.json"),
-        "encode",
-        {"preset": preset, "d": dim},
-        {"data": data, "qmatrix": qmatrix or "", "vocab": vocab or ""},
-    )
+    _manifest(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} ({len(dm)} rows x {dm.space.width} features)")
 
 
@@ -173,13 +169,13 @@ def encode(data, qmatrix, vocab, preset, dim, out, vocab_out):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--vocab-out", type=click.Path(dir_okay=False))
 @click.option("--log", "log_path", type=click.Path(dir_okay=False), help="Per-epoch metrics CSV.")
-def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
+def train(data, qmatrix, vocab, preset, d, link, epochs, lr, l2, burn_in, seed, out, vocab_out, log_path):
     """Fit a model on a full log and save it as versioned JSON."""
     _check_trainer_options(link)
     _check_output_dirs(out, vocab_out, log_path)
     dataset = load_dataset(data, qmatrix, vocab)
-    config, dm = encode_preset(dataset, preset, dim)
-    cfg = TrainConfig(d=dim, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
+    config, dm = encode_preset(dataset, preset, d)
+    cfg = TrainConfig(d=d, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
     fm_link = Link(link)
     log_rows = ["epoch,train_nll\n"]
 
@@ -201,13 +197,7 @@ def train(data, qmatrix, vocab, preset, dim, link, epochs, lr, l2, burn_in, seed
         dataset.vocab.save(vocab_out)
     if log_path:
         Path(log_path).write_text("".join(log_rows), newline="\n")
-    write_manifest(
-        Path(out).with_suffix(".manifest.json"),
-        "train",
-        {"preset": preset, "d": dim, "link": link, "epochs": epochs, "l2": l2,
-         "burn_in": burn_in, "seed": seed},
-        {"data": data, "qmatrix": qmatrix or "", "vocab": vocab or ""},
-    )
+    _manifest(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
 
 
@@ -228,6 +218,9 @@ def _score_with_model(model, data, qmatrix, vocab_path):
         extras=extras,
         n_items=bundle.n_items,
     )
+    if dm.space != bundle.space:  # users, items and extras are sized by the model: only the skills differ
+        trained = next(w for name, w in bundle.space.blocks if name in ("skills", "wins", "fails", "attempts"))
+        raise ValueError(f"{qmatrix}: the q-matrix has {q.n_skills} skills, the model was trained on {trained}")
     return predict_proba_matrix(bundle.params, dm, bundle.link), dm.labels
 
 
@@ -246,12 +239,7 @@ def predict(model, data, qmatrix, vocab, out):
     _check_output_dirs(out)
     probabilities, _ = _score_with_model(model, data, qmatrix, vocab)
     _write_predictions(out, probabilities)
-    write_manifest(
-        Path(out).with_suffix(".manifest.json"),
-        "predict",
-        {},
-        {"model": model, "data": data, "qmatrix": qmatrix or "", "vocab": vocab},
-    )
+    _manifest(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} ({len(probabilities)} predictions)")
 
 
@@ -314,21 +302,7 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
         write_fold_report(reports, fh)
     with open(out / "summary.csv", "w", newline="\n") as fh:
         write_summary(reports, fh)
-    write_manifest(
-        out / "manifest.json",
-        "cv",
-        {
-            "presets": list(presets),
-            "dims": list(dims),
-            "link": link,
-            "epochs": epochs,
-            "l2": l2,
-            "folds": folds,
-            "split": split,
-            "seed": seed,
-        },
-        {"data": data, "qmatrix": qmatrix or "", "vocab": vocab or ""},
-    )
+    _manifest(out / "manifest.json")
     click.echo(format_table(reports))
 
 
@@ -354,13 +328,13 @@ def export_embeddings_cmd(model, out):
 @click.option("--students", default=100, show_default=True)
 @click.option("--items", default=20, show_default=True)
 @click.option("--skills", default=0, show_default=True)
-@click.option("--d", "dim", default=0, show_default=True)
+@click.option("--d", default=0, show_default=True)
 @click.option("--attempts", default=1, show_default=True)
 @click.option("--link", type=click.Choice(["logit", "probit"]), default="logit", show_default=True)
 @click.option("--scale", default=1.0, show_default=True)
 @seed_opt
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-def synth(generator, students, items, skills, dim, attempts, link, scale, seed, out_dir):
+def synth(generator, students, items, skills, d, attempts, link, scale, seed, out_dir):
     """Generate a synthetic log with saved ground-truth parameters."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,29 +343,14 @@ def synth(generator, students, items, skills, dim, attempts, link, scale, seed, 
         n_students=students,
         n_items=items,
         n_skills=skills,
-        d=dim,
+        d=d,
         attempts=attempts,
         link=Link(link),
         seed=seed,
         scale=scale,
     )
     paths = write_synthetic(generate_synthetic(spec), out)
-    write_manifest(
-        out / "manifest.json",
-        "synth",
-        {
-            "generator": generator,
-            "students": students,
-            "items": items,
-            "skills": skills,
-            "d": dim,
-            "attempts": attempts,
-            "link": link,
-            "scale": scale,
-            "seed": seed,
-        },
-        {},
-    )
+    _manifest(out / "manifest.json")
     click.echo("wrote " + ", ".join(sorted(paths.values())))
 
 

@@ -110,6 +110,8 @@ def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:
             f"{path}: layout width {bundle.space.width} != parameter count "
             f"{params.n_features}"
         )
+    if payload.get("d") != params.d:
+        raise ModelFormatError(f"{path}: d {payload.get('d')} != factor columns {params.d}")
     return bundle
 
 

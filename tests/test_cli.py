@@ -7,17 +7,18 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ktfm import datasets, encoding
+from ktfm import cli, datasets, encoding
 from ktfm.cli import main
 from ktfm.datasets import load_dataset
 from ktfm.encoding import encode_dataset
 from ktfm.model import predict_proba_matrix
-from ktfm.persistence import load_model
-from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS
+from ktfm.persistence import config_digest, file_digest, load_model
+from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, EXAMPLE_QMATRIX
 
 
 @pytest.fixture
@@ -523,6 +524,97 @@ class TestOutputBytesArePinned:
         )
 
 
+def _log_inputs(a):
+    return {"data": a["data"], "qmatrix": a["qmatrix"] or "", "vocab": a["vocab"] or ""}
+
+
+# The options and inputs each command once passed to ``write_manifest`` by hand,
+# kept as the reference for manifests built from the command's own parameters;
+# ``a`` is click's parse of the command's arguments.
+HAND_WRITTEN_MANIFESTS = {
+    "encode": lambda a: ({"preset": a["preset"], "d": a["d"]}, _log_inputs(a)),
+    "train": lambda a: (
+        {"preset": a["preset"], "d": a["d"], "link": a["link"], "epochs": a["epochs"], "l2": a["l2"],
+         "burn_in": a["burn_in"], "seed": a["seed"]},
+        _log_inputs(a),
+    ),
+    "predict": lambda a: (
+        {}, {"model": a["model"], "data": a["data"], "qmatrix": a["qmatrix"] or "", "vocab": a["vocab"]}
+    ),
+    "cv": lambda a: (
+        {"presets": list(a["presets"]), "dims": list(a["dims"]), "link": a["link"], "epochs": a["epochs"],
+         "l2": a["l2"], "folds": a["folds"], "split": a["split"], "seed": a["seed"]},
+        _log_inputs(a),
+    ),
+    "synth": lambda a: (
+        {name: a[name] for name in ("generator", "students", "items", "skills", "d", "attempts", "link", "scale", "seed")},
+        {},
+    ),
+}
+
+
+class TestManifests:
+    def test_each_command_records_what_its_hand_written_manifest_did(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        log = ["--data", "s/triplets.csv", "--qmatrix", "s/qmatrix.csv"]
+        runs = [
+            ["synth", "--generator", "pfa", "--students", "12", "--items", "6", "--skills", "3", "--d", "2",
+             "--seed", "3", "--out-dir", "s"],
+            ["synth", "--out-dir", "s0"],
+            ["encode", *log, "--preset", "pfa", "--out", "dm.txt", "--vocab-out", "v.json"],
+            ["encode", *log, "--vocab", "v.json", "--preset", "ktm-iswf", "--d", "3", "--out", "dm2.txt"],
+            ["train", *log, "--preset", "ktm-iswf", "--d", "2", "--lr", "0.1", "--epochs", "3", "--seed", "2",
+             "--out", "logit.json", "--vocab-out", "lv.json", "--log", "log.csv"],
+            ["train", *log, "--vocab", "v.json", "--preset", "pfa", "--link", "probit", "--burn-in", "2",
+             "--epochs", "4", "--out", "probit.json"],
+            ["train", "--data", "s/triplets.csv", "--epochs", "2", "--out", "irt.json"],
+            ["predict", "--model", "logit.json", *log, "--vocab", "lv.json", "--out", "p.csv"],
+            ["cv", *log, "--preset", "irt", "--preset", "pfa", "--d", "0", "--d", "2", "--epochs", "2",
+             "--folds", "2", "--out-dir", "cv"],
+            ["cv", *log, "--vocab", "v.json", "--preset", "afm", "--link", "probit", "--epochs", "3",
+             "--folds", "2", "--split", "student", "--out-dir", "cv2"],
+        ]
+        for command, *args in runs:
+            invoke(runner, [command, *args])
+            parsed = main.commands[command].make_context(command, list(args)).params
+            options, inputs = HAND_WRITTEN_MANIFESTS[command](parsed)
+            if "out_dir" in parsed:
+                path = Path(parsed["out_dir"]) / "manifest.json"
+            else:
+                path = Path(parsed["out"]).with_suffix(".manifest.json")
+            manifest = json.loads(path.read_text())
+            assert manifest["command"] == command
+            assert manifest["options"] == json.loads(json.dumps(options)), args
+            assert manifest["config_digest"] == config_digest(options), args
+            assert manifest["inputs"] == {name: file_digest(p) for name, p in inputs.items() if p}, args
+
+    def test_the_rule_on_a_toy_command(self, tmp_path):
+        @click.command("toy")
+        @click.option("--data", type=click.Path(exists=True, dir_okay=False))
+        @click.option("--qmatrix", type=click.Path(exists=True, dir_okay=False))
+        @click.option("--rate", type=float, hidden=True)
+        @click.option("--tag", "tags", multiple=True)
+        @click.option("--k", default=3)
+        @click.option("--out", type=click.Path(dir_okay=False))
+        @click.option("--out-dir", type=click.Path(file_okay=False))
+        def toy(out, **_):
+            cli._manifest(out)
+
+        data, out = tmp_path / "in.csv", tmp_path / "m.json"
+        data.write_text("abc")
+        CliRunner().invoke(
+            toy,
+            ["--data", str(data), "--rate", "0.5", "--tag", "a", "--tag", "b", "--out", str(out),
+             "--out-dir", str(tmp_path)],
+            catch_exceptions=False,
+        )
+        manifest = json.loads(out.read_text())
+        # the hidden --rate, the unset --qmatrix and both output paths leave no trace
+        assert manifest["command"] == "toy"
+        assert manifest["options"] == {"k": 3, "tags": ["a", "b"]}
+        assert manifest["inputs"] == {"data": file_digest(data)}
+
+
 class TestExportEmbeddings:
     def test_export_after_training(self, runner, tmp_path):
         synth = tmp_path / "synth"
@@ -764,6 +856,42 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.output.startswith("Error:") and "q.csv" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_qmatrix_of_another_skill_count_is_one_line(self, runner, tmp_path, example_log_csv, command):
+        data, qfile = example_log_csv
+        model, vocab, out = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "o.csv"
+        invoke(runner, ["train", "--data", str(data), "--qmatrix", str(qfile), "--preset", "pfa", "--epochs", "1",
+                        "--out", str(model), "--vocab-out", str(vocab)])
+        wider = tmp_path / "wider.csv"
+        wider.write_text("".join(line + ",0\n" for line in qfile.read_text().splitlines()))
+        result = runner.invoke(main, [command, "--model", str(model), "--data", str(data), "--qmatrix", str(wider),
+                                      "--vocab", str(vocab), "--out", str(out)])
+        n = EXAMPLE_QMATRIX.shape[1]
+        assert result.exit_code != 0
+        assert result.output == f"Error: {wider}: the q-matrix has {n + 1} skills, the model was trained on {n}\n"
+        assert not out.exists()
+
+    def test_model_whose_d_disagrees_with_its_factors_is_one_line(self, runner, tmp_path, example_log_csv):
+        data, _ = example_log_csv
+        model, out = tmp_path / "m.json", tmp_path / "emb.csv"
+        invoke(runner, ["train", "--data", str(data), "--preset", "mirtb", "--d", "2", "--epochs", "1",
+                        "--out", str(model)])
+        payload = json.loads(model.read_text())
+        payload["d"] = 7
+        model.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["export-embeddings", "--model", str(model), "--out", str(out)])
+        assert result.exit_code != 0
+        assert result.output == f"Error: {model}: d 7 != factor columns 2\n"
+        assert not out.exists()
+
+    def test_the_boundary_catches_every_package_error(self):
+        # the boundary names ValueError rather than its package subclasses
+        modules = [importlib.import_module(f"ktfm.{path.stem}") for path in Path(cli.__file__).parent.glob("*.py")]
+        errors = {obj for module in modules for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("ktfm")}
+        assert {"DataFormatError", "ModelFormatError", "TrainingDivergedError"} <= {e.__name__ for e in errors}
+        assert all(issubclass(error, cli._ERRORS) for error in errors)
 
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(

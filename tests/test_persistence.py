@@ -92,6 +92,16 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_d_that_disagrees_with_the_factor_columns_rejected(self, tmp_path, d):
+        path = tmp_path / "m.json"
+        save_model(path, small_bundle(d))
+        payload = json.loads(path.read_text())
+        payload["d"] = 7
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=f"d 7 != factor columns {d}"):
+            load_model(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -1,5 +1,5 @@
-"""Source guards over ``src/ktfm``: no private helper is left without a caller, and
-only ``evaluation.fit`` calls a trainer."""
+"""Source guards over ``src/ktfm``: no private helper is left without a caller,
+only ``evaluation.fit`` calls a trainer, and only ``cli._manifest`` writes a manifest."""
 
 import ast
 from pathlib import Path
@@ -73,22 +73,22 @@ def test_each_kind_of_reader_counts():
 TRAINERS = {"train_map_logit", "train_gibbs_probit"}
 
 
-def trainer_callers(sources: dict[str, str]) -> list[str]:
+def callers(sources: dict[str, str], names: set[str]) -> list[str]:
     """``module.name`` for every top-level function or class of ``sources`` that
-    calls a trainer, by its name or as an attribute (``module`` for a call
+    calls one of ``names``, by its name or as an attribute (``module`` for a call
     outside any of them)."""
-    callers = set()
+    found = set()
     for module, text in sources.items():
         for top in ast.parse(text).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in TRAINERS:
-                    callers.add(f"{module}.{top.name}" if hasattr(top, "name") else module)
-    return sorted(callers)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names:
+                    found.add(f"{module}.{top.name}" if hasattr(top, "name") else module)
+    return sorted(found)
 
 
 def test_only_fit_calls_a_trainer():
     # the choice of trainer by link is made once, so ``train`` and ``cv`` fit alike
-    assert trainer_callers(package_sources()) == ["evaluation.fit"]
+    assert callers(package_sources(), TRAINERS) == ["evaluation.fit"]
 
 
 def test_the_trainer_guard_finds_a_stray_call():
@@ -96,4 +96,13 @@ def test_the_trainer_guard_finds_a_stray_call():
     sources["cli"] += "\n\ndef _refit(dm, cfg):\n    return train_map_logit(dm, cfg)\n"
     sources["model"] += "\n\nclass _Fitter:\n    def go(self):\n        return training.train_gibbs_probit(None)\n"
     sources["sparse"] += "\n\ntrain_map_logit(None, None)\n"
-    assert trainer_callers(sources) == ["cli._refit", "evaluation.fit", "model._Fitter", "sparse"]
+    assert callers(sources, TRAINERS) == ["cli._refit", "evaluation.fit", "model._Fitter", "sparse"]
+
+
+def test_only_manifest_writes_a_manifest_in_cli():
+    # every manifest is built from its command's own parameters, so no hand-kept
+    # options dict can drift from the click signature
+    cli = {"cli": package_sources()["cli"]}
+    assert callers(cli, {"write_manifest"}) == ["cli._manifest"]
+    cli["cli"] += "\n\ndef stray(out):\n    write_manifest(out, 'stray', {}, {})\n"
+    assert callers(cli, {"write_manifest"}) == ["cli._manifest", "cli.stray"]
