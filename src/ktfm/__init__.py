@@ -15,7 +15,6 @@ from .encoding import (
     EncodingError,
     QMatrix,
     encode_dataset,
-    load_qmatrix,
     preset_encoding,
 )
 from .evaluation import (
@@ -25,6 +24,7 @@ from .evaluation import (
     accuracy,
     auc,
     make_folds,
+    nll,
     run_cv,
 )
 from .model import (
@@ -40,6 +40,7 @@ from .datasets import (
     Vocabulary,
     generate_synthetic,
     load_dataset,
+    load_qmatrix,
     load_triplets,
     oracle_probabilities,
     write_synthetic,
@@ -54,8 +55,6 @@ from .sparse import (
 from .training import (
     TrainConfig,
     TrainingDivergedError,
-    init_params,
-    nll,
     train_gibbs_probit,
     train_map_logit,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "encode_dataset",
     "export_embeddings",
     "generate_synthetic",
-    "init_params",
     "load_dataset",
     "load_model",
     "load_qmatrix",

@@ -11,6 +11,7 @@ recorded by digest. Output paths and the hidden --lr are not recorded.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import click
@@ -24,23 +25,25 @@ from .datasets import (
     convert_assistments,
     generate_synthetic,
     load_dataset,
+    load_qmatrix,
     load_triplets,
     write_synthetic,
 )
-from .encoding import encode_dataset, load_qmatrix
+from .encoding import encode_dataset
 from .evaluation import (
     FoldSpec,
     encode_preset,
     evaluate_predictions,
     fit,
     format_table,
+    nll,
     run_cv,
     write_fold_report,
     write_summary,
 )
 from .model import Link, export_embeddings, predict_proba_matrix
 from .persistence import ModelBundle, load_model, save_model, write_manifest
-from .training import TrainConfig, TrainingDivergedError, nll
+from .training import TrainConfig, TrainingDivergedError
 from .training import train_gibbs_probit, train_map_logit  # noqa: F401  read only by perfbench/trace_cli.py
 
 # every package error is a ValueError but TrainingDivergedError
@@ -97,13 +100,16 @@ def _manifest(path) -> None:
 
 class _Main(click.Group):
     """The one error boundary: a data, model or I/O error in any command
-    becomes a one-line ``Error:`` message and a non-zero exit."""
+    becomes a one-line ``Error:`` message and a non-zero exit, and each
+    warning one ``Warning:`` line on stderr."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except _ERRORS as exc:
-            raise click.ClickException(str(exc)) from exc
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: click.echo(f"Warning: {message}", err=True)
+            try:
+                return super().invoke(ctx)
+            except _ERRORS as exc:
+                raise click.ClickException(str(exc)) from exc
 
 
 @click.group(cls=_Main)

@@ -1,40 +1,34 @@
 """Dataset loading, id vocabularies, and synthetic data generation.
 
-Raw logs arrive as CSV with string ids; everything downstream wants dense
-0-based ids, so loaders build (or reuse) a vocabulary mapping raw ids to
-dense indices by first appearance. The synthetic generators exist as
-verification oracles: they save the parameters that produced the data so
-recovery can be checked against ground truth. Each generator is the FM of a
-block set (``GENERATOR_BLOCKS``); its outcomes are drawn against the same
-oracle that ``oracle_probabilities`` exposes, so the encoder's counter replay
-is the only one in the package.
+This module reads every input file, the log and the q-matrix: a plain file in
+one numpy pass over its text, any other or faulty one row by row by
+``csv.reader``, which names the first faulty line. Raw logs arrive with
+string ids; everything downstream wants dense 0-based ids, so loaders build
+(or reuse) a vocabulary mapping raw ids to dense indices by first
+appearance. The synthetic generators exist as verification oracles: they
+save the parameters that produced the data so recovery can be checked
+against ground truth. Each generator is the FM of a block set
+(``GENERATOR_BLOCKS``); its outcomes are drawn against the same oracle that
+``oracle_probabilities`` exposes, so the encoder's counter replay is the
+only one in the package.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import hashlib
+import itertools
 import json
 import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import (
-    _BITS,
-    _COMMA,
-    _NL,
-    EncodingConfig,
-    EncodingError,
-    QMatrix,
-    _csv_chunks,
-    _lookup,
-    encode_dataset,
-    load_qmatrix,
-)
+from .encoding import EncodingConfig, EncodingError, QMatrix, encode_dataset
 from .model import FMParams, Link, raw_scores
 from .sparse import _readonly
 
@@ -97,6 +91,19 @@ class Vocabulary:
         return vocab
 
 
+_BITS = {"0": 0, "1": 1}
+_COMMA, _NL = ord(","), ord("\n")
+
+
+def _lookup(mapping: dict[str, int], values: Sequence[str], extend: bool = False) -> np.ndarray:
+    """``mapping[v]`` for every value, -1 where it has none; with ``extend``,
+    values new to ``mapping`` first take the next dense ids by first appearance."""
+    if extend:
+        new = [v for v in dict.fromkeys(values) if v not in mapping]
+        mapping.update(zip(new, range(len(mapping), len(mapping) + len(new))))
+    return np.fromiter(map(mapping.get, values, itertools.repeat(-1)), np.int64, len(values))
+
+
 def load_triplets(
     path,
     vocab: Vocabulary | None = None,
@@ -115,9 +122,10 @@ def load_triplets(
 
     A plain file (see ``_read_plain_log``), as ``synth`` and
     ``import-assistments`` write it, is read in one numpy pass over its whole
-    text; any other file, and any faulty one, by the csv loop, which alone
-    names a faulty line. Either read hands over one array of codes, of which
-    the triplets and each extra column are views.
+    text; any other file, and any faulty one, row by row by ``csv.reader``
+    (``_read_csv_log``), which alone names a faulty line. Either read hands
+    over one array of codes, of which the triplets and each extra column are
+    views.
     """
     fresh = vocab is None
     read = _read_plain_log(path, Vocabulary() if fresh else vocab, fresh, allow_unknown)
@@ -223,9 +231,9 @@ def _read_plain_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
 
 
 def _read_csv_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
-    """The codes (one row per column read), extra names and vocabulary of any
-    log, read by ``csv.reader``; a faulty log raises for its first faulty line."""
-    parts: list[np.ndarray] = []
+    """The codes (one row per column read, a view of one row-major array),
+    extra names and vocabulary of any log, read row by row by ``csv.reader``;
+    a faulty log raises for its first faulty line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -233,29 +241,77 @@ def _read_csv_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         names, columns, order = _log_columns(path, header, vocab, fresh, allow_unknown)
-        for lines, rows, lengths in _csv_chunks(reader, first_line=2):
-            wrong = lengths != len(header)
-            end = int(np.argmax(wrong)) if wrong.any() else len(rows)  # the first malformed row
-            fields = list(zip(*rows[:end])) or [()] * len(header)
-            codes = np.array([
-                _lookup(mapping, list(map(str.strip, fields[pos])), extend)
-                for pos, mapping, extend, _ in columns
-            ])
-            broken = codes[order] < 0
-            hit = broken.any(axis=0)
-            if hit.any():
-                r = int(np.argmax(hit))
-                pos, _, _, fault = columns[order[int(np.argmax(broken[:, r]))]]
-                raise DataFormatError(f"{path}: line {lines[r]}: {fault(rows[r][pos].strip())}")
-            if end < len(rows):
-                raise DataFormatError(
-                    f"{path}: line {lines[end]}: expected {len(header)} fields, got {len(rows[end])}"
-                )
-            parts.append(codes)
-            del rows, fields  # free this batch before the next is read
-    if not parts:
+        positions, mappings, extends, faults = zip(*columns)
+        codes = array.array("q")
+        for line, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                if len(record) > 1 or record and record[0].strip():
+                    raise DataFormatError(f"{path}: line {line}: expected {len(header)} fields, got {len(record)}")
+                continue  # a blank line
+            values = [record[pos].strip() for pos in positions]
+            row = list(map(dict.get, mappings, values))
+            if None in row:  # a value new to its column, or a fault
+                for k in order:
+                    if row[k] is None and not extends[k]:
+                        raise DataFormatError(f"{path}: line {line}: {faults[k](values[k])}")
+                for k, mapping in enumerate(mappings):
+                    if row[k] is None:  # -1 for an unknown id that ``allow_unknown`` lets through
+                        row[k] = mapping.setdefault(values[k], len(mapping)) if extends[k] else -1
+            codes.extend(row)
+    if not codes:
         raise DataFormatError(f"{path}: no data rows")
-    return np.concatenate(parts, axis=1), names, vocab
+    return np.frombuffer(codes, np.int64).reshape(-1, len(columns)).T, names, vocab
+
+
+def _plain_qmatrix(text: bytes) -> np.ndarray | None:
+    """The cells of a q-matrix text whose every line is ``w`` bare 0/1 cells
+    split by "," and ended by "\\n", as a uint8 array; None for any other text.
+
+    Such a text is a grid of lines of 2w bytes: cell c of line r is byte
+    r * 2w + 2c, and the separator after it byte r * 2w + 2c + 1.
+    """
+    stride = text.find(b"\n") + 1
+    if not stride or stride % 2 or len(text) % stride:
+        return None
+    grid = np.frombuffer(text, np.uint8).reshape(-1, stride)
+    cells, seps = grid[:, 0::2], grid[:, 1::2]
+    # "0" and "1" are the two bytes b with b | 1 == "1"
+    if ((cells | 1) != ord("1")).any() or (seps[:, :-1] != _COMMA).any() or (seps[:, -1] != _NL).any():
+        return None
+    return cells - np.uint8(ord("0"))
+
+
+def load_qmatrix(path) -> QMatrix:
+    """Read a headerless CSV of 0/1 cells, one row per item; cells may be
+    quoted or padded with spaces, and blank lines are skipped.
+
+    A file of bare cells, split by "," and ended by "\\n" on every line, as
+    ``synth``, ``import-assistments`` and numpy's ``savetxt`` write it, is
+    read as one byte grid (``_plain_qmatrix``); any other file, and any faulty
+    one, row by row by ``csv.reader``, which names the first fault.
+    """
+    with open(path, "rb") as fh:
+        cells = _plain_qmatrix(fh.read())
+    if cells is not None:
+        return QMatrix(cells)
+    text, width = bytearray(), 0  # the cells of each row read, as the bytes "0" and "1"
+    with open(path, newline="") as fh:
+        for line, record in enumerate(csv.reader(fh), start=1):
+            if len(record) < 2 and not "".join(record).strip():
+                continue  # a blank line
+            row = list(map(str.strip, record))
+            if not _BITS.keys() >= set(row):
+                cell = next(cell for cell in row if cell not in _BITS)
+                raise EncodingError(f"{path}: line {line}: cell {cell!r} is not 0/1")
+            width = width or len(row)
+            if len(row) != width:
+                raise EncodingError(f"{path}: line {line}: expected {width} columns, got {len(row)}")
+            text += "".join(row).encode()
+    if not text:
+        raise EncodingError(f"{path}: empty q-matrix")
+    grid = np.frombuffer(text, np.uint8).reshape(-1, width)
+    grid -= np.uint8(ord("0"))
+    return QMatrix(grid)
 
 
 def write_triplets(path, triplets, vocab: Vocabulary | None = None) -> None:

@@ -2,7 +2,8 @@
 
 This module owns the feature-block set: ``EncodingConfig`` names the blocks a
 model uses, and the presets (IRT, MIRT, AFM, PFA, KTM) are named block sets
-with a rule on the factor dimension.
+with a rule on the factor dimension. It reads no file: ``datasets`` reads the
+logs and q-matrices that it encodes.
 
 Each row one-hot encodes the student and/or item, activates the skills the
 item exercises, and writes the student's running win/fail (or attempt)
@@ -15,15 +16,13 @@ each pair, and exclusive running sums of the outcomes give the counters.
 
 from __future__ import annotations
 
-import csv
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .sparse import CHUNK_ROWS, DesignMatrix, FeatureSpace, _readonly
+from .sparse import DesignMatrix, FeatureSpace, _readonly
 
 
 class EncodingError(ValueError):
@@ -59,97 +58,6 @@ class QMatrix:
         if order.size and (order.min() < 0 or order.max() >= self.n_items):
             raise EncodingError("item order references rows outside the q-matrix")
         return QMatrix(self.matrix[order])
-
-
-_BITS = {"0": 0, "1": 1}
-
-
-def _csv_chunks(reader, first_line: int):
-    """The reader's non-blank records, at most ``CHUNK_ROWS`` at a time: each
-    batch as (line numbers counted from ``first_line`` with blank records
-    included, records, field counts)."""
-    for start in itertools.count(first_line, CHUNK_ROWS):
-        records = list(itertools.islice(reader, CHUNK_ROWS))
-        if not records:
-            return
-        lengths = np.fromiter(map(len, records), np.int64, len(records))
-        kept = lengths > 1
-        single = np.flatnonzero(lengths == 1)  # a lone field is blank unless it holds text
-        kept[single] = [bool(records[i][0].strip()) for i in single]
-        if kept.all():
-            yield start + np.arange(len(records)), records, lengths
-        elif kept.any():
-            kept = np.flatnonzero(kept)
-            yield start + kept, [records[i] for i in kept], lengths[kept]
-        del records  # before the next batch is read
-
-
-def _lookup(mapping: dict[str, int], values: Sequence[str], extend: bool = False) -> np.ndarray:
-    """``mapping[v]`` for every value, -1 where it has none; with ``extend``,
-    values new to ``mapping`` first take the next dense ids by first appearance."""
-    if extend:
-        new = [v for v in dict.fromkeys(values) if v not in mapping]
-        mapping.update(zip(new, range(len(mapping), len(mapping) + len(new))))
-    return np.fromiter(map(mapping.get, values, itertools.repeat(-1)), np.int64, len(values))
-
-
-_COMMA, _NL = ord(","), ord("\n")
-
-
-def _plain_qmatrix(text: bytes) -> np.ndarray | None:
-    """The cells of a q-matrix text whose every line is ``w`` bare 0/1 cells
-    split by "," and ended by "\\n", as a uint8 array; None for any other text.
-
-    Such a text is a grid of lines of 2w bytes: cell c of line r is byte
-    r * 2w + 2c, and the separator after it byte r * 2w + 2c + 1.
-    """
-    stride = text.find(b"\n") + 1
-    if not stride or stride % 2 or len(text) % stride:
-        return None
-    grid = np.frombuffer(text, np.uint8).reshape(-1, stride)
-    cells, seps = grid[:, 0::2], grid[:, 1::2]
-    # "0" and "1" are the two bytes b with b | 1 == "1"
-    if ((cells | 1) != ord("1")).any() or (seps[:, :-1] != _COMMA).any() or (seps[:, -1] != _NL).any():
-        return None
-    return cells - np.uint8(ord("0"))
-
-
-def load_qmatrix(path) -> QMatrix:
-    """Read a headerless CSV of 0/1 cells, one row per item; cells may be
-    quoted or padded with spaces.
-
-    A file of bare cells, split by "," and ended by "\\n" on every line, as
-    ``synth``, ``import-assistments`` and numpy's ``savetxt`` write it, is
-    read as one byte grid; any other file, and any faulty one, by the csv
-    loop, which names the first fault.
-    """
-    with open(path, "rb") as fh:
-        cells = _plain_qmatrix(fh.read())
-    if cells is not None:
-        return QMatrix(cells)
-    parts, width = [], 0
-    with open(path, newline="") as fh:
-        for lines, rows, lengths in _csv_chunks(csv.reader(fh), first_line=1):
-            width = width or len(rows[0])
-            ragged = lengths != width
-            end = int(np.argmax(ragged)) if ragged.any() else len(rows)
-            cells = map(str.strip, itertools.chain.from_iterable(rows[: end + 1]))
-            bits = np.fromiter(map(_BITS.get, cells, itertools.repeat(-1)), np.int8)
-            bad = bits < 0
-            if bad.any():  # the first bad cell, which may lie in the ragged row
-                flat = int(np.argmax(bad))
-                r = min(flat // width, end)
-                cell = rows[r][flat - r * width].strip()
-                raise EncodingError(f"{path}: line {lines[r]}: cell {cell!r} is not 0/1")
-            if end < len(rows):
-                raise EncodingError(
-                    f"{path}: line {lines[end]}: expected {width} columns, got {len(rows[end])}"
-                )
-            parts.append(bits.reshape(-1, width))
-            del rows  # free this batch before the next is read
-    if not parts:
-        raise EncodingError(f"{path}: empty q-matrix")
-    return QMatrix(np.concatenate(parts))
 
 
 # canonical block order; presets pick subsets, extras append in declared order

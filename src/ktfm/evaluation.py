@@ -3,7 +3,8 @@
 AUC uses the rank-sum form of the Mann-Whitney statistic with average ranks
 (from one stable sort and its tie groups), so tied scores count one half; it
 is exactly the all-pairs computation at O(S log S) cost. Accuracy thresholds
-at 0.5 with ties predicting positive.
+at 0.5 with ties predicting positive. The three metrics take two non-empty
+vectors of one length.
 """
 
 from __future__ import annotations
@@ -19,26 +20,41 @@ import numpy as np
 from .encoding import EncodingConfig, encode_dataset, preset_encoding
 from .model import FMParams, Link, raw_scores
 from .sparse import DesignMatrix
-from .training import TrainConfig, _colour_blocks, nll, train_gibbs_probit, train_map_logit
+from .training import TrainConfig, _colour_blocks, train_gibbs_probit, train_map_logit
 
 
-def accuracy(predictions: Sequence[float], labels: Sequence[int]) -> float:
-    """Fraction of rows where thresholding at 0.5 recovers the label."""
+NLL_EPS = 1e-12
+
+
+def _checked(predictions: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions as float64 and the labels as an array, once they are two
+    non-empty vectors of one length."""
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape or p.ndim != 1:
         raise ValueError(f"shape mismatch: {p.shape} predictions, {y.shape} labels")
     if p.size == 0:
         raise ValueError("empty prediction list")
+    return p, y
+
+
+def accuracy(predictions: Sequence[float], labels: Sequence[int]) -> float:
+    """Fraction of rows where thresholding at 0.5 recovers the label."""
+    p, y = _checked(predictions, labels)
     return float(np.mean((p >= 0.5) == (y == 1)))
+
+
+def nll(predictions: Sequence[float], labels: Sequence[int]) -> float:
+    """Mean negative log-likelihood of Bernoulli outcomes, each probability clamped
+    to [NLL_EPS, 1 - NLL_EPS] so that saturated predictions stay finite."""
+    p, y = _checked(predictions, labels)
+    p = np.clip(p, NLL_EPS, 1.0 - NLL_EPS)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
 def auc(predictions: Sequence[float], labels: Sequence[int]) -> float:
     """Probability a random positive outranks a random negative; ties = 1/2."""
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(labels)
-    if p.shape != y.shape or p.ndim != 1:
-        raise ValueError(f"shape mismatch: {p.shape} predictions, {y.shape} labels")
+    p, y = _checked(predictions, labels)
     n_pos = int((y == 1).sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:

@@ -85,7 +85,7 @@ def _format_value(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-# rows a loader parses, or the text writer formats, at once: enough to
+# rows the text writer (``DesignMatrix.save``) formats at once: enough to
 # vectorize, few enough to bound memory
 CHUNK_ROWS = 4_096
 

@@ -48,14 +48,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .model import PROB_EPS, FMParams, Link, raw_scores
 from .sparse import DesignMatrix, _readonly
 
-NLL_EPS = 1e-12
 _INIT_SCALE = 0.01  # standard deviation of the initial factor entries
 _MAP_TOL = 1e-6  # a MAP fit stops once a sweep lowers its objective by less than this share
 # the largest gap between a Gibbs fit's carried train scores and a fresh
@@ -98,41 +97,20 @@ class TrainConfig:
         return self.epochs // 5 if self.burn_in is None else self.burn_in
 
 
-def nll(predictions: Sequence[float], labels: Sequence[int]) -> float:
-    """Mean negative log-likelihood of Bernoulli outcomes.
-
-    Probabilities are clamped to [eps, 1 - eps] with eps = 1e-12 so that
-    saturated predictions stay finite.
-    """
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape or p.ndim != 1:
-        raise ValueError(f"shape mismatch: {p.shape} predictions, {y.shape} labels")
-    if p.size == 0:
-        raise ValueError("empty prediction list")
-    p = np.clip(p, NLL_EPS, 1.0 - NLL_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-
-
 def _init_factors(config: TrainConfig, n_features: int) -> np.ndarray:
     """The start V, of shape (n_features, d): entries i.i.d. Normal(0, 0.01^2)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     return _INIT_SCALE * rng.standard_normal((n_features, config.d))
 
 
-def init_params(config: TrainConfig, n_features: int) -> FMParams:
-    """Zero biases; factor entries i.i.d. Normal(0, 0.01^2)."""
-    return FMParams(0.0, np.zeros(n_features), _init_factors(config, n_features))
-
-
 def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None):
     """Both trainers' opening: reject empty data, warn on constant labels, and
     colour the columns (``_colour_blocks``), unless ``classes`` holds that
-    colouring already. Returns the bias, w and V of ``init_params``, writable
-    (V of shape (width, 0) at d = 0), the classes, the untouched columns, and
-    the train scores and Q = [X @ V[:, f] per f] (d by n) of those parameters,
-    written a class at a time (the bias and w are zero, so only the pairwise
-    term adds)."""
+    colouring already. Returns the start parameters, writable: a zero bias and
+    w, and the V of ``_init_factors`` (of shape (width, 0) at d = 0); then the
+    classes, the untouched columns, and the train scores and Q = [X @ V[:, f]
+    per f] (d by n) of those parameters, written a class at a time (the bias
+    and w are zero, so only the pairwise term adds)."""
     if len(data) == 0:
         raise ValueError("cannot train on an empty design matrix")
     labels = data.labels

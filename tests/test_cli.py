@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ktfm import cli, datasets, encoding
+from ktfm import cli, datasets
 from ktfm.cli import main
 from ktfm.datasets import load_dataset
 from ktfm.encoding import encode_dataset
@@ -658,8 +658,7 @@ class TestWrittenFilesSkipTheCsvModule:
         def reader(*args, **kwargs):
             raise AssertionError("a plain file went through the csv loop")
 
-        for module in (datasets, encoding):
-            monkeypatch.setattr(module, "csv", SimpleNamespace(reader=reader))
+        monkeypatch.setattr(datasets, "csv", SimpleNamespace(reader=reader))
 
     def load(self, log, qmatrix, heldout=None):
         dataset = load_dataset(log, qmatrix)
@@ -696,6 +695,33 @@ class TestWrittenFilesSkipTheCsvModule:
         _gen_log().generate(5, tmp_path, train_rows=300)
         self.block_csv_reader(monkeypatch)
         self.load(tmp_path / "train.csv", tmp_path / "qmatrix.csv", heldout=tmp_path / "heldout.csv")
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_each_warning_is_one_line(self, runner, tmp_path, command):
+        # constant training labels, an id outside the vocabulary, single-class test labels:
+        # each warning is one line, as an error is, with no module path or source line
+        log, heldout = tmp_path / "log.csv", tmp_path / "heldout.csv"
+        log.write_text("user_id,item_id,correct\n1,1,1\n2,2,1\n")
+        heldout.write_text("user_id,item_id,correct\n1,1,0\n9,1,1\n")
+        model, vocab = tmp_path / "model.json", tmp_path / "vocab.json"
+        args = {
+            "train": ["train", "--data", str(log), "--out", str(model), "--vocab-out", str(vocab)],
+            "predict": ["predict", "--model", str(model), "--data", str(heldout), "--vocab", str(vocab),
+                        "--out", str(tmp_path / "p.csv")],
+            "evaluate": ["evaluate", "--model", str(model), "--data", str(log), "--vocab", str(vocab)],
+        }
+        message = {
+            "train": "all training labels are identical; the fit is degenerate",
+            "predict": f"{heldout}: 1 rows reference ids outside the vocabulary",
+            "evaluate": "fold 0: test labels are single-class, AUC reported as missing",
+        }
+        if command != "train":
+            invoke(runner, args["train"])
+        result = invoke(runner, args[command])
+        assert result.stderr.splitlines() == [f"Warning: {message[command]}"]
+        assert ".py:" not in result.stderr
 
 
 class TestErrors:

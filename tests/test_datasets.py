@@ -28,7 +28,7 @@ from ktfm.datasets import (
     convert_assistments,
     settle_outcomes,
 )
-from ktfm import datasets, encoding
+from ktfm import datasets
 from ktfm.encoding import EncodingConfig, EncodingError
 from ktfm.model import FMParams, raw_scores
 from ktfm.sparse import DesignMatrix
@@ -383,12 +383,13 @@ class TestLoaderDifferential:
             (_PLAIN_LOG.replace("\n", "\r\n"), None, False),
             (_PLAIN_LOG[:-1], None, False),
             (_PLAIN_LOG.replace("\nu2", "\n\nu2"), None, False),
+            (_PLAIN_LOG.replace("\nu2", "\nu2\nu2"), None, False),
             (_PLAIN_LOG.replace(",0,", ",2,"), None, False),
             (_PLAIN_LOG.replace(",pre_test", ""), None, False),
             (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, False),
             (_PLAIN_LOG.replace(",b", ",c"), _PLAIN_VOCAB, True),
         ],
-        ids=["padded", "quoted", "long", "non-ASCII", "delete-byte", "tab-padded", "padded-header", "crlf", "no-last-line-end", "blank-line",
+        ids=["padded", "quoted", "long", "non-ASCII", "delete-byte", "tab-padded", "padded-header", "crlf", "no-last-line-end", "blank-line", "lone-field",
              "bad-correct", "ragged", "unknown-id", "unseen-extra"],
     )
     def test_a_quirk_or_fault_sends_the_log_to_the_csv_loop(self, tmp_path, text, vocab, allow_unknown):
@@ -419,11 +420,9 @@ class TestLoaderDifferential:
     @given(
         train=triplet_logs(),
         test=triplet_logs(),
-        chunk=st.integers(1, 4),
         forget=st.booleans(),
     )
-    def test_matches_the_row_by_row_loader(self, tmp_path, monkeypatch, train, test, chunk, forget):
-        monkeypatch.setattr(encoding, "CHUNK_ROWS", chunk)  # several batches per log
+    def test_matches_the_row_by_row_loader(self, tmp_path, train, test, forget):
         paths = []
         for name, text in (("train", train), ("test", test)):
             paths.append(tmp_path / f"{name}.csv")

@@ -14,7 +14,6 @@ from ktfm import (
     load_qmatrix,
     preset_encoding,
 )
-from ktfm import encoding
 from ktfm.encoding import PRESET_NAMES
 from tests.conftest import EXAMPLE_ENCODED, EXAMPLE_LABELS, FULL_CONFIG, to_dense
 
@@ -328,9 +327,8 @@ class TestLoadQMatrix:
             load_qmatrix(path)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=qmatrix_texts(), chunk=st.integers(1, 4))
-    def test_matches_the_cell_by_cell_loader(self, tmp_path, monkeypatch, text, chunk):
-        monkeypatch.setattr(encoding, "CHUNK_ROWS", chunk)  # several batches per file
+    @given(text=qmatrix_texts())
+    def test_matches_the_cell_by_cell_loader(self, tmp_path, text):
         path = tmp_path / "q.csv"
         path.write_text(text)
         assert _qmatrix_outcome(load_qmatrix, path) == _qmatrix_outcome(reference_load_qmatrix, path)

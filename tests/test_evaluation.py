@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ktfm import (
     auc,
     generate_synthetic,
     make_folds,
+    nll,
     raw_scores,
     run_cv,
     train_gibbs_probit,
@@ -59,6 +61,18 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([0.5], [1, 0])
+
+
+class TestMetricChecks:
+    @pytest.mark.parametrize("metric", [accuracy, auc, nll], ids=["accuracy", "auc", "nll"])
+    def test_every_metric_rejects_alike(self, metric):
+        # auc([], []) once said the labels were single-class
+        with pytest.raises(ValueError, match="^empty prediction list$"):
+            metric([], [])
+        with pytest.raises(ValueError, match=f"^{re.escape('shape mismatch: (1,) predictions, (2,) labels')}$"):
+            metric([0.5], [1, 0])
+        with pytest.raises(ValueError, match=f"^{re.escape('shape mismatch: (1, 2) predictions, (1, 2) labels')}$"):
+            metric([[0.4, 0.6]], [[0, 1]])
 
 
 class TestAuc:

@@ -1,5 +1,6 @@
 """Source guards over ``src/ktfm``: no private helper is left without a caller,
-only ``evaluation.fit`` calls a trainer, and only ``cli._manifest`` writes a manifest."""
+only two private names are imported from another module, only ``evaluation.fit``
+calls a trainer, and only ``cli._manifest`` writes a manifest."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,33 @@ def test_each_kind_of_reader_counts():
         "b": "from .a import _imported\nfrom . import a\n\ndef g():\n    return a._by_attribute\n",
     }
     assert unreferenced_private_names(sources) == ["a._Gone", "a._spare"]
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for every ``from .module import _name`` in ``sources``."""
+    found = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found.update(f"{node.module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.startswith("__"))
+    return sorted(found)
+
+
+def test_only_two_private_names_cross_a_module():
+    # each file format is read in one module; ``_readonly`` is how every module hands
+    # out a read-only array, and ``evaluation.fit`` colours a train set once for all
+    # its fits (perfbench/trace_cli.py wraps the trainers it calls by their names there)
+    assert private_imports(package_sources()) == ["sparse._readonly", "training._colour_blocks"]
+
+
+def test_the_import_guard_finds_a_planted_import():
+    sources = package_sources()
+    sources["cli"] += "\nfrom .datasets import _lookup, load_dataset\nfrom . import __version__\n"
+    sources["model"] += "\nfrom .encoding import (\n    _BITS as bits,\n)\n"
+    assert private_imports(sources) == [
+        "datasets._lookup", "encoding._BITS", "sparse._readonly", "training._colour_blocks",
+    ]
 
 
 TRAINERS = {"train_map_logit", "train_gibbs_probit"}

@@ -16,7 +16,6 @@ from ktfm import (
     Link,
     TrainConfig,
     TrainingDivergedError,
-    init_params,
     nll,
     raw_scores,
     train_gibbs_probit,
@@ -30,6 +29,7 @@ from ktfm.training import (
     _colour_blocks,
     _finite,
     _GroupState,
+    _init_factors,
     _probability,
     _setup,
     _stable_order,
@@ -89,25 +89,33 @@ class TestNll:
         assert value == pytest.approx(-math.log(1e-12), rel=1e-9)
 
 
+def start_params(config, n_features):
+    """The parameters that ``_setup`` starts both trainers from."""
+    return FMParams(0.0, np.zeros(n_features), _init_factors(config, n_features))
+
+
 class TestInitParams:
+    """The start parameters: zero biases and ``_init_factors``'s V."""
+
     def test_d0_has_no_factors(self):
-        params = init_params(TrainConfig(d=0, seed=1), 10)
-        assert params.d == 0 and params.V.shape == (10, 0)
-        assert (params.w == 0).all() and params.bias == 0.0
+        with pytest.warns(UserWarning, match="identical"):
+            bias, w, V, *_ = _setup(matrix_from_rows(10, [[(3, 1.0)]], [1]), TrainConfig(d=0, seed=1))
+        assert V.shape == (10, 0)
+        assert (w == 0).all() and bias == 0.0
 
     def test_same_seed_same_init(self):
-        a = init_params(TrainConfig(d=5, seed=42), 10)
-        b = init_params(TrainConfig(d=5, seed=42), 10)
-        assert np.array_equal(a.V, b.V)
+        a = _init_factors(TrainConfig(d=5, seed=42), 10)
+        b = _init_factors(TrainConfig(d=5, seed=42), 10)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
-        a = init_params(TrainConfig(d=5, seed=1), 10)
-        b = init_params(TrainConfig(d=5, seed=2), 10)
-        assert not np.array_equal(a.V, b.V)
+        a = _init_factors(TrainConfig(d=5, seed=1), 10)
+        b = _init_factors(TrainConfig(d=5, seed=2), 10)
+        assert not np.array_equal(a, b)
 
     def test_factor_spread_across_seeds(self):
         draws = np.concatenate(
-            [init_params(TrainConfig(d=5, seed=s), 10).V.ravel() for s in range(100)]
+            [_init_factors(TrainConfig(d=5, seed=s), 10).ravel() for s in range(100)]
         )
         assert 0.005 <= draws.std() <= 0.02
 
@@ -205,7 +213,7 @@ class TestGradients:
         untouched = np.setdiff1d(np.arange(10), row.indices)
         for l2 in (0.0, 0.1):
             cfg = TrainConfig(d=2, epochs=1, l2=l2, seed=4)
-            start = init_params(cfg, 10)
+            start = start_params(cfg, 10)
             with pytest.warns(UserWarning, match="identical"):
                 params = train_map_logit(row, cfg)
             assert (params.w[untouched] == 0).all()
@@ -216,7 +224,7 @@ class TestGradients:
 def map_sweep_loop(data, config):
     """One MAP sweep written one column at a time, in the colouring's class
     order, each step from fresh scores of the whole dense matrix."""
-    start = init_params(config, data.space.width)
+    start = start_params(config, data.space.width)
     bias, w, V = start.bias, start.w.copy(), start.V.copy()
     X, y = to_dense(data), data.labels.astype(np.float64)
     lam = config.l2 * len(data)
@@ -334,7 +342,7 @@ class TestMapTrainer:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # constant labels
             train_map_logit(dm, cfg, after_sweep=log)
-        objectives = [map_objective(init_params(cfg, dm.space.width), dm, l2)]
+        objectives = [map_objective(start_params(cfg, dm.space.width), dm, l2)]
         objectives += [objective for _, _, objective in log]
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(objectives, objectives[1:]))
 
@@ -539,7 +547,7 @@ def reference_gibbs(train, test, config):
     q_f[rows] gathered twice."""
     n, d = train.space.width, config.d
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
-    start = init_params(config, n)
+    start = start_params(config, n)
     bias, w, V = start.bias, start.w.copy(), start.V.copy()
     X = train.csr
     Xc = scipy_csr(train).tocsc()
@@ -851,7 +859,7 @@ class TestSetup:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # constant labels
             bias, w, V, blocks, empty, scores, Q = _setup(dm, config)
-        start = init_params(config, dm.space.width)
+        start = start_params(config, dm.space.width)
         assert bias == 0.0 and w.tobytes() == start.w.tobytes() and V.tobytes() == start.V.tobytes()
         expected_blocks, expected_empty = _colour_blocks(dm)
         assert empty.tolist() == expected_empty.tolist() and len(blocks) == len(expected_blocks)
