@@ -51,7 +51,7 @@ _ERRORS = (ValueError, TrainingDivergedError, OSError)
 
 
 def _write_predictions(path, probabilities) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("row,proba\n")
         for r, p in enumerate(probabilities):
             fh.write(f"{r},{float(p)!r}\n")
@@ -202,7 +202,7 @@ def train(data, qmatrix, vocab, preset, d, link, epochs, lr, l2, burn_in, seed, 
     if vocab_out:
         dataset.vocab.save(vocab_out)
     if log_path:
-        Path(log_path).write_text("".join(log_rows), newline="\n")
+        Path(log_path).write_text("".join(log_rows), encoding="utf-8", newline="\n")
     _manifest(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
 
@@ -262,7 +262,7 @@ def evaluate(model, data, qmatrix, vocab, out):
     metrics = evaluate_predictions(probabilities, labels, fold=0)
     auc_txt = "" if metrics.auc is None else repr(metrics.auc)
     if out:
-        with open(out, "w", newline="\n") as fh:
+        with open(out, "w", newline="\n", encoding="utf-8") as fh:
             fh.write("acc,auc,nll\n")
             fh.write(f"{metrics.acc!r},{auc_txt},{metrics.nll!r}\n")
     click.echo(f"acc={metrics.acc:.4f} auc={auc_txt or 'n/a'} nll={metrics.nll:.4f}")
@@ -304,9 +304,9 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
         Link(link),
         skip=None if single else lambda p, d, exc: click.echo(f"skipping {p} at d={d}: {exc}", err=True),
     )
-    with open(out / "report.csv", "w", newline="\n") as fh:
+    with open(out / "report.csv", "w", newline="\n", encoding="utf-8") as fh:
         write_fold_report(reports, fh)
-    with open(out / "summary.csv", "w", newline="\n") as fh:
+    with open(out / "summary.csv", "w", newline="\n", encoding="utf-8") as fh:
         write_summary(reports, fh)
     _manifest(out / "manifest.json")
     click.echo(format_table(reports))
@@ -319,7 +319,7 @@ def export_embeddings_cmd(model, out):
     """Dump per-feature biases and factor vectors as CSV."""
     _check_output_dirs(out)
     bundle = load_model(model)
-    with open(out, "w", newline="\n") as fh:
+    with open(out, "w", newline="\n", encoding="utf-8") as fh:
         export_embeddings(bundle.params, bundle.space, fh)
     click.echo(f"wrote {out}")
 

@@ -63,7 +63,7 @@ class Vocabulary:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write(self.to_json())
             fh.write("\n")
 
@@ -234,7 +234,7 @@ def _read_csv_log(path, vocab: Vocabulary, fresh: bool, allow_unknown: bool):
     """The codes (one row per column read, a view of one row-major array),
     extra names and vocabulary of any log, read row by row by ``csv.reader``;
     a faulty log raises for its first faulty line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -295,7 +295,7 @@ def load_qmatrix(path) -> QMatrix:
     if cells is not None:
         return QMatrix(cells)
     text, width = bytearray(), 0  # the cells of each row read, as the bytes "0" and "1"
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line, record in enumerate(csv.reader(fh), start=1):
             if len(record) < 2 and not "".join(record).strip():
                 continue  # a blank line
@@ -321,7 +321,7 @@ def write_triplets(path, triplets, vocab: Vocabulary | None = None) -> None:
     if vocab is not None:
         student = list(map({v: k for k, v in vocab.users.items()}.__getitem__, student))
         item = list(map({v: k for k, v in vocab.items.items()}.__getitem__, item))
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "item_id", "correct"])
         writer.writerows(zip(student, item, outcome))
@@ -577,8 +577,8 @@ def write_synthetic(data: SyntheticData, outdir) -> dict[str, str]:
     write_triplets(paths["triplets"], data.triplets)
     if data.qmatrix is not None:
         paths["qmatrix"] = str(outdir / "qmatrix.csv")
-        np.savetxt(paths["qmatrix"], data.qmatrix.matrix, fmt="%d", delimiter=",")
-    with open(paths["truth"], "w", newline="\n") as fh:
+        np.savetxt(paths["qmatrix"], data.qmatrix.matrix, fmt="%d", delimiter=",", encoding="utf-8")
+    with open(paths["truth"], "w", newline="\n", encoding="utf-8") as fh:
         json.dump(data.truth, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return paths
@@ -597,11 +597,13 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
     the four extra columns. Multi-skill problems appear as repeated rows with
     the same order id; they are merged into one interaction whose item maps to
     all its skills in the q-matrix. Rows without a skill tag keep an empty
-    skill set.
+    skill set. An order id that is not an integer, or an export without a row
+    whose correct is 0 or 1, raises ``DataFormatError`` before anything is
+    written.
     """
     by_order: dict[int, list[str]] = {}  # the output row of each order id
     problem_skills: dict[str, set[str]] = {}
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = csv.DictReader(fh)
         need = {"order_id", "user_id", "problem_id", "correct"}
         if not need.issubset(reader.fieldnames or ()):
@@ -609,7 +611,13 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
                 f"{path}: missing columns {sorted(need - set(reader.fieldnames or ()))}"
             )
         for record in reader:
-            order = int(record["order_id"])
+            try:
+                order = int(record["order_id"])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {reader.line_num}: order_id must be an integer, "
+                    f"got {record['order_id']!r}"
+                ) from None
             problem = record["problem_id"].strip()
             skill = (record.get("skill_id") or "").strip()
             if skill and skill.lower() != "na":
@@ -626,11 +634,13 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
                 *((record.get(name) or "unknown").strip() or "unknown" for name in ASSISTMENTS_EXTRAS),
             ]
 
+    if not by_order:
+        raise DataFormatError(f"{path}: no rows with a correct of 0 or 1")
     skills = sorted({s for group in problem_skills.values() for s in group})
     skill_col = {s: k for k, s in enumerate(skills)}
     rows = [by_order[order] for order in sorted(by_order)]
     problems = {problem: str(dense) for dense, problem in enumerate(dict.fromkeys(row[1] for row in rows))}
-    with open(out_triplets, "w", newline="\n") as fh:
+    with open(out_triplets, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "item_id", "correct", *ASSISTMENTS_EXTRAS])
         writer.writerows([user, problems[problem], *rest] for user, problem, *rest in rows)
@@ -638,4 +648,4 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
     for dense, problem in enumerate(problems):
         for skill in problem_skills.get(problem, ()):
             matrix[dense, skill_col[skill]] = 1
-    np.savetxt(out_qmatrix, matrix, fmt="%d", delimiter=",")
+    np.savetxt(out_qmatrix, matrix, fmt="%d", delimiter=",", encoding="utf-8")

@@ -16,7 +16,6 @@ each pair, and exclusive running sums of the outcomes give the counters.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -125,40 +124,23 @@ class EncodingConfig:
         return FeatureSpace(blocks)
 
 
-class DimensionRule(str, enum.Enum):
-    """What factor dimensions a preset admits."""
-
-    ZERO = "d = 0"
-    POSITIVE = "d > 0"
-    ANY = "any d"
-
-    def check(self, d: int) -> None:
-        if d < 0:
-            raise ValueError(f"dimension must be >= 0, got {d}")
-        if self is DimensionRule.ZERO and d != 0:
-            raise ValueError(f"this preset requires d = 0, got d = {d}")
-        if self is DimensionRule.POSITIVE and d <= 0:
-            raise ValueError(f"this preset requires d > 0, got d = {d}")
-
-
-# preset -> (enabled blocks, dimension rule, wants extra side columns)
-_PRESETS: dict[str, tuple[tuple[str, ...], DimensionRule, bool]] = {
-    "irt": (("users", "items"), DimensionRule.ZERO, False),
-    "mirtb": (("users", "items"), DimensionRule.POSITIVE, False),
-    "afm": (("skills", "attempts"), DimensionRule.ZERO, False),
-    "pfa": (("skills", "wins", "fails"), DimensionRule.ZERO, False),
-    "ktm-iswf": (("items", "skills", "wins", "fails"), DimensionRule.ANY, False),
-    "ktm-iswfe": (("items", "skills", "wins", "fails"), DimensionRule.ANY, True),
+# preset -> (enabled blocks, rule on d, wants extra side columns)
+_PRESETS: dict[str, tuple[tuple[str, ...], str, bool]] = {
+    "irt": (("users", "items"), "d = 0", False),
+    "mirtb": (("users", "items"), "d > 0", False),
+    "afm": (("skills", "attempts"), "d = 0", False),
+    "pfa": (("skills", "wins", "fails"), "d = 0", False),
+    "ktm-iswf": (("items", "skills", "wins", "fails"), "any d", False),
+    "ktm-iswfe": (("items", "skills", "wins", "fails"), "any d", True),
 }
 _ALIASES = {"iswf": "ktm-iswf", "iswfe": "ktm-iswfe"}
 
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset_encoding(
-    name: str, extra_columns: Sequence[tuple[str, int]] = ()
-) -> tuple[EncodingConfig, DimensionRule]:
-    """Named block set and its dimension constraint.
+def preset_encoding(name: str, extra_columns: Sequence[tuple[str, int]] = (), *, d: int) -> EncodingConfig:
+    """The block set of the (preset, ``d``) cell; ValueError for a ``d`` the preset
+    does not admit.
 
     Presets that use extra side information need the dataset's extra columns
     passed in, since their widths depend on the data.
@@ -170,7 +152,11 @@ def preset_encoding(
     blocks, rule, wants_extras = _PRESETS[key]
     if wants_extras and not extra_columns:
         raise ValueError(f"preset {name!r} needs extra side columns but none were given")
-    return EncodingConfig(blocks, tuple(extra_columns) if wants_extras else ()), rule
+    if d < 0:
+        raise ValueError(f"dimension must be >= 0, got {d}")
+    if (rule == "d = 0" and d != 0) or (rule == "d > 0" and d <= 0):
+        raise ValueError(f"this preset requires {rule}, got d = {d}")
+    return EncodingConfig(blocks, tuple(extra_columns) if wants_extras else ())
 
 
 def _reject(broken: np.ndarray, describe) -> None:

@@ -177,8 +177,7 @@ def _encode(ds, config: EncodingConfig) -> DesignMatrix:
 
 def encode_preset(dataset, preset: str, d: int) -> tuple[EncodingConfig, DesignMatrix]:
     """Encode a loaded dataset with a named preset, once the preset allows ``d``."""
-    config, rule = preset_encoding(preset, dataset.extra_columns)
-    rule.check(d)
+    config = preset_encoding(preset, dataset.extra_columns, d=d)
     return config, _encode(dataset, config)
 
 
@@ -230,8 +229,7 @@ def run_cv(
     cells, configs = [], {}
     for preset, d in grid:
         try:
-            config, rule = preset_encoding(preset, dataset.extra_columns)
-            rule.check(d)
+            config = preset_encoding(preset, dataset.extra_columns, d=d)
         except ValueError as exc:
             if skip is None:
                 raise

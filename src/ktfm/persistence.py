@@ -60,13 +60,13 @@ def save_model(path, bundle: ModelBundle) -> None:
     }
     # one dumps string: json.dump to a file always runs the pure-Python encoder
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from None
@@ -143,6 +143,6 @@ def write_manifest(path, command: str, options: dict, inputs: dict[str, str]) ->
         "inputs": {name: file_digest(p) for name, p in sorted(inputs.items()) if p},
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")

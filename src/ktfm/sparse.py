@@ -228,5 +228,5 @@ class DesignMatrix:
         stream.write("\n")
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
             self.dump(fh)

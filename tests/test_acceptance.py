@@ -125,7 +125,7 @@ def test_criterion_5_model_reductions():
     rng = np.random.default_rng(55)
     with criterion("C5a additive-preset invariance under bias reparametrization at 1e-12"):
         n_users, n_items = 15, 8
-        config, _ = preset_encoding("irt")
+        config = preset_encoding("irt", d=0)
         space = config.feature_space(n_users, n_items, 0)
         w = rng.normal(size=space.width)
         params = FMParams(rng.normal(), w)
@@ -144,7 +144,7 @@ def test_criterion_5_model_reductions():
 
     with criterion("C5b counter-preset score equals the explicit skill formula at 1e-12"):
         s = 6
-        config, _ = preset_encoding("pfa")
+        config = preset_encoding("pfa", d=0)
         space = config.feature_space(0, 0, s)
         beta = rng.normal(size=s)
         win_gain = rng.normal(size=s)
@@ -178,8 +178,8 @@ def test_criterion_5_model_reductions():
             (int(rng.integers(3)), int(rng.integers(5)), int(rng.integers(2)))
             for _ in range(150)
         ]
-        afm_cfg, _ = preset_encoding("afm")
-        pfa_cfg, _ = preset_encoding("pfa")
+        afm_cfg = preset_encoding("afm", d=0)
+        pfa_cfg = preset_encoding("pfa", d=0)
         dm_afm = encode_dataset(triplets, q, afm_cfg, n_students=3)
         dm_pfa = encode_dataset(triplets, q, pfa_cfg, n_students=3)
         beta = rng.normal(size=4)
@@ -194,7 +194,7 @@ def test_criterion_5_model_reductions():
 def test_criterion_6_parameter_recovery():
     spec = SynthSpec("rasch", n_students=200, n_items=20, seed=7)
     data = generate_synthetic(spec)
-    config, _ = preset_encoding("irt")
+    config = preset_encoding("irt", d=0)
     dm = encode_dataset(data.triplets, None, config, 200, n_items=20)
 
     with criterion("C6a MAP recovery: item-difficulty correlation >= 0.9"):

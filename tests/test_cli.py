@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import importlib.util
 import json
@@ -376,7 +377,7 @@ class TestCvCommand:
         checked = []
         lookup = evaluation.preset_encoding
         monkeypatch.setattr(
-            evaluation, "preset_encoding", lambda name, *a: checked.append(name) or lookup(name, *a)
+            evaluation, "preset_encoding", lambda name, *a, **kw: checked.append(name) or lookup(name, *a, **kw)
         )
         synth = tmp_path / "synth"
         invoke(runner, ["synth", "--students", "12", "--items", "5", "--seed", "8", "--out-dir", str(synth)])
@@ -695,6 +696,40 @@ class TestWrittenFilesSkipTheCsvModule:
         _gen_log().generate(5, tmp_path, train_rows=300)
         self.block_csv_reader(monkeypatch)
         self.load(tmp_path / "train.csv", tmp_path / "qmatrix.csv", heldout=tmp_path / "heldout.csv")
+
+
+class TestImportAssistments:
+    HEADER = "order_id,user_id,problem_id,correct,skill_id\n"
+
+    def run(self, runner, tmp_path, raw_bytes):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(raw_bytes)
+        out_data, out_q = tmp_path / "data.csv", tmp_path / "q.csv"
+        result = runner.invoke(
+            main, ["import-assistments", "--raw", str(raw), "--out-data", str(out_data), "--out-qmatrix", str(out_q)]
+        )
+        return result, raw, out_data, out_q
+
+    def test_a_bom_export_is_read_like_the_plain_one(self, runner, tmp_path):
+        text = (self.HEADER + "2,u1,p1,1,s1\n1,u2,p2,0,s2\n").encode()
+        outputs = []
+        for prefix in (b"", codecs.BOM_UTF8):
+            result, _, out_data, out_q = self.run(runner, tmp_path, prefix + text)
+            assert result.exit_code == 0, result.output
+            outputs.append((out_data.read_bytes(), out_q.read_bytes()))
+        assert outputs[1] == outputs[0]
+
+    def test_a_non_integer_order_id_is_one_line_naming_the_file_and_line(self, runner, tmp_path):
+        result, raw, out_data, out_q = self.run(runner, tmp_path, (self.HEADER + "1,u1,p1,1,s1\nx2,u1,p2,0,s1\n").encode())
+        assert result.exit_code == 1
+        assert result.output == f"Error: {raw}: line 3: order_id must be an integer, got 'x2'\n"
+        assert not out_data.exists() and not out_q.exists()
+
+    def test_an_export_without_a_0_1_row_is_one_error_line(self, runner, tmp_path):
+        result, raw, out_data, out_q = self.run(runner, tmp_path, (self.HEADER + "1,u1,p1,0.5,s1\n").encode())
+        assert result.exit_code == 1
+        assert result.output == f"Error: {raw}: no rows with a correct of 0 or 1\n"
+        assert not out_data.exists() and not out_q.exists()
 
 
 class TestWarnings:

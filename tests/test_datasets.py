@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import re
@@ -198,7 +199,7 @@ def reference_load_triplets(path, vocab=None, *, allow_unknown=False):
     fresh = vocab is None
     vocab = Vocabulary() if fresh else vocab
     triplets, extras, unknown = [], {}, 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -388,9 +389,10 @@ class TestLoaderDifferential:
             (_PLAIN_LOG.replace(",pre_test", ""), None, False),
             (_PLAIN_LOG.replace("u2", "u3"), _PLAIN_VOCAB, False),
             (_PLAIN_LOG.replace(",b", ",c"), _PLAIN_VOCAB, True),
+            ("\ufeff" + _PLAIN_LOG, None, False),
         ],
         ids=["padded", "quoted", "long", "non-ASCII", "delete-byte", "tab-padded", "padded-header", "crlf", "no-last-line-end", "blank-line", "lone-field",
-             "bad-correct", "ragged", "unknown-id", "unseen-extra"],
+             "bad-correct", "ragged", "unknown-id", "unseen-extra", "bom"],
     )
     def test_a_quirk_or_fault_sends_the_log_to_the_csv_loop(self, tmp_path, text, vocab, allow_unknown):
         path = tmp_path / "log.csv"
@@ -514,6 +516,20 @@ class TestLoadDataset:
         )
         dataset = load_dataset(path)
         assert dataset.extra_columns == (("mode", 3),)
+
+    def test_a_bom_twin_loads_like_the_plain_file(self, tmp_path):
+        # spreadsheet exports often open with a UTF-8 byte order mark, which is no part of a field
+        texts = {"data.csv": "user_id,item_id,correct,mode\n1,1,1,a\n1,2,0,b\n2,2,1,a\n", "q.csv": "1,0\n1,1\n"}
+        loaded = []
+        for prefix in (b"", codecs.BOM_UTF8):
+            for name, text in texts.items():
+                (tmp_path / name).write_bytes(prefix + text.encode())
+            loaded.append(load_dataset(tmp_path / "data.csv", tmp_path / "q.csv"))
+        plain, bom = loaded
+        assert bom.triplets.tolist() == plain.triplets.tolist()
+        assert {k: v.tolist() for k, v in bom.extras.items()} == {k: v.tolist() for k, v in plain.extras.items()}
+        assert bom.vocab.to_dict() == plain.vocab.to_dict()
+        assert bom.qmatrix.matrix.tolist() == plain.qmatrix.matrix.tolist() == [[1, 0], [1, 1]]
 
 
 class TestSynthSpec:

@@ -221,7 +221,7 @@ class TestUpdateCounters:
 def reference_load_qmatrix(path) -> QMatrix:
     """The cell-by-cell loader that the batched one replaced."""
     rows: list[list[int]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -418,7 +418,7 @@ SKILL_LOOKUP_CASES = {
 def test_skill_lookup_corner_cases_match_the_replay(preset, case):
     matrix, triplets = SKILL_LOOKUP_CASES[case]
     q = QMatrix(np.array(matrix))
-    config, _ = preset_encoding(preset)
+    config = preset_encoding(preset, d=0)
     dm = encode_dataset(triplets, q, config, n_students=2)
     assert np.array_equal(to_dense(dm), replay_encode(triplets, q, config, 2))
 
@@ -442,7 +442,9 @@ def encoding_cases(draw):
         f"x{c}": draw(st.lists(st.integers(0, card - 1), min_size=len(triplets), max_size=len(triplets)))
         for c, card in enumerate(cards)
     }
-    config, _ = preset_encoding(draw(st.sampled_from(PRESET_NAMES)), [(f"x{c}", card) for c, card in enumerate(cards)])
+    preset = draw(st.sampled_from(PRESET_NAMES))
+    # mirtb admits only d > 0
+    config = preset_encoding(preset, [(f"x{c}", card) for c, card in enumerate(cards)], d=int(preset == "mirtb"))
     return triplets, q, config, n_students, extras
 
 

@@ -20,7 +20,7 @@ from ktfm import (
     preset_encoding,
     raw_scores,
 )
-from ktfm.encoding import DimensionRule
+from ktfm.encoding import PRESET_NAMES
 from ktfm.model import PROB_EPS, normal_cdf
 from tests.conftest import matrix_from_rows, to_dense
 from tests.test_sparse import design_matrices
@@ -205,45 +205,58 @@ class TestLinks:
 
 class TestPresets:
     def test_pfa_blocks_and_dimension(self):
-        config, rule = preset_encoding("PFA")
+        config = preset_encoding("PFA", d=0)
         assert config.enabled_blocks() == ("skills", "wins", "fails")
-        assert rule is DimensionRule.ZERO
-        rule.check(0)
+        with pytest.raises(ValueError, match=r"^this preset requires d = 0, got d = 1$"):
+            preset_encoding("PFA", d=1)
 
     def test_irt_blocks(self):
-        config, rule = preset_encoding("IRT")
+        config = preset_encoding("IRT", d=0)
         assert config.enabled_blocks() == ("users", "items")
-        rule.check(0)
-        with pytest.raises(ValueError):
-            rule.check(3)
+        with pytest.raises(ValueError, match=r"^this preset requires d = 0, got d = 3$"):
+            preset_encoding("IRT", d=3)
 
     def test_afm_blocks(self):
-        config, rule = preset_encoding("afm")
+        config = preset_encoding("afm", d=0)
         assert config.enabled_blocks() == ("skills", "attempts")
 
     def test_mirtb_accepts_positive_d(self):
-        config, rule = preset_encoding("MIRTb")
+        config = preset_encoding("MIRTb", d=10)
         assert config.enabled_blocks() == ("users", "items")
-        rule.check(10)
-        with pytest.raises(ValueError):
-            rule.check(0)
+        with pytest.raises(ValueError, match=r"^this preset requires d > 0, got d = 0$"):
+            preset_encoding("MIRTb", d=0)
+        with pytest.raises(TypeError):  # d has no default that could pass unchecked
+            preset_encoding("MIRTb")
 
     def test_iswf_alias(self):
-        config, rule = preset_encoding("iswf")
-        assert config.enabled_blocks() == ("items", "skills", "wins", "fails")
-        rule.check(0)
-        rule.check(20)
+        for d in (0, 20):
+            config = preset_encoding("iswf", d=d)
+            assert config.enabled_blocks() == ("items", "skills", "wins", "fails")
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_negative_d_is_refused_by_every_preset(self, preset):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 0, got -1$"):
+            preset_encoding(preset, (("school", 7),), d=-1)
 
     def test_iswfe_requires_extras(self):
-        with pytest.raises(ValueError):
-            preset_encoding("iswfe")
-        config, _ = preset_encoding("ktm-iswfe", (("school", 7),))
+        with pytest.raises(ValueError, match=r"^preset 'iswfe' needs extra side columns but none were given$"):
+            preset_encoding("iswfe", d=0)
+        config = preset_encoding("ktm-iswfe", (("school", 7),), d=0)
         assert config.extra_columns == (("school", 7),)
         assert config.enabled_blocks()[-1] == "school"
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset_encoding("dkt")
+        with pytest.raises(ValueError, match=r"^unknown preset 'dkt'; known: irt, mirtb, afm, pfa, ktm-iswf, ktm-iswfe$"):
+            preset_encoding("dkt", d=0)
+
+    def test_checks_run_in_order(self):
+        # unknown preset, then missing extras, then a negative d, then the preset's rule
+        with pytest.raises(ValueError, match="^unknown preset"):
+            preset_encoding("dkt", d=-1)
+        with pytest.raises(ValueError, match="needs extra side columns"):
+            preset_encoding("iswfe", d=-1)
+        with pytest.raises(ValueError, match="^dimension must be >= 0"):
+            preset_encoding("irt", d=-1)
 
 
 class TestEmbeddingExport:

@@ -144,7 +144,7 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_encoding_is_stored_as_six_flags(self, tmp_path, preset):
-        config, _ = preset_encoding(preset, [("tutor_mode", 3)])
+        config = preset_encoding(preset, [("tutor_mode", 3)], d=int(preset == "mirtb"))  # mirtb admits only d > 0
         space = config.feature_space(2, 3, 4)
         bundle = ModelBundle(FMParams(0.0, np.zeros(space.width)), space, Link.LOGIT, config, "0" * 64, 2, 3)
         path = tmp_path / "m.json"

@@ -481,7 +481,7 @@ class TestGibbsTrainer:
         data = generate_synthetic(
             SynthSpec("rasch", n_students=50, n_items=20, seed=11, link=Link.PROBIT)
         )
-        config, _ = preset_encoding("irt")
+        config = preset_encoding("irt", d=0)
         dm = encode_dataset(data.triplets, None, config, 50, n_items=20)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(dm))
@@ -1001,7 +1001,7 @@ class TestBlockedSweep:
         data = generate_synthetic(
             SynthSpec("mirt", n_students=30, n_items=15, d=2, link=Link.PROBIT, seed=3, scale=1.5)
         )
-        dm = encode_dataset(data.triplets, None, preset_encoding("mirtb")[0], 30, n_items=15)
+        dm = encode_dataset(data.triplets, None, preset_encoding("mirtb", d=2), 30, n_items=15)
         perm = np.random.default_rng(0).permutation(len(dm))
         cut = int(0.8 * len(dm))
         train, test = dm.subset(np.sort(perm[:cut])), dm.subset(np.sort(perm[cut:]))
