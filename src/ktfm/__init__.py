@@ -30,7 +30,6 @@ from .evaluation import (
 from .model import (
     FMParams,
     Link,
-    export_embeddings,
     predict_proba_matrix,
     raw_scores,
 )
@@ -46,7 +45,7 @@ from .datasets import (
     write_synthetic,
     write_triplets,
 )
-from .persistence import ModelBundle, load_model, save_model
+from .persistence import ModelBundle, export_embeddings, load_model, save_model
 from .sparse import (
     DesignMatrix,
     FeatureSpace,

@@ -41,20 +41,13 @@ from .evaluation import (
     write_fold_report,
     write_summary,
 )
-from .model import Link, export_embeddings, predict_proba_matrix
-from .persistence import ModelBundle, load_model, save_model, write_manifest
+from .model import Link, predict_proba_matrix
+from .persistence import ModelBundle, export_embeddings, load_model, save_model, write_manifest, write_table
 from .training import TrainConfig, TrainingDivergedError
 from .training import train_gibbs_probit, train_map_logit  # noqa: F401  read only by perfbench/trace_cli.py
 
 # every package error is a ValueError but TrainingDivergedError
 _ERRORS = (ValueError, TrainingDivergedError, OSError)
-
-
-def _write_predictions(path, probabilities) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("row,proba\n")
-        for r, p in enumerate(probabilities):
-            fh.write(f"{r},{float(p)!r}\n")
 
 
 def _check_trainer_options(link: str) -> None:
@@ -183,10 +176,10 @@ def train(data, qmatrix, vocab, preset, d, link, epochs, lr, l2, burn_in, seed, 
     config, dm = encode_preset(dataset, preset, d)
     cfg = TrainConfig(d=d, epochs=epochs, l2=l2, seed=seed, burn_in=burn_in)
     fm_link = Link(link)
-    log_rows = ["epoch,train_nll\n"]
+    log_rows = []
 
     def log_sweep(sweep, scores, objective):  # the train NLL of the sweep's carried scores
-        log_rows.append(f"{sweep},{nll(fm_link.inverse(scores), dm.labels)!r}\n")
+        log_rows.append((sweep, nll(fm_link.inverse(scores), dm.labels)))
 
     [(params, _)] = fit(dm, [cfg], fm_link, after_sweep=log_sweep if log_path else None)
     bundle = ModelBundle(
@@ -202,7 +195,7 @@ def train(data, qmatrix, vocab, preset, d, link, epochs, lr, l2, burn_in, seed, 
     if vocab_out:
         dataset.vocab.save(vocab_out)
     if log_path:
-        Path(log_path).write_text("".join(log_rows), encoding="utf-8", newline="\n")
+        write_table(log_path, ["epoch", "train_nll"], log_rows)
     _manifest(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
 
@@ -244,7 +237,7 @@ def predict(model, data, qmatrix, vocab, out):
     """Score a triplet log with a saved model; one probability per row."""
     _check_output_dirs(out)
     probabilities, _ = _score_with_model(model, data, qmatrix, vocab)
-    _write_predictions(out, probabilities)
+    write_table(out, ["row", "proba"], enumerate(probabilities.tolist()))
     _manifest(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} ({len(probabilities)} predictions)")
 
@@ -260,12 +253,10 @@ def evaluate(model, data, qmatrix, vocab, out):
     _check_output_dirs(out)
     probabilities, labels = _score_with_model(model, data, qmatrix, vocab)
     metrics = evaluate_predictions(probabilities, labels, fold=0)
-    auc_txt = "" if metrics.auc is None else repr(metrics.auc)
     if out:
-        with open(out, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("acc,auc,nll\n")
-            fh.write(f"{metrics.acc!r},{auc_txt},{metrics.nll!r}\n")
-    click.echo(f"acc={metrics.acc:.4f} auc={auc_txt or 'n/a'} nll={metrics.nll:.4f}")
+        write_table(out, ["acc", "auc", "nll"], [[metrics.acc, metrics.auc, metrics.nll]])
+    auc_txt = "n/a" if metrics.auc is None else repr(metrics.auc)
+    click.echo(f"acc={metrics.acc:.4f} auc={auc_txt} nll={metrics.nll:.4f}")
 
 
 @main.command()
@@ -304,10 +295,8 @@ def cv(data, qmatrix, vocab, presets, dims, link, epochs, lr, l2, folds, split, 
         Link(link),
         skip=None if single else lambda p, d, exc: click.echo(f"skipping {p} at d={d}: {exc}", err=True),
     )
-    with open(out / "report.csv", "w", newline="\n", encoding="utf-8") as fh:
-        write_fold_report(reports, fh)
-    with open(out / "summary.csv", "w", newline="\n", encoding="utf-8") as fh:
-        write_summary(reports, fh)
+    write_fold_report(reports, out / "report.csv")
+    write_summary(reports, out / "summary.csv")
     _manifest(out / "manifest.json")
     click.echo(format_table(reports))
 
@@ -319,8 +308,7 @@ def export_embeddings_cmd(model, out):
     """Dump per-feature biases and factor vectors as CSV."""
     _check_output_dirs(out)
     bundle = load_model(model)
-    with open(out, "w", newline="\n", encoding="utf-8") as fh:
-        export_embeddings(bundle.params, bundle.space, fh)
+    export_embeddings(bundle.params, bundle.space, out)
     click.echo(f"wrote {out}")
 
 

@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,7 @@ import numpy as np
 
 from .encoding import EncodingConfig, EncodingError, QMatrix, encode_dataset
 from .model import FMParams, Link, raw_scores
+from .persistence import write_json, write_table
 from .sparse import _readonly
 
 
@@ -63,9 +65,7 @@ class Vocabulary:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -321,10 +321,7 @@ def write_triplets(path, triplets, vocab: Vocabulary | None = None) -> None:
     if vocab is not None:
         student = list(map({v: k for k, v in vocab.users.items()}.__getitem__, student))
         item = list(map({v: k for k, v in vocab.items.items()}.__getitem__, item))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "item_id", "correct"])
-        writer.writerows(zip(student, item, outcome))
+    write_table(path, ["user_id", "item_id", "correct"], zip(student, item, outcome))
 
 
 def align_qmatrix(q: QMatrix, item_vocab: Mapping[str, int], *, vocab_order: bool = False) -> QMatrix:
@@ -577,10 +574,8 @@ def write_synthetic(data: SyntheticData, outdir) -> dict[str, str]:
     write_triplets(paths["triplets"], data.triplets)
     if data.qmatrix is not None:
         paths["qmatrix"] = str(outdir / "qmatrix.csv")
-        np.savetxt(paths["qmatrix"], data.qmatrix.matrix, fmt="%d", delimiter=",", encoding="utf-8")
-    with open(paths["truth"], "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(data.truth, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        write_table(paths["qmatrix"], None, data.qmatrix.matrix.tolist())
+    write_json(paths["truth"], data.truth, indent=2)
     return paths
 
 
@@ -588,6 +583,7 @@ def write_synthetic(data: SyntheticData, outdir) -> dict[str, str]:
 # Assistments 2009-2010 skill-builder CSV
 
 ASSISTMENTS_EXTRAS = ("first_action", "school_id", "teacher_id", "tutor_mode")
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def convert_assistments(path, out_triplets, out_qmatrix) -> None:
@@ -597,20 +593,27 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
     the four extra columns. Multi-skill problems appear as repeated rows with
     the same order id; they are merged into one interaction whose item maps to
     all its skills in the q-matrix. Rows without a skill tag keep an empty
-    skill set. An order id that is not an integer, or an export without a row
+    skill set. A line that is not UTF-8 or has more or fewer fields than the
+    header, an order id that is not an integer, or an export without a row
     whose correct is 0 or 1, raises ``DataFormatError`` before anything is
     written.
     """
     by_order: dict[int, list[str]] = {}  # the output row of each order id
     problem_skills: dict[str, set[str]] = {}
-    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
-        reader = csv.DictReader(fh)
+    # surrogateescape reads each byte that is not UTF-8 as a lone surrogate, which
+    # _UNDECODED finds, so that the fault is reported with its line
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         need = {"order_id", "user_id", "problem_id", "correct"}
-        if not need.issubset(reader.fieldnames or ()):
-            raise DataFormatError(
-                f"{path}: missing columns {sorted(need - set(reader.fieldnames or ()))}"
-            )
-        for record in reader:
+        if not need.issubset(header):
+            raise DataFormatError(f"{path}: missing columns {sorted(need - set(header))}")
+        for fields in filter(None, reader):  # blank lines are skipped
+            if len(fields) != len(header):
+                raise DataFormatError(f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(fields)}")
+            if _UNDECODED.search("".join(fields)):
+                raise DataFormatError(f"{path}: line {reader.line_num}: not valid UTF-8")
+            record = dict(zip(header, fields))  # the last of a repeated column name
             try:
                 order = int(record["order_id"])
             except ValueError:
@@ -619,7 +622,7 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
                     f"got {record['order_id']!r}"
                 ) from None
             problem = record["problem_id"].strip()
-            skill = (record.get("skill_id") or "").strip()
+            skill = record.get("skill_id", "").strip()
             if skill and skill.lower() != "na":
                 problem_skills.setdefault(problem, set()).add(skill)
             if order in by_order:
@@ -631,7 +634,7 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
                 record["user_id"].strip(),
                 problem,
                 correct,
-                *((record.get(name) or "unknown").strip() or "unknown" for name in ASSISTMENTS_EXTRAS),
+                *(record.get(name, "").strip() or "unknown" for name in ASSISTMENTS_EXTRAS),
             ]
 
     if not by_order:
@@ -640,12 +643,10 @@ def convert_assistments(path, out_triplets, out_qmatrix) -> None:
     skill_col = {s: k for k, s in enumerate(skills)}
     rows = [by_order[order] for order in sorted(by_order)]
     problems = {problem: str(dense) for dense, problem in enumerate(dict.fromkeys(row[1] for row in rows))}
-    with open(out_triplets, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "item_id", "correct", *ASSISTMENTS_EXTRAS])
-        writer.writerows([user, problems[problem], *rest] for user, problem, *rest in rows)
+    rows = ([user, problems[problem], *rest] for user, problem, *rest in rows)
+    write_table(out_triplets, ["user_id", "item_id", "correct", *ASSISTMENTS_EXTRAS], rows)
     matrix = np.zeros((len(problems), max(len(skills), 1)), dtype=np.int8)
     for dense, problem in enumerate(problems):
         for skill in problem_skills.get(problem, ()):
             matrix[dense, skill_col[skill]] = 1
-    np.savetxt(out_qmatrix, matrix, fmt="%d", delimiter=",", encoding="utf-8")
+    write_table(out_qmatrix, None, matrix.tolist())

@@ -9,16 +9,16 @@ vectors of one length.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .encoding import EncodingConfig, encode_dataset, preset_encoding
 from .model import FMParams, Link, raw_scores
+from .persistence import write_table
 from .sparse import DesignMatrix
 from .training import TrainConfig, _colour_blocks, train_gibbs_probit, train_map_logit
 
@@ -259,33 +259,16 @@ def run_cv(
     return reports
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
+def write_fold_report(reports: Sequence[CVReport], path) -> None:
+    """Write one CSV row of ACC/AUC/NLL per fold of every report."""
+    rows = ([r.preset, r.d, f.fold, f.acc, f.auc, f.nll] for r in reports for f in r.folds)
+    write_table(path, ["preset", "d", "fold", "acc", "auc", "nll"], rows)
 
 
-def write_fold_report(reports: Sequence[CVReport], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["preset", "d", "fold", "acc", "auc", "nll"])
-    for report in reports:
-        for fm in report.folds:
-            writer.writerow(
-                [report.preset, report.d, fm.fold, _fmt(fm.acc), _fmt(fm.auc), _fmt(fm.nll)]
-            )
-
-
-def write_summary(reports: Sequence[CVReport], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["preset", "d", "acc", "auc", "nll"])
-    for report in reports:
-        writer.writerow(
-            [
-                report.preset,
-                report.d,
-                _fmt(report.mean_acc),
-                _fmt(report.mean_auc),
-                _fmt(report.mean_nll),
-            ]
-        )
+def write_summary(reports: Sequence[CVReport], path) -> None:
+    """Write one CSV row of mean ACC/AUC/NLL per report."""
+    rows = ([r.preset, r.d, r.mean_acc, r.mean_auc, r.mean_nll] for r in reports)
+    write_table(path, ["preset", "d", "acc", "auc", "nll"], rows)
 
 
 def format_table(reports: Sequence[CVReport]) -> str:

@@ -1,4 +1,4 @@
-"""Factorization-machine score, link functions, and embedding export.
+"""Factorization-machine score and link functions.
 
 The score of a row x is
 
@@ -11,15 +11,13 @@ O(nnz * d) instead of O(nnz^2 * d) and excludes self-interactions.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
-from .sparse import DesignMatrix, FeatureSpace, _readonly
+from .sparse import DesignMatrix, _readonly
 
 # open-interval guard for predicted probabilities
 PROB_EPS = 1e-15
@@ -148,22 +146,3 @@ def predict_proba_matrix(params: FMParams, data: DesignMatrix, link: Link) -> np
     """Probability of a positive outcome for every row of ``data``."""
     return link.inverse(raw_scores(params, data))
 
-
-EMBEDDING_HEADER = ("block", "local_id", "bias")
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def export_embeddings(params: FMParams, space: FeatureSpace, stream: TextIO) -> None:
-    """Write one CSV row per feature: block label, local id, bias, factors."""
-    if space.width != params.n_features:
-        raise IndexError(
-            f"space width {space.width} != model features {params.n_features}"
-        )
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(EMBEDDING_HEADER) + [f"v{f}" for f in range(params.d)])
-    labels = ((block, local) for block, width in space.blocks for local in range(width))
-    for col, (block, local) in enumerate(labels):
-        writer.writerow([block, str(local), _fmt(params.w[col]), *map(_fmt, params.V[col])])

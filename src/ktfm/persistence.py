@@ -1,13 +1,17 @@
-"""Model files and run manifests.
+"""Every output file but the design text: tables, model files and manifests.
 
-A model file is versioned JSON carrying the link, the feature-space layout,
-the encoding that produced it, all parameters, and a digest of the id
-vocabulary; loading against a different vocabulary is refused so that
-predictions can never silently use a drifted column layout.
+Each file goes through one of two writers, so the rules are kept once: a
+table through ``write_table`` (CSV), anything else through ``write_json``.
+Both write UTF-8 with "\\n" line ends. A model file is versioned JSON
+carrying the link, the feature-space layout, the encoding that produced it,
+all parameters, and a digest of the id vocabulary; loading against a
+different vocabulary is refused so that predictions can never silently use a
+drifted column layout.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -25,6 +29,30 @@ MODEL_VERSION = 1
 
 class ModelFormatError(ValueError):
     """Unreadable, wrong-version, or digest-mismatched model file."""
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``rows`` as CSV, after ``header`` unless it is None: an int or str
+    cell as is, a float as its shortest repr and None as an empty cell."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _json_text(payload, indent: int | None = None) -> str:
+    separators = (",", ":") if indent is None else None
+    return json.dumps(payload, sort_keys=True, indent=indent, separators=separators, default=str)
+
+
+def write_json(path, payload, *, indent: int | None = None) -> None:
+    """Write ``payload`` as JSON with sorted keys, compact unless ``indent`` is
+    given, any value JSON has no type for as its ``str``, and one final "\\n"."""
+    # one dumps string: json.dump to a file always runs the pure-Python encoder
+    text = _json_text(payload, indent)
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 @dataclass(frozen=True)
@@ -58,10 +86,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         "n_items": bundle.n_items,
         "vocab_digest": bundle.vocab_digest,
     }
-    # one dumps string: json.dump to a file always runs the pure-Python encoder
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, payload)
 
 
 def load_model(path, expected_vocab_digest: str | None = None) -> ModelBundle:
@@ -124,9 +149,7 @@ def file_digest(path) -> str:
 
 
 def config_digest(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, separators=(",", ":"), default=str).encode()
-    ).hexdigest()
+    return hashlib.sha256(_json_text(config).encode()).hexdigest()
 
 
 def write_manifest(path, command: str, options: dict, inputs: dict[str, str]) -> None:
@@ -143,6 +166,13 @@ def write_manifest(path, command: str, options: dict, inputs: dict[str, str]) ->
         "inputs": {name: file_digest(p) for name, p in sorted(inputs.items()) if p},
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=str)
-        fh.write("\n")
+    write_json(path, payload, indent=2)
+
+
+def export_embeddings(params: FMParams, space: FeatureSpace, path) -> None:
+    """Write one CSV row per feature: block label, local id, bias, factors."""
+    if space.width != params.n_features:
+        raise IndexError(f"space width {space.width} != model features {params.n_features}")
+    labels = ((block, local) for block, width in space.blocks for local in range(width))
+    rows = ([block, local, w, *v] for (block, local), w, v in zip(labels, params.w.tolist(), params.V.tolist()))
+    write_table(path, ["block", "local_id", "bias", *(f"v{f}" for f in range(params.d))], rows)

@@ -46,6 +46,8 @@ fresh score of the train set.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -103,6 +105,15 @@ def _init_factors(config: TrainConfig, n_features: int) -> np.ndarray:
     return _INIT_SCALE * rng.standard_normal((n_features, config.d))
 
 
+def _outside_level() -> int:
+    """The ``stacklevel`` that names the first caller outside the package, for a
+    ``warnings.warn`` in the function that calls this one."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back and os.path.dirname(frame.f_code.co_filename) == os.path.dirname(__file__):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None):
     """Both trainers' opening: reject empty data, warn on constant labels, and
     colour the columns (``_colour_blocks``), unless ``classes`` holds that
@@ -117,7 +128,7 @@ def _setup(data: DesignMatrix, config: TrainConfig, classes: tuple | None = None
     if (labels == labels[0]).all():
         warnings.warn(
             "all training labels are identical; the fit is degenerate",
-            stacklevel=3,
+            stacklevel=_outside_level(),
         )
     w = np.zeros(data.space.width)
     V = _init_factors(config, data.space.width)

@@ -1,11 +1,31 @@
-"""Shared fixtures: a small two-student log whose encoding is known by hand."""
+"""Shared fixtures: a small two-student log whose encoding is known by hand.
 
+Every test here fails on an ``EncodingWarning`` raised from this directory's
+own modules, as ``open`` raises it under PYTHONWARNDEFAULTENCODING=1 for a
+text file opened without naming its encoding: every file the tests read or
+write is UTF-8, whatever the host's locale. Warnings from other modules, such
+as perfbench's tests or a pytest plugin, are left to the run's own filters.
+"""
+
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from ktfm import DesignMatrix, EncodingConfig, FeatureSpace, QMatrix
+
+TESTS = Path(__file__).resolve().parent
+# this directory's modules, imported as ``test_cli`` or as ``tests.test_cli``
+_OWN_MODULES = "(tests\\.)?(" + "|".join(sorted(path.stem for path in TESTS.glob("*.py"))) + ")$"
+
+
+def pytest_collection_modifyitems(items):
+    mark = pytest.mark.filterwarnings(f"error::EncodingWarning:{_OWN_MODULES}")
+    for item in items:
+        if item.path.parent == TESTS:
+            item.add_marker(mark)
+
 
 # Item 0 exercises no skill, item 1 exercises skills {0, 1}, item 2 skills
 # {1, 2}. Student 1 answers item 1 (right, wrong, right) then item 2 (wrong,
@@ -111,7 +131,7 @@ def example_log_csv(tmp_path):
     data = tmp_path / "triplets.csv"
     lines = ["user_id,item_id,correct"]
     lines += [f"{student + 1},{item + 1},{outcome}" for student, item, outcome in EXAMPLE_TRIPLETS]
-    data.write_text("\n".join(lines) + "\n")
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     qfile = tmp_path / "qmatrix.csv"
-    qfile.write_text("\n".join(",".join(str(c) for c in row) for row in EXAMPLE_QMATRIX) + "\n")
+    qfile.write_text("\n".join(",".join(str(c) for c in row) for row in EXAMPLE_QMATRIX) + "\n", encoding="utf-8")
     return data, qfile

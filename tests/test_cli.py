@@ -46,7 +46,7 @@ class TestSynthCommand:
         assert (out / "triplets.csv").exists()
         assert (out / "qmatrix.csv").exists()
         assert (out / "truth.json").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "synth"
 
     def test_identical_seeds_identical_outputs(self, runner, tmp_path):
@@ -79,7 +79,7 @@ class TestEncodeCommand:
         lines = [f"#N {expected.shape[1]}"]
         for label, row in zip(EXAMPLE_LABELS, expected):
             lines.append(" ".join([str(label), *(f"{c}:{int(row[c])}" for c in np.flatnonzero(row))]))
-        assert out.read_text() == "\n".join(lines) + "\n"
+        assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
         assert (tmp_path / "dm.manifest.json").exists()
 
     def test_design_text_bytes_are_pinned(self, runner, tmp_path):
@@ -131,7 +131,7 @@ class TestTrainPredictEvaluate:
             ],
         )
         assert model.exists() and vocab.exists()
-        assert log.read_text().splitlines()[0] == "epoch,train_nll"
+        assert log.read_text(encoding="utf-8").splitlines()[0] == "epoch,train_nll"
 
         preds = tmp_path / "preds.csv"
         invoke(
@@ -141,7 +141,7 @@ class TestTrainPredictEvaluate:
                 "--vocab", str(vocab), "--out", str(preds),
             ],
         )
-        lines = preds.read_text().splitlines()
+        lines = preds.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "row,proba"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(values) == 160
@@ -156,7 +156,7 @@ class TestTrainPredictEvaluate:
             ],
         )
         assert "acc=" in result.output and "auc=" in result.output
-        header, row = metrics.read_text().splitlines()
+        header, row = metrics.read_text(encoding="utf-8").splitlines()
         assert header == "acc,auc,nll"
 
     def test_train_probit_gibbs(self, runner, synth_dir, tmp_path):
@@ -169,7 +169,7 @@ class TestTrainPredictEvaluate:
                 "--iters", "20", "--seed", "2", "--out", str(model),
             ],
         )
-        payload = json.loads(model.read_text())
+        payload = json.loads(model.read_text(encoding="utf-8"))
         assert payload["link"] == "probit"
         assert payload["d"] == 2
 
@@ -183,7 +183,7 @@ class TestTrainPredictEvaluate:
                 "--out", str(tmp_path / "model.json"), "--log", str(log),
             ],
         )
-        header, *rows = log.read_text().splitlines()
+        header, *rows = log.read_text(encoding="utf-8").splitlines()
         assert header == "epoch,train_nll"
         assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2, 3]
         assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
@@ -208,7 +208,7 @@ class TestTrainPredictEvaluate:
             ],
         )
         other = tmp_path / "other_vocab.json"
-        other.write_text('{"users":{"x":0},"items":{"y":0},"extras":{}}')
+        other.write_text('{"users":{"x":0},"items":{"y":0},"extras":{}}', encoding="utf-8")
         result = runner.invoke(
             main,
             [
@@ -250,7 +250,7 @@ class TestTrainPredictEvaluate:
                     "--out", str(model),
                 ],
             )
-            manifest = json.loads(model.with_suffix(".manifest.json").read_text())
+            manifest = json.loads(model.with_suffix(".manifest.json").read_text(encoding="utf-8"))
             assert manifest["options"]["burn_in"] == burn_in
             digests.append(manifest["config_digest"])
         assert digests[0] != digests[1]
@@ -265,9 +265,9 @@ class TestTrainPredictEvaluate:
             item = int(rng.integers(0, 3))
             lines.append(f"u{rng.integers(0, 5)},{item},{int(rng.random() < (0.2, 0.5, 0.9)[item])}")
         lines[1:4] = ["u0,2,1", "u1,0,0", "u2,1,1"]
-        data.write_text("\n".join(lines) + "\n")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         qfile = tmp_path / "q.csv"
-        qfile.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        qfile.write_text("1,0,0\n0,1,0\n0,0,1\n", encoding="utf-8")
         model, vocab, preds = tmp_path / "m.json", tmp_path / "v.json", tmp_path / "p.csv"
         invoke(
             runner,
@@ -283,7 +283,7 @@ class TestTrainPredictEvaluate:
                 "--vocab", str(vocab), "--out", str(preds),
             ],
         )
-        got = [float(line.split(",")[1]) for line in preds.read_text().splitlines()[1:]]
+        got = [float(line.split(",")[1]) for line in preds.read_text(encoding="utf-8").splitlines()[1:]]
         bundle = load_model(model)
         dataset = load_dataset(data, qfile)
         dm = encode_dataset(
@@ -346,10 +346,10 @@ class TestCvCommand:
                 "--out-dir", str(out),
             ],
         )
-        summary = (out / "summary.csv").read_text().splitlines()
+        summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
         assert summary[0] == "preset,d,acc,auc,nll"
         assert len(summary) == 2
-        report = (out / "report.csv").read_text().splitlines()
+        report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
         assert len(report) == 6  # header + 5 folds
         assert "irt" in result.output
 
@@ -416,10 +416,10 @@ class TestCvCommand:
         )
         assert result.exit_code == 0, result.output
         assert result.stderr.count("--lr is ignored") == 1
-        labels = np.array([int(line.split(",")[2]) for line in (synth / "triplets.csv").read_text().splitlines()[1:]])
+        labels = np.array([int(line.split(",")[2]) for line in (synth / "triplets.csv").read_text(encoding="utf-8").splitlines()[1:]])
         rate = labels.mean()
         base_nll = -(rate * np.log(rate) + (1 - rate) * np.log(1 - rate))
-        header, *rows = (out / "summary.csv").read_text().splitlines()
+        header, *rows = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
         cells = {"/".join(row.split(",")[:2]): float(row.split(",")[4]) for row in rows}
         assert sorted(cells) == ["ktm-iswf/0", "ktm-iswf/5", "pfa/0"]
         assert all(nll < base_nll for nll in cells.values())
@@ -441,7 +441,7 @@ def ktm_report(ktm_log, tmp_path_factory):
     invoke(CliRunner(), ["cv", *ktm_log, "--link", "logit", "--preset", "ktm-iswf", "--d", "0", "--d", "2",
                          "--folds", "5", "--seed", "1", "--epochs", "20", "--out-dir", str(out)])
     rows = {}
-    for line in (out / "report.csv").read_text().splitlines(keepends=True)[1:]:
+    for line in (out / "report.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:]:
         rows.setdefault(line.split(",")[1], []).append(line)
     return rows
 
@@ -450,10 +450,11 @@ def ktm_report(ktm_log, tmp_path_factory):
 def ktm_extra_log(ktm_log, tmp_path_factory):
     """That log with one seeded extra side column, ``mode`` (three values), on every row."""
     out = tmp_path_factory.mktemp("ktm_extra")
-    lines = Path(ktm_log[1]).read_text().splitlines()
+    lines = Path(ktm_log[1]).read_text(encoding="utf-8").splitlines()
     modes = np.random.default_rng(8).choice(["a", "b", "c"], len(lines) - 1)
     (out / "triplets.csv").write_text(
-        "".join(f"{line},{mode}\n" for line, mode in zip(lines, ["mode", *modes]))
+        "".join(f"{line},{mode}\n" for line, mode in zip(lines, ["mode", *modes])),
+        encoding="utf-8",
     )
     return ["--data", str(out / "triplets.csv"), ktm_log[2], ktm_log[3]]
 
@@ -484,13 +485,13 @@ class TestOutputBytesArePinned:
         invoke(runner, ["train", *ktm_log, "--link", "probit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "20",
                         "--seed", "1", "--out", str(model), "--vocab-out", str(vocab), "--log", str(log)])
         invoke(runner, ["predict", "--model", str(model), *ktm_log, "--vocab", str(vocab), "--out", str(preds)])
-        assert sha256_text(model.read_text()) == (
+        assert sha256_text(model.read_text(encoding="utf-8")) == (
             "dc7209e642d15dc89d050c54ff1e49928ff6d265c78c10cef3a24433829ff30b"
         )
-        assert sha256_text(preds.read_text()) == (
+        assert sha256_text(preds.read_text(encoding="utf-8")) == (
             "977f4cac9f09ce47f871dc4c7d461be24d714ee1dadca27a4aba51a362af182a"
         )
-        assert sha256_text(log.read_text()) == (
+        assert sha256_text(log.read_text(encoding="utf-8")) == (
             "e646edc04361c78f64312bc27af6817afd29d8aee2037bfc77284138489c22b3"
         )
 
@@ -498,8 +499,8 @@ class TestOutputBytesArePinned:
         log = tmp_path / "log.csv"
         invoke(runner, ["train", *ktm_log, "--link", "logit", "--preset", "ktm-iswf", "--d", "2", "--epochs", "20",
                         "--seed", "1", "--out", str(tmp_path / "m.json"), "--log", str(log)])
-        assert len(log.read_text().splitlines()) == 21
-        assert sha256_text(log.read_text()) == (
+        assert len(log.read_text(encoding="utf-8").splitlines()) == 21
+        assert sha256_text(log.read_text(encoding="utf-8")) == (
             "6307d6a249b67428d38d52f336f17ed31178b41800e0ae2a4c175df0f094a95c"
         )
 
@@ -517,10 +518,10 @@ class TestOutputBytesArePinned:
         assert kinds == {True, False}
         invoke(runner, ["cv", *ktm_extra_log, "--link", "probit", "--preset", "ktm-iswfe", "--d", "0", "--d", "2",
                         "--folds", "3", "--seed", "1", "--epochs", "12", "--out-dir", str(tmp_path)])
-        assert sha256_text((tmp_path / "report.csv").read_text()) == (
+        assert sha256_text((tmp_path / "report.csv").read_text(encoding="utf-8")) == (
             "3512a803418a116ea42d79926a10522e17f012f09dfe141b167e632ccbf336de"
         )
-        assert sha256_text((tmp_path / "summary.csv").read_text()) == (
+        assert sha256_text((tmp_path / "summary.csv").read_text(encoding="utf-8")) == (
             "4f81c1b4190022b04352e47632f61226beb574fd0fbc80105dd560cca0d306e5"
         )
 
@@ -583,7 +584,7 @@ class TestManifests:
                 path = Path(parsed["out_dir"]) / "manifest.json"
             else:
                 path = Path(parsed["out"]).with_suffix(".manifest.json")
-            manifest = json.loads(path.read_text())
+            manifest = json.loads(path.read_text(encoding="utf-8"))
             assert manifest["command"] == command
             assert manifest["options"] == json.loads(json.dumps(options)), args
             assert manifest["config_digest"] == config_digest(options), args
@@ -602,14 +603,14 @@ class TestManifests:
             cli._manifest(out)
 
         data, out = tmp_path / "in.csv", tmp_path / "m.json"
-        data.write_text("abc")
+        data.write_text("abc", encoding="utf-8")
         CliRunner().invoke(
             toy,
             ["--data", str(data), "--rate", "0.5", "--tag", "a", "--tag", "b", "--out", str(out),
              "--out-dir", str(tmp_path)],
             catch_exceptions=False,
         )
-        manifest = json.loads(out.read_text())
+        manifest = json.loads(out.read_text(encoding="utf-8"))
         # the hidden --rate, the unset --qmatrix and both output paths leave no trace
         assert manifest["command"] == "toy"
         assert manifest["options"] == {"k": 3, "tags": ["a", "b"]}
@@ -636,7 +637,7 @@ class TestExportEmbeddings:
         )
         out = tmp_path / "emb.csv"
         invoke(runner, ["export-embeddings", "--model", str(model), "--out", str(out)])
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "block,local_id,bias,v0,v1"
         assert len(lines) == 13  # 8 users + 4 items + header
 
@@ -684,7 +685,8 @@ class TestWrittenFilesSkipTheCsvModule:
             "5,1,70123,p1,1,s9,frac,0,73,22,tutor\n"
             "5,1,70123,p1,1,s7,dec,0,73,22,tutor\n"
             "2,1,70456,p2,0,,,1,73,25,test\n"
-            "9,1,70123,p2,1,,,2,73,22,pre_test\n"
+            "9,1,70123,p2,1,,,2,73,22,pre_test\n",
+            encoding="utf-8",
         )
         data, qmatrix = tmp_path / "data.csv", tmp_path / "q.csv"
         invoke(runner, ["import-assistments", "--raw", str(raw), "--out-data", str(data), "--out-qmatrix", str(qmatrix)])
@@ -731,6 +733,21 @@ class TestImportAssistments:
         assert result.output == f"Error: {raw}: no rows with a correct of 0 or 1\n"
         assert not out_data.exists() and not out_q.exists()
 
+    def test_invalid_utf8_is_one_error_line_naming_the_file_and_line(self, runner, tmp_path):
+        # read leniently, u\xff and u\xfe would both become one user u\ufffd
+        raw_bytes = self.HEADER.encode() + b"1,u\xff,p1,1,s1\n2,u\xfe,p1,0,s1\n"
+        result, raw, out_data, out_q = self.run(runner, tmp_path, raw_bytes)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {raw}: line 2: not valid UTF-8\n"
+        assert not out_data.exists() and not out_q.exists()
+
+    def test_a_row_with_too_few_or_too_many_fields_is_one_error_line(self, runner, tmp_path):
+        for row, got in (("2,u1", 2), ("2,u1,p2,0,s1,x", 6)):
+            result, raw, out_data, out_q = self.run(runner, tmp_path, (self.HEADER + f"1,u1,p1,1,s1\n\n{row}\n").encode())
+            assert result.exit_code == 1
+            assert result.output == f"Error: {raw}: line 4: expected 5 fields, got {got}\n"
+            assert not out_data.exists() and not out_q.exists()
+
 
 class TestWarnings:
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
@@ -738,8 +755,8 @@ class TestWarnings:
         # constant training labels, an id outside the vocabulary, single-class test labels:
         # each warning is one line, as an error is, with no module path or source line
         log, heldout = tmp_path / "log.csv", tmp_path / "heldout.csv"
-        log.write_text("user_id,item_id,correct\n1,1,1\n2,2,1\n")
-        heldout.write_text("user_id,item_id,correct\n1,1,0\n9,1,1\n")
+        log.write_text("user_id,item_id,correct\n1,1,1\n2,2,1\n", encoding="utf-8")
+        heldout.write_text("user_id,item_id,correct\n1,1,0\n9,1,1\n", encoding="utf-8")
         model, vocab = tmp_path / "model.json", tmp_path / "vocab.json"
         args = {
             "train": ["train", "--data", str(log), "--out", str(model), "--vocab-out", str(vocab)],
@@ -782,7 +799,7 @@ class TestErrors:
     def test_vocabulary_of_the_wrong_shape_is_one_line(self, runner, tmp_path, example_log_csv, vocab_text):
         data, _ = example_log_csv
         vocab = tmp_path / "v.json"
-        vocab.write_text(vocab_text)
+        vocab.write_text(vocab_text, encoding="utf-8")
         result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(tmp_path / "m.json")])
         assert result.exit_code != 0
         assert result.output == f"Error: {vocab}: not a vocabulary file\n"
@@ -804,7 +821,7 @@ class TestErrors:
     ):
         data, _ = example_log_csv
         vocab = tmp_path / "v.json"
-        vocab.write_text(vocab_text)
+        vocab.write_text(vocab_text, encoding="utf-8")
         result = runner.invoke(main, ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(tmp_path / "m.json")])
         assert result.exit_code != 0
         assert result.output.startswith(f"Error: {vocab}: {message}")
@@ -818,7 +835,7 @@ class TestErrors:
 
         monkeypatch.setattr("ktfm.evaluation.train_map_logit", unreachable)
         data = tmp_path / "log.csv"
-        data.write_text("user_id,item_id,correct\na,1,1\nb,2,0\nc,1,0\n")
+        data.write_text("user_id,item_id,correct\na,1,1\nb,2,0\nc,1,0\n", encoding="utf-8")
         result = runner.invoke(main, ["cv", "--data", str(data), "--preset", "irt", "--d", "0",
                                       "--folds", "5", "--split", split, "--out-dir", str(tmp_path / "cv")])
         assert result.exit_code != 0
@@ -828,9 +845,9 @@ class TestErrors:
         data, _ = example_log_csv
         model, vocab = tmp_path / "m.json", tmp_path / "v.json"
         invoke(runner, ["train", "--data", str(data), "--epochs", "1", "--out", str(model), "--vocab-out", str(vocab)])
-        payload = json.loads(model.read_text())
+        payload = json.loads(model.read_text(encoding="utf-8"))
         del payload["vocab_digest"]
-        model.write_text(json.dumps(payload))
+        model.write_text(json.dumps(payload), encoding="utf-8")
         result = runner.invoke(main, ["predict", "--model", str(model), "--data", str(data), "--vocab", str(vocab),
                                       "--out", str(tmp_path / "p.csv")])
         assert result.exit_code != 0
@@ -866,7 +883,7 @@ class TestErrors:
         monkeypatch.setattr("ktfm.cli._score_with_model", unreachable)
         data, _ = example_log_csv
         model = tmp_path / "model.json"
-        model.write_text("{}")  # never read
+        model.write_text("{}", encoding="utf-8")  # never read
         inputs = ["--data", data] if command == "encode" else ["--model", model, "--data", data, "--vocab", model]
         paths = {"--out": tmp_path / "o.txt", option: tmp_path / "missing" / "o.txt"}
         args = [command, *inputs] + [a for pair in paths.items() for a in pair]
@@ -879,7 +896,7 @@ class TestErrors:
     def test_export_embeddings_checks_its_output_directory_before_loading(self, runner, tmp_path):
         # a corrupt model would fail too: the missing directory must be the error reported
         model = tmp_path / "model.json"
-        model.write_text("{not json")
+        model.write_text("{not json", encoding="utf-8")
         out = tmp_path / "missing" / "emb.csv"
         result = runner.invoke(main, ["export-embeddings", "--model", str(model), "--out", str(out)])
         assert result.exit_code != 0
@@ -898,7 +915,7 @@ class TestErrors:
         monkeypatch.setattr(f"ktfm.cli.{work}", unreachable)
         data, _ = example_log_csv
         blocker = tmp_path / "a_file"
-        blocker.write_text("")
+        blocker.write_text("", encoding="utf-8")
         args = ["--data", str(data)] if command == "cv" else []
         result = runner.invoke(main, [command, *args, "--out-dir", str(blocker / command)])
         assert result.exit_code != 0
@@ -907,7 +924,7 @@ class TestErrors:
 
     def test_import_checks_both_outputs_before_writing(self, runner, tmp_path):
         raw = tmp_path / "raw.csv"
-        raw.write_text("order_id,user_id,problem_id,correct,skill_id\n1,u1,p1,1,s1\n")
+        raw.write_text("order_id,user_id,problem_id,correct,skill_id\n1,u1,p1,1,s1\n", encoding="utf-8")
         out_data = tmp_path / "data.csv"
         result = runner.invoke(
             main,
@@ -925,7 +942,7 @@ class TestErrors:
         invoke(runner, ["train", "--data", str(data), "--qmatrix", str(qfile), "--preset", "pfa", "--epochs", "1",
                         "--out", str(model), "--vocab-out", str(vocab)])
         wider = tmp_path / "wider.csv"
-        wider.write_text("".join(line + ",0\n" for line in qfile.read_text().splitlines()))
+        wider.write_text("".join(line + ",0\n" for line in qfile.read_text(encoding="utf-8").splitlines()), encoding="utf-8")
         result = runner.invoke(main, [command, "--model", str(model), "--data", str(data), "--qmatrix", str(wider),
                                       "--vocab", str(vocab), "--out", str(out)])
         n = EXAMPLE_QMATRIX.shape[1]
@@ -938,9 +955,9 @@ class TestErrors:
         model, out = tmp_path / "m.json", tmp_path / "emb.csv"
         invoke(runner, ["train", "--data", str(data), "--preset", "mirtb", "--d", "2", "--epochs", "1",
                         "--out", str(model)])
-        payload = json.loads(model.read_text())
+        payload = json.loads(model.read_text(encoding="utf-8"))
         payload["d"] = 7
-        model.write_text(json.dumps(payload))
+        model.write_text(json.dumps(payload), encoding="utf-8")
         result = runner.invoke(main, ["export-embeddings", "--model", str(model), "--out", str(out)])
         assert result.exit_code != 0
         assert result.output == f"Error: {model}: d 7 != factor columns 2\n"
@@ -983,7 +1000,7 @@ def scipy_after_each(commands):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, encoding="utf-8", env=env, check=True,
     )
     return json.loads(result.stdout.splitlines()[-1])
 

@@ -54,25 +54,25 @@ class TestLoadTriplets:
 
     def test_bad_outcome_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("user_id,item_id,correct\n1,1,2\n")
+        path.write_text("user_id,item_id,correct\n1,1,2\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_triplets(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_triplets(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("user_id,item_id,correct\n")
+        path.write_text("user_id,item_id,correct\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_triplets(path)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("student,question,correct\n1,1,1\n")
+        path.write_text("student,question,correct\n1,1,1\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_triplets(path)
 
@@ -82,7 +82,8 @@ class TestLoadTriplets:
             "user_id,item_id,correct,tutor_mode\n"
             "a,x,1,tutor\n"
             "a,y,0,test\n"
-            "b,x,1,tutor\n"
+            "b,x,1,tutor\n",
+            encoding="utf-8",
         )
         triplets, extras, vocab = load_triplets(path)
         assert extras["tutor_mode"].tolist() == [0, 1, 0]
@@ -90,14 +91,14 @@ class TestLoadTriplets:
 
     def test_frozen_vocab_rejects_unknown_ids(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct\nzz,1,1\n")
+        path.write_text("user_id,item_id,correct\nzz,1,1\n", encoding="utf-8")
         vocab = Vocabulary(users={"a": 0}, items={"1": 0})
         with pytest.raises(DataFormatError):
             load_triplets(path, vocab)
 
     def test_allow_unknown_maps_to_sentinel(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct\nzz,1,1\na,1,0\n")
+        path.write_text("user_id,item_id,correct\nzz,1,1\na,1,0\n", encoding="utf-8")
         vocab = Vocabulary(users={"a": 0}, items={"1": 0})
         with pytest.warns(UserWarning, match="outside the vocabulary"):
             triplets, _, _ = load_triplets(path, vocab, allow_unknown=True)
@@ -105,7 +106,7 @@ class TestLoadTriplets:
 
     def test_frozen_vocab_rejects_unseen_extra_value(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct,mode\na,1,1,strange\n")
+        path.write_text("user_id,item_id,correct,mode\na,1,1,strange\n", encoding="utf-8")
         vocab = Vocabulary(
             users={"a": 0}, items={"1": 0}, extras={"mode": {"tutor": 0}}
         )
@@ -115,7 +116,7 @@ class TestLoadTriplets:
     def test_round_trip_is_identity_on_dense_ids(self, tmp_path):
         rng = np.random.default_rng(9)
         path = tmp_path / "big.csv"
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("user_id,item_id,correct\n")
             for _ in range(10_000):
                 fh.write(
@@ -141,14 +142,14 @@ class TestLoadTriplets:
     def test_errors_name_the_line(self, tmp_path, body, vocab, message):
         # line 3 is blank, so the faulty row is line 4 of the file
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct\n1,1,1\n\n" + body)
+        path.write_text("user_id,item_id,correct\n1,1,1\n\n" + body, encoding="utf-8")
         with pytest.raises(DataFormatError) as caught:
             load_triplets(path, vocab)
         assert str(caught.value) == f"{path}: line 4: {message}"
 
     def test_unseen_extra_value_names_the_line(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct,mode\na,1,1,tutor\n\na,1,1,strange\n")
+        path.write_text("user_id,item_id,correct,mode\na,1,1,tutor\n\na,1,1,strange\n", encoding="utf-8")
         vocab = Vocabulary(users={"a": 0}, items={"1": 0}, extras={"mode": {"tutor": 0}})
         with pytest.raises(DataFormatError) as caught:
             load_triplets(path, vocab, allow_unknown=True)
@@ -166,7 +167,7 @@ class TestLoadTriplets:
     )
     def test_first_check_to_fail_names_the_fault(self, tmp_path, body, allow_unknown, message):
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct,mode\n" + body)
+        path.write_text("user_id,item_id,correct,mode\n" + body, encoding="utf-8")
         vocab = Vocabulary(users={"a": 0}, items={"1": 0}, extras={"mode": {"tutor": 0}})
         with pytest.raises(DataFormatError) as caught:
             load_triplets(path, vocab, allow_unknown=allow_unknown)
@@ -179,7 +180,7 @@ class TestLoadTriplets:
 
     def test_repeated_extra_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("user_id,item_id,correct,mode,mode\na,1,1,x,y\n")
+        path.write_text("user_id,item_id,correct,mode,mode\na,1,1,x,y\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="repeats an extra column"):
             load_triplets(path)
 
@@ -365,7 +366,7 @@ class TestLoaderDifferential:
     )
     def test_a_plain_log_takes_the_numpy_pass(self, tmp_path, text, vocab, allow_unknown):
         path = tmp_path / "log.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert datasets._read_plain_log(path, Vocabulary.from_dict(vocab or {}), vocab is None, allow_unknown)
         frozen = (lambda: Vocabulary.from_dict(vocab)) if vocab else (lambda: None)
         want = _outcome(reference_load_triplets, path, frozen(), allow_unknown)
@@ -512,7 +513,8 @@ class TestLoadDataset:
     def test_extra_columns_property(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(
-            "user_id,item_id,correct,mode\n1,1,1,a\n1,1,0,b\n2,1,1,c\n"
+            "user_id,item_id,correct,mode\n1,1,1,a\n1,1,0,b\n2,1,1,c\n",
+            encoding="utf-8",
         )
         dataset = load_dataset(path)
         assert dataset.extra_columns == (("mode", 3),)
@@ -620,7 +622,7 @@ class TestGenerators:
         spec = SynthSpec("mirt", 4, 3, d=2, seed=5)
         data = generate_synthetic(spec)
         paths = write_synthetic(data, tmp_path / "out")
-        truth = json.loads((tmp_path / "out" / "truth.json").read_text())
+        truth = json.loads((tmp_path / "out" / "truth.json").read_text(encoding="utf-8"))
         assert truth["generator"] == "mirt"
         assert len(truth["user_vectors"]) == 4
 
@@ -786,7 +788,8 @@ class TestAssistmentsConverter:
             "5,1,u1,p1,1,s9,frac,attempt,sc1,t1,tutor\n"
             "5,1,u1,p1,1,s7,dec,attempt,sc1,t1,tutor\n"
             "2,1,u2,p2,0,,,hint,sc2,t2,test\n"
-            "9,1,u1,p2,1,,,attempt,sc1,t1,tutor\n"
+            "9,1,u1,p2,1,,,attempt,sc1,t1,tutor\n",
+            encoding="utf-8",
         )
         out_data = tmp_path / "triplets.csv"
         out_q = tmp_path / "q.csv"
@@ -795,7 +798,7 @@ class TestAssistmentsConverter:
         # rows come back in order_id order and multi-skill rows are merged
         assert len(triplets) == 3
         assert extras["tutor_mode"].tolist()[0] == 0  # first row is "test"
-        q = np.loadtxt(out_q, delimiter=",", ndmin=2)
+        q = np.loadtxt(out_q, delimiter=",", ndmin=2, encoding="utf-8")
         assert q.shape == (2, 2)
         # the multi-skill problem carries both skills, the untagged one none
         assert q.sum() == 2
@@ -803,6 +806,6 @@ class TestAssistmentsConverter:
 
     def test_missing_columns_rejected(self, tmp_path):
         raw = tmp_path / "raw.csv"
-        raw.write_text("foo,bar\n1,2\n")
+        raw.write_text("foo,bar\n1,2\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             convert_assistments(raw, tmp_path / "a.csv", tmp_path / "b.csv")

@@ -285,19 +285,19 @@ class TestLoadQMatrix:
 
     def test_all_zero_matrix_is_valid(self, tmp_path):
         path = tmp_path / "q.csv"
-        path.write_text("0,0\n0,0\n")
+        path.write_text("0,0\n0,0\n", encoding="utf-8")
         q = load_qmatrix(path)
         assert not q.matrix.any()
 
     def test_non_binary_cell_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
-        path.write_text("0,1\n0,2\n")
+        path.write_text("0,1\n0,2\n", encoding="utf-8")
         with pytest.raises(EncodingError):
             load_qmatrix(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
-        path.write_text("0,1\n1\n")
+        path.write_text("0,1\n1\n", encoding="utf-8")
         with pytest.raises(EncodingError):
             load_qmatrix(path)
 
@@ -309,20 +309,20 @@ class TestLoadQMatrix:
     def test_errors_name_the_line(self, tmp_path, row, message):
         # line 2 is blank, so the faulty row is line 3 of the file
         path = tmp_path / "q.csv"
-        path.write_text(f"0,1\n\n{row}\n")
+        path.write_text(f"0,1\n\n{row}\n", encoding="utf-8")
         with pytest.raises(EncodingError) as caught:
             load_qmatrix(path)
         assert str(caught.value) == f"{path}: line 3: {message}"
 
     def test_padded_and_quoted_cells_are_read(self, tmp_path):
         path = tmp_path / "q.csv"
-        path.write_text('0, 1\n"1" ,0\n')
+        path.write_text('0, 1\n"1" ,0\n', encoding="utf-8")
         assert load_qmatrix(path).matrix.tolist() == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("cell", ["2", "+1", "01", "-0", "1.0", ""], ids=["2", "+1", "01", "-0", "1.0", "empty"])
     def test_cells_other_than_0_and_1_rejected(self, tmp_path, cell):
         path = tmp_path / "q.csv"
-        path.write_text(f"0,1\n{cell},0\n")
+        path.write_text(f"0,1\n{cell},0\n", encoding="utf-8")
         with pytest.raises(EncodingError, match="line 2: cell"):
             load_qmatrix(path)
 
@@ -330,7 +330,7 @@ class TestLoadQMatrix:
     @given(text=qmatrix_texts())
     def test_matches_the_cell_by_cell_loader(self, tmp_path, text):
         path = tmp_path / "q.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert _qmatrix_outcome(load_qmatrix, path) == _qmatrix_outcome(reference_load_qmatrix, path)
 
 

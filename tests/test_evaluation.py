@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -416,7 +415,7 @@ class TestRunCv:
         assert len(missing) == 1
         assert report.mean_auc is not None  # mean over the remaining folds
 
-    def test_report_is_reproducible(self):
+    def test_report_is_reproducible(self, tmp_path):
         def render():
             reports = run_cv(
                 synthetic_dataset(seed=5),
@@ -424,10 +423,10 @@ class TestRunCv:
                 FoldSpec(k=4, seed=2),
                 TrainConfig(epochs=6, seed=2),
             )
-            buf = io.StringIO()
-            write_fold_report(reports, buf)
-            write_summary(reports, buf)
-            return buf.getvalue()
+            report, summary = tmp_path / "report.csv", tmp_path / "summary.csv"
+            write_fold_report(reports, report)
+            write_summary(reports, summary)
+            return report.read_bytes() + summary.read_bytes()
 
         assert render() == render()
 

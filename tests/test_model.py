@@ -1,6 +1,5 @@
 import ast
 import csv
-import io
 import math
 import warnings
 from pathlib import Path
@@ -260,24 +259,24 @@ class TestPresets:
 
 
 class TestEmbeddingExport:
-    def _export(self, params, space):
-        buf = io.StringIO()
-        export_embeddings(params, space, buf)
-        return buf.getvalue()
+    def _export(self, params, space, tmp_path):
+        path = tmp_path / "emb.csv"
+        export_embeddings(params, space, path)
+        return path.read_text(encoding="utf-8")
 
-    def test_shape_with_factors(self):
+    def test_shape_with_factors(self, tmp_path):
         space = FeatureSpace((("users", 2), ("items", 3), ("skills", 9)))
         rng = np.random.default_rng(4)
         params = FMParams(0.1, rng.normal(size=14), rng.normal(size=(14, 2)))
-        lines = self._export(params, space).splitlines()
+        lines = self._export(params, space, tmp_path).splitlines()
         assert lines[0] == "block,local_id,bias,v0,v1"
         assert len(lines) == 15
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
-    def test_bias_only_export(self):
+    def test_bias_only_export(self, tmp_path):
         space = FeatureSpace((("users", 3),))
         params = FMParams(0.0, np.array([1.0, -2.0, 0.5]))
-        lines = self._export(params, space).splitlines()
+        lines = self._export(params, space, tmp_path).splitlines()
         assert lines[0] == "block,local_id,bias"
         assert lines[1] == "users,0,1.0"
 
@@ -286,9 +285,8 @@ class TestEmbeddingExport:
         rng = np.random.default_rng(9)
         params = FMParams(rng.normal(), rng.normal(size=6), rng.normal(size=(6, 3)))
         path = tmp_path / "emb.csv"
-        with open(path, "w", newline="\n") as fh:
-            export_embeddings(params, space, fh)
-        with open(path, newline="") as fh:
+        export_embeddings(params, space, path)
+        with open(path, newline="", encoding="utf-8") as fh:
             header, *records = list(csv.reader(fh))
         assert header == ["block", "local_id", "bias", "v0", "v1", "v2"]
         assert [(block, int(local)) for block, local, *_ in records] == [
@@ -319,7 +317,7 @@ class TestFMParams:
 def ktfm_imports(path: Path) -> set[str]:
     """The ``ktfm`` modules one source file imports, relative or absolute."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level:
             found.add(".".join(filter(None, ["ktfm", node.module])))
         elif isinstance(node, ast.ImportFrom):
@@ -358,10 +356,10 @@ def test_no_module_imports_scipy():
     # numpy, so no command imports scipy, not even inside a function body
     src = Path(__file__).resolve().parents[1] / "src" / "ktfm"
     scipy = {
-        path.name: sorted(name for name in all_imports(path.read_text()) if name.split(".")[0] == "scipy")
+        path.name: sorted(name for name in all_imports(path.read_text(encoding="utf-8")) if name.split(".")[0] == "scipy")
         for path in src.glob("*.py")
     }
     assert scipy == {name: [] for name in scipy}
-    assert "numpy" in all_imports((src / "model.py").read_text())  # the walk does see the top
+    assert "numpy" in all_imports((src / "model.py").read_text(encoding="utf-8"))  # the walk does see the top
     nested = "def f():\n    from scipy.special import ndtr\n\n    def g():\n        import scipy.sparse\n"
     assert {"scipy.special.ndtr", "scipy.sparse"} <= all_imports(nested)  # and function bodies

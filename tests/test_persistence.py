@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from ktfm.persistence import (
     ModelFormatError,
     load_model,
     save_model,
+    write_json,
     write_manifest,
+    write_table,
 )
 
 
@@ -60,7 +63,7 @@ class TestModelRoundTrip:
         bundle = small_bundle(d=0)
         path = tmp_path / "m.json"
         save_model(path, bundle)
-        assert json.loads(path.read_text())["V"] is None  # the file keeps its d = 0 bytes
+        assert json.loads(path.read_text(encoding="utf-8"))["V"] is None  # the file keeps its d = 0 bytes
         loaded = load_model(path).params
         assert loaded.d == 0 and loaded.V.shape == (bundle.params.n_features, 0)
 
@@ -76,9 +79,9 @@ class TestModelRoundTrip:
         bundle = small_bundle()
         path = tmp_path / "m.json"
         save_model(path, bundle)
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
         payload["vocab_digest"] = "f" * 64
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path, expected_vocab_digest=bundle.vocab_digest)
 
@@ -86,9 +89,9 @@ class TestModelRoundTrip:
         bundle = small_bundle()
         path = tmp_path / "m.json"
         save_model(path, bundle)
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
         payload["version"] = 99
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
@@ -96,18 +99,18 @@ class TestModelRoundTrip:
     def test_d_that_disagrees_with_the_factor_columns_rejected(self, tmp_path, d):
         path = tmp_path / "m.json"
         save_model(path, small_bundle(d))
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
         payload["d"] = 7
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=f"d 7 != factor columns {d}"):
             load_model(path)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
-        path.write_text(json.dumps({"format": "ktfm-model", "version": 1}))
+        path.write_text(json.dumps({"format": "ktfm-model", "version": 1}), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
         with pytest.raises(ModelFormatError, match="corrupt"):  # checked for a digest, none there
@@ -115,7 +118,7 @@ class TestModelRoundTrip:
 
     def test_foreign_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"hello": "world"}))
+        path.write_text(json.dumps({"hello": "world"}), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="not a model file"):
             load_model(path)
 
@@ -149,13 +152,13 @@ class TestModelRoundTrip:
         bundle = ModelBundle(FMParams(0.0, np.zeros(space.width)), space, Link.LOGIT, config, "0" * 64, 2, 3)
         path = tmp_path / "m.json"
         save_model(path, bundle)
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
         flags = ("users", "items", "skills", "wins", "fails", "attempts")
         assert set(payload["encoding"]) == {f"use_{b}" for b in flags} | {"extra_columns"}
         assert [b for b in flags if payload["encoding"][f"use_{b}"]] == list(config.blocks)
         assert load_model(path).encoding == config
         del payload["encoding"]["use_wins"]
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="use_wins"):
             load_model(path)
 
@@ -163,10 +166,10 @@ class TestModelRoundTrip:
 class TestManifest:
     def test_manifest_records_inputs_and_digests(self, tmp_path):
         data = tmp_path / "in.csv"
-        data.write_text("abc")
+        data.write_text("abc", encoding="utf-8")
         out = tmp_path / "manifest.json"
         write_manifest(out, "train", {"seed": 1, "preset": "irt"}, {"data": str(data)})
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["command"] == "train"
         assert payload["options"]["seed"] == 1
         assert len(payload["inputs"]["data"]) == 64
@@ -176,6 +179,31 @@ class TestManifest:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_manifest(a, "cv", {"x": 1, "y": "z"}, {})
         write_manifest(b, "cv", {"y": "z", "x": 1}, {})
-        da = json.loads(a.read_text())["config_digest"]
-        db = json.loads(b.read_text())["config_digest"]
+        da = json.loads(a.read_text(encoding="utf-8"))["config_digest"]
+        db = json.loads(b.read_text(encoding="utf-8"))["config_digest"]
         assert da == db
+
+
+class TestWriters:
+    def test_table_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [[0, "é,x", 0.1, None], [12, "b", np.float64(1 / 3), 1e-20]]
+        write_table(path, ["row", "name", "p", "auc"], rows)
+        assert path.read_bytes() == (
+            'row,name,p,auc\n0,"é,x",0.1,\n12,b,0.3333333333333333,1e-20\n'.encode("utf-8")
+        )
+
+    def test_table_without_header(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_table(path, None, np.array([[0, 1], [1, 0]], dtype=np.int8).tolist())
+        assert path.read_bytes() == b"0,1\n1,0\n"
+
+    def test_json_is_compact_sorted_and_ends_with_a_newline(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(path, {"b": [1, 0.5], "a": "é", "c": Path("x")})
+        assert path.read_bytes() == b'{"a":"\\u00e9","b":[1,0.5],"c":"x"}\n'
+
+    def test_indented_json(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_json(path, {"b": [1], "a": None}, indent=2)
+        assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'

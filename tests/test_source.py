@@ -1,9 +1,15 @@
 """Source guards over ``src/ktfm``: no private helper is left without a caller,
 only two private names are imported from another module, only ``evaluation.fit``
-calls a trainer, and only ``cli._manifest`` writes a manifest."""
+calls a trainer, only ``cli._manifest`` writes a manifest, and only
+``persistence`` writes a file, but for the design text. One more guard is
+over ``tests/``: an ``EncodingWarning`` raised there fails the test."""
 
 import ast
+import re
+import warnings
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ktfm"
 
@@ -47,7 +53,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
 
 
 def package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
 def test_every_private_name_has_a_reader():
@@ -134,3 +140,77 @@ def test_only_manifest_writes_a_manifest_in_cli():
     assert callers(cli, {"write_manifest"}) == ["cli._manifest"]
     cli["cli"] += "\n\ndef stray(out):\n    write_manifest(out, 'stray', {}, {})\n"
     assert callers(cli, {"write_manifest"}) == ["cli._manifest", "cli.stray"]
+
+
+def _is_write(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for writing: ``open`` (or ``.open``) in a
+    write mode, ``.write_text``, ``.write_bytes`` or ``savetxt``. The mode is
+    a string of mode letters given as ``mode`` or as the first or second
+    argument (``path.open("w")``, ``open(path, "w")``)."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes", "savetxt"):
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[:2]
+    return any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str) and re.fullmatch("[rwxabt+]+", m.value)
+        and set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def file_writers(sources: dict[str, str]) -> list[str]:
+    """``module.qualname`` of every function of ``sources`` that opens a file for
+    writing (``module`` for such a call outside any function)."""
+    found = set()
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, [*scope, child.name])
+            else:
+                if isinstance(child, ast.Call) and _is_write(child):
+                    found.add(".".join([module, *scope]))
+                visit(module, child, scope)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), [])
+    return sorted(found)
+
+
+def test_only_persistence_writes_a_file():
+    # every output file but the design text goes through ``write_table`` or
+    # ``write_json``, which keep the UTF-8, "\n" and float rules once;
+    # perfbench/trace_cli.py wraps ``DesignMatrix.save`` by its name
+    writers = file_writers(package_sources())
+    assert [w for w in writers if not w.startswith("persistence.")] == ["sparse.DesignMatrix.save"]
+    assert writers == ["persistence.write_json", "persistence.write_table", "sparse.DesignMatrix.save"]
+
+
+def test_the_writer_guard_finds_a_planted_write():
+    sources = package_sources()
+    sources["cli"] += (
+        "\n\ndef _dump(path, rows):\n    with open(path, 'w', encoding='utf-8') as fh:\n        fh.write(rows)\n"
+        "\n\ndef _read(path):\n    with open(path, encoding='utf-8') as fh:\n        return fh.read()\n"
+    )
+    sources["datasets"] += "\n\nclass _Q:\n    def save(self, path):\n        np.savetxt(path, self.m)\n"
+    sources["model"] += "\n\ndef _note(path):\n    path.write_text('x', encoding='utf-8')\n"
+    sources["sparse"] += "\n\ndef _log(path):\n    return path.open('a', encoding='utf-8')\n"
+    sources["training"] += "\n\ndef _log(path):\n    return open(path, mode='a', encoding='utf-8')\n"
+    sources["encoding"] += "\n\nopen('x.bin', 'r+b')\n"
+    assert file_writers(sources) == [
+        "cli._dump", "datasets._Q.save", "encoding", "model._note", "persistence.write_json",
+        "persistence.write_table", "sparse.DesignMatrix.save", "sparse._log", "training._log",
+    ]
+
+
+def test_an_encoding_warning_from_the_tests_fails_the_test():
+    # conftest.py marks every test of this directory so
+    with pytest.raises(EncodingWarning):
+        warnings.warn("'encoding' argument not specified", EncodingWarning)
+    # not one from another module, such as perfbench's tests or a pytest plugin
+    with warnings.catch_warnings(record=True) as caught:
+        for module in ("test_checkers", "perfbench.test_checkers", "pytest_benchmark.utils"):
+            warnings.warn_explicit("'encoding' argument not specified", EncodingWarning, "x.py", 1, module=module)
+    assert len(caught) == 3

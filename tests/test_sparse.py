@@ -185,7 +185,7 @@ class TestDesignMatrix:
         dm = self._matrix(space)
         path = tmp_path / "dm.txt"
         dm.save(path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "#N 14"
         assert text.splitlines()[1] == "1 0:1 2:1"
         assert text.splitlines()[2] == "0 1:1 8:2"
@@ -203,14 +203,14 @@ class TestDesignMatrix:
         path = tmp_path / "dm.txt"
         dm.save(path)
         assert path.read_bytes() == reference_dump(dm).encode()
-        assert read_values(path.read_text()).tobytes() == dm.data.tobytes()
+        assert read_values(path.read_text(encoding="utf-8")).tobytes() == dm.data.tobytes()
 
     def test_noninteger_values_round_trip(self, space, tmp_path):
         dm = matrix_from_rows(space, [[(0, 0.1), (5, 3.0)]], [1])
         path = tmp_path / "dm.txt"
         dm.save(path)
-        assert path.read_text() == "#N 14\n1 0:0.1 5:3\n"
-        assert read_values(path.read_text()).tolist() == [0.1, 3.0]
+        assert path.read_text(encoding="utf-8") == "#N 14\n1 0:0.1 5:3\n"
+        assert read_values(path.read_text(encoding="utf-8")).tolist() == [0.1, 3.0]
 
 
 # any float64 a design matrix may store: finite and nonzero
@@ -251,7 +251,7 @@ class TestDesignMatrixProperties:
         path = tmp_path_factory.mktemp("dm") / "dm.txt"
         dm.save(path)
         assert path.read_bytes() == reference_dump(dm).encode()
-        assert read_values(path.read_text()).tobytes() == dm.data.tobytes()
+        assert read_values(path.read_text(encoding="utf-8")).tobytes() == dm.data.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(dm=design_matrices(), chunk=st.integers(1, 6) | st.just(sparse.CHUNK_ROWS))

@@ -21,10 +21,10 @@ def trace(tmp_path, name, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_cli.py"), str(spans_path), "--", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    return {span["name"] for span in json.loads(spans_path.read_text(encoding="utf-8"))["spans"]}
 
 
 @pytest.mark.filterwarnings("ignore")

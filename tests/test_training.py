@@ -24,6 +24,7 @@ from ktfm import (
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ktfm.evaluation import fit
 from ktfm.training import (
     _class_steps,
     _colour_blocks,
@@ -102,6 +103,27 @@ class TestInitParams:
             bias, w, V, *_ = _setup(matrix_from_rows(10, [[(3, 1.0)]], [1]), TrainConfig(d=0, seed=1))
         assert V.shape == (10, 0)
         assert (w == 0).all() and bias == 0.0
+
+    # each call on a line of its own: the warning must name that line, whether
+    # the trainer is called directly, as in the README, or through ``fit``
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data: fit(data, [TrainConfig(epochs=1)], Link.LOGIT),
+            lambda data: fit(data, [TrainConfig(d=1, epochs=2)], Link.PROBIT),
+            lambda data: train_map_logit(data, TrainConfig(epochs=1)),
+            lambda data: train_gibbs_probit(data, None, TrainConfig(epochs=2)),
+        ],
+        ids=["fit-logit", "fit-probit", "train_map_logit", "train_gibbs_probit"],
+    )
+    def test_constant_labels_warn_at_the_callers_line(self, call):
+        data = matrix_from_rows(4, [[(0, 1.0)], [(1, 1.0), (3, 1.0)]], [1, 1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(data)
+        assert [(w.filename, w.lineno) for w in caught if "identical" in str(w.message)] == [
+            (call.__code__.co_filename, call.__code__.co_firstlineno)
+        ]
 
     def test_same_seed_same_init(self):
         a = _init_factors(TrainConfig(d=5, seed=42), 10)
